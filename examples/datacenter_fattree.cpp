@@ -47,7 +47,7 @@ std::vector<double> run(int k, int npaths, bool multipath) {
                   : cc::uncoupled());
     for (auto& path : ft.sample_paths(pair.src, pair.dst,
                                       multipath ? npaths : 1, rng)) {
-      auto ack = ft.ack_path(path, pair.src);
+      auto ack = ft.ack_path(path);
       conn->add_subflow(path, ack);
     }
     conn->start(from_ms(idx % 16));

@@ -115,13 +115,9 @@ bool EventList::run_one() {
     if (wheel_->empty()) return false;
     const TimingWheel::Entry e = wheel_->pop();
     MPSIM_CHECK(e.time >= now_, "event clock must advance monotonically");
-    MPSIM_CHECK(e.time <= horizon_,
-                "event dispatched past the causality horizon");
     now_ = e.time;
     ++processed_;
-    dispatch_key_ = e.seq;
     e.src->on_event();
-    dispatch_key_ = 0;
     after_dispatch();
     return true;
   }
@@ -129,13 +125,9 @@ bool EventList::run_one() {
   Entry e = heap_.top();
   heap_.pop();
   MPSIM_CHECK(e.time >= now_, "event clock must advance monotonically");
-  MPSIM_CHECK(e.time <= horizon_,
-              "event dispatched past the causality horizon");
   now_ = e.time;
   ++processed_;
-  dispatch_key_ = e.seq;
   e.src->on_event();
-  dispatch_key_ = 0;
   return true;
 }
 
@@ -148,26 +140,18 @@ void EventList::run_until(SimTime t) {
     if (wheel_) {
       TimingWheel::Entry e;
       if (!wheel_->pop_if_before(t, e)) break;
-      MPSIM_CHECK(e.time <= horizon_,
-                  "event dispatched past the causality horizon");
       now_ = e.time;
       ++processed_;
-      dispatch_key_ = e.seq;
       e.src->on_event();
-      dispatch_key_ = 0;
       after_dispatch();
     } else {
       if (heap_.empty() || heap_.top().time > t) break;
       const Entry e = heap_.top();
       heap_.pop();
       MPSIM_CHECK(e.time >= now_, "event clock must advance monotonically");
-      MPSIM_CHECK(e.time <= horizon_,
-                  "event dispatched past the causality horizon");
       now_ = e.time;
       ++processed_;
-      dispatch_key_ = e.seq;
       e.src->on_event();
-      dispatch_key_ = 0;
     }
   }
   if (now_ < t) now_ = t;

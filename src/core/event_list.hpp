@@ -11,16 +11,11 @@
 // id counter, and the low half counts that source's own schedule_at calls —
 // so the dispatch order of same-time events is a pure function of (a) the
 // construction order of the topology and (b) each source's own behaviour,
-// never of which EventList the source lives on. Two consequences the
-// parallel-DES layer (core/shard.hpp) builds on:
-//   * Sharding is exact: partitioning sources across several EventLists and
-//     executing them under conservative lookahead windows dispatches every
-//     event with the same key it would have had on one list, so a sharded
-//     run is byte-identical to a sequential one.
-//   * Batching is exact: all same-time events of one source occupy a
-//     contiguous key range (no other source can interleave), so an element
-//     may service several of its same-time completions inside one dispatch
-//     without reordering anything (see net::Pipe's batched service mode).
+// never of how many events other sources scheduled in between. One
+// consequence: all same-time events of one source occupy a contiguous key
+// range (no other source can interleave), so an element may service several
+// of its same-time completions inside one dispatch without reordering
+// anything (see net::Pipe's head-armed service).
 //
 // Two interchangeable backends implement the queue, plus a policy that
 // switches between them at run time:
@@ -70,8 +65,7 @@ class EventList;
 // Anything that can be woken by the scheduler. Construction assigns the
 // source's canonical order id from `events`' simulation, so every source is
 // born with a stable tie-break identity; the EventList passed here is the
-// one the source must be scheduled on (checked at schedule time under
-// shard builds only by the causality invariants, not structurally).
+// one the source must be scheduled on.
 class EventSource {
  public:
   EventSource(EventList& events, std::string name);
@@ -86,7 +80,7 @@ class EventSource {
   const std::string& name() const { return name_; }
 
   // Canonical tie-break id (1-based, construction order within the
-  // simulation — shared across every shard of one ShardGroup).
+  // simulation).
   std::uint32_t order_id() const { return order_id_; }
 
  private:
@@ -171,46 +165,14 @@ class EventList {
   // Per-simulation (not process-global) so ids — which appear in packets,
   // receiver demux tables and trace files — depend only on construction
   // order within the run, never on how parallel runner jobs interleave.
-  // Under a ShardGroup the counter is shared by every shard (see
-  // share_id_counters), so ids are also independent of the shard count.
-  std::uint32_t alloc_flow_id() { return (*flow_counter_)++; }
+  std::uint32_t alloc_flow_id() { return flow_counter_++; }
 
   // Allocate a canonical source order id (EventSource construction).
   std::uint32_t alloc_order_id() {
-    MPSIM_CHECK(*order_counter_ != 0xFFFFFFFFu,
+    MPSIM_CHECK(order_counter_ != 0xFFFFFFFFu,
                 "canonical order-id space exhausted");
-    return (*order_counter_)++;
+    return order_counter_++;
   }
-
-  // Redirect order-id and flow-id allocation to counters owned elsewhere —
-  // core::ShardGroup points every shard of one simulation at a single
-  // counter pair so construction yields identical ids whatever the shard
-  // count. Must be called before any source/connection is built, and the
-  // counters must only ever be touched from one thread at a time (all
-  // construction in this codebase is single-threaded).
-  void share_id_counters(std::uint32_t* order, std::uint32_t* flow) {
-    order_counter_ = order;
-    flow_counter_ = flow;
-  }
-
-  // Earliest pending event time, or kNever when the queue is empty. Used by
-  // the shard barrier to derive the next safe execution window.
-  SimTime next_event_time() const {
-    if (wheel_) return wheel_->empty() ? kNever : wheel_->next_time();
-    return heap_.empty() ? kNever : heap_.top().time;
-  }
-
-  // Causality horizon: dispatching any event later than this trips an
-  // MPSIM_CHECK. The conservative parallel-DES window loop tightens it to
-  // each window's upper bound so a shard running past its lookahead is an
-  // invariant violation, not a silent reorder. kNever = unrestricted.
-  void set_horizon(SimTime h) { horizon_ = h; }
-  SimTime horizon() const { return horizon_; }
-
-  // Canonical key of the event currently being dispatched (0 outside a
-  // dispatch). The trace recorder stamps this into records so traces from
-  // several shards merge into exactly the sequential emission order.
-  std::uint64_t current_dispatch_key() const { return dispatch_key_; }
 
   // --- per-simulation services ------------------------------------------
   // A service is owned by the EventList and lives exactly as long as the
@@ -269,13 +231,9 @@ class EventList {
   std::unique_ptr<TimingWheel> wheel_;  // non-null iff the wheel is active
   std::array<std::unique_ptr<Service>, kServiceSlots> services_;
   SimTime now_ = 0;
-  SimTime horizon_ = kNever;
-  std::uint64_t dispatch_key_ = 0;
   std::uint64_t processed_ = 0;
-  std::uint32_t own_order_counter_ = 1;  // 0 is reserved ("no source")
-  std::uint32_t own_flow_counter_ = 1;
-  std::uint32_t* order_counter_ = &own_order_counter_;
-  std::uint32_t* flow_counter_ = &own_flow_counter_;
+  std::uint32_t order_counter_ = 1;  // 0 is reserved ("no source")
+  std::uint32_t flow_counter_ = 1;
   SchedulerKind mode_ = SchedulerKind::kHeap;  // resolved, never kAuto
   // Adaptive policy. The defaults bracket the measured heap/wheel crossover
   // (BENCH_micro_core: the wheel wins from a few thousand pending events

@@ -170,9 +170,6 @@ class MptcpConnection : public tcp::SubflowHost,
   const DataScheduler& scheduler() const { return *scheduler_; }
   const cc::CongestionControl& algorithm() const { return cc_; }
   std::uint32_t flow_id() const { return flow_id_; }
-  // The EventList this connection (sender, receiver, subflows) runs on —
-  // its home shard in a sharded simulation.
-  EventList& events() const { return events_; }
 
   // In-order goodput delivered to the receiving application.
   std::uint64_t delivered_pkts() const { return receiver_.delivered(); }

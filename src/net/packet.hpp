@@ -69,7 +69,6 @@ class PacketFifo {
   bool empty() const { return head_ == nullptr; }
   std::size_t size() const { return size_; }
   Packet* front() const { return head_; }
-  Packet* back() const { return tail_; }
   void push_back(Packet& p);
   Packet* pop_front();
   Packet* pop_back();
@@ -139,17 +138,6 @@ class Packet {
   // Delivers the packet to the next hop on its route.
   void advance();
   const Route* route() const { return route_; }
-  // Index of the hop the next advance() will deliver to.
-  std::uint32_t next_hop() const { return next_hop_; }
-  // Re-attach a mid-flight position onto a (re-allocated) packet: the next
-  // advance() delivers to route[next_hop]. The cross-shard handoff path —
-  // a packet is released on its source shard and re-materialized from the
-  // destination shard's pool with the same route position.
-  void resume(const Route& route, std::uint32_t next_hop) {
-    MPSIM_CHECK(next_hop < route.size(), "resume past the end of the route");
-    route_ = &route;
-    next_hop_ = next_hop;
-  }
 
   // Pool management ------------------------------------------------------
   // Fetch a zeroed packet from the pool owned by `events`' simulation.

@@ -1,22 +1,19 @@
 // Propagation-delay element: delivers every packet `delay` after arrival,
 // preserving order. Pipes never drop.
 //
-// Two service disciplines, selected by MPSIM_BATCH_SERVICE (default on):
+// Service is head-armed: at most ONE pending wake-up per pipe, armed at the
+// head packet's delivery time; each wake delivers the entire due-now
+// prefix, then re-arms at the new head. This keeps scheduler occupancy at
+// one entry per pipe instead of one per packet in flight — the dominant
+// per-event constant on dense datacenter topologies.
 //
-//  - Head-armed (batched): at most ONE pending wake-up per pipe, armed at
-//    the head packet's delivery time; each wake delivers the entire
-//    due-now prefix, then re-arms at the new head. This keeps scheduler
-//    occupancy at one entry per pipe instead of one per packet in flight
-//    — the dominant per-event constant on dense datacenter topologies.
-//  - Legacy (one wake per packet): the pre-batching discipline, kept as
-//    the equivalence oracle for tests.
-//
-// The two are dispatch-order identical: all of a pipe's same-time events
-// carry canonical keys (pipe order id, seq) that share the same high 32
-// bits, so no other source's same-time event can interleave between them
-// (key adjacency) — delivering the whole due-now prefix inside one
-// dispatch performs the same downstream calls in the same global order as
-// one dispatch per packet.
+// set_batched(false) restores the per-packet discipline (one wake per
+// packet), kept only as the tests' reference. The two are dispatch-order
+// identical: all of a pipe's same-time events carry canonical keys (pipe
+// order id, seq) that share the same high 32 bits, so no other source's
+// same-time event can interleave between them (key adjacency) — delivering
+// the whole due-now prefix inside one dispatch performs the same downstream
+// calls in the same global order as one dispatch per packet.
 #pragma once
 
 #include <string>
@@ -31,32 +28,18 @@ class Pipe : public PacketSink, public EventSource {
   Pipe(EventList& events, std::string name, SimTime delay);
 
   void receive(Packet& pkt) override;
-  // Deliver a packet that entered the wire at `sent_at` (possibly in a
-  // different shard's past): arrival is sent_at + delay. This is the
-  // cross-shard handoff entry point — the conservative lookahead window
-  // guarantees sent_at + delay >= now on the receiving shard, which the
-  // MPSIM_CHECK inside enforces.
-  void receive_shipped(Packet& pkt, SimTime sent_at);
   void on_event() override;
   const std::string& sink_name() const override { return EventSource::name(); }
 
   SimTime delay() const { return delay_; }
-  EventList& events() const { return events_; }
 
-  // Test hook: override the process-wide MPSIM_BATCH_SERVICE default for
-  // this pipe (equivalence tests run both disciplines in one process).
+  // Test reference: false switches this pipe to one wake-up per packet.
   void set_batched(bool batched) { batched_ = batched; }
-  bool batched() const { return batched_; }
-
-  // Process-wide default from MPSIM_BATCH_SERVICE (on|off), default on.
-  static bool default_batched();
 
  private:
-  void admit(Packet& pkt, SimTime deliver_at);
-
   EventList& events_;
   SimTime delay_;
-  bool batched_;
+  bool batched_ = true;
   PacketFifo in_flight_;  // FIFO by arrival; link_due is the delivery time
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -54,37 +53,11 @@ std::vector<RunResult> ExperimentRunner::run_all() {
   std::vector<RunResult> results(n);
 
   auto exec = [&](std::size_t idx) {
-    RunContext ctx(jobs_[idx].first, cfg_.scheduler, cfg_.shard_threads);
-    ShardGroup& grp = ctx.shards();
+    RunContext ctx(jobs_[idx].first, cfg_.scheduler);
     if (cfg_.trace_sink != trace::SinkKind::kNone) {
       trace::TraceRecorder::Config tc;
       if (cfg_.trace_capacity > 0) tc.capacity = cfg_.trace_capacity;
-      // One recorder per shard; objects record into the ring of the list
-      // they run on.
-      std::vector<trace::TraceRecorder*> recs;
-      for (int s = 0; s < grp.size(); ++s) {
-        recs.push_back(&trace::TraceRecorder::install(grp.shard(s), tc));
-      }
-      if (grp.multi()) {
-        // Out-of-band records (no dispatch key) from different shards'
-        // rings need a global order: share one oseq counter during
-        // single-threaded phases, flip to private counters while workers
-        // run (every worker-phase record has a unique dispatch key, so
-        // private counters only order records *within* one dispatch).
-        auto shared_seq = std::make_shared<std::uint64_t>(0);
-        for (auto* rec : recs) rec->use_sequence_counter(shared_seq.get());
-        grp.set_phase_hooks(
-            [recs] {
-              for (auto* rec : recs) {
-                rec->use_sequence_counter(rec->own_sequence_counter());
-              }
-            },
-            [recs, shared_seq] {
-              for (auto* rec : recs) {
-                rec->use_sequence_counter(shared_seq.get());
-              }
-            });
-      }
+      trace::TraceRecorder::install(ctx.events(), tc);
     }
     const auto t0 = std::chrono::steady_clock::now();
     jobs_[idx].second(ctx);
@@ -96,40 +69,29 @@ std::vector<RunResult> ExperimentRunner::run_all() {
     r.annotations = ctx.annotations();
     if (cfg_.trace_sink != trace::SinkKind::kNone) {
       // Flush after the job returns (never during the run) on whichever
-      // worker ran it; the recorders and file are private to this run, so
-      // the bytes depend only on the simulation, not the schedule — a
-      // sharded run's merged flush reproduces the sequential bytes
-      // exactly (TraceRecorder::flush_merged).
+      // worker ran it; the recorder and file are private to this run, so
+      // the bytes depend only on the simulation, not the schedule.
+      const trace::TraceRecorder* rec =
+          trace::TraceRecorder::find(ctx.events());
       auto sink = trace::make_sink(cfg_.trace_sink);
-      if (grp.multi()) {
-        std::vector<const trace::TraceRecorder*> recs;
-        for (int s = 0; s < grp.size(); ++s) {
-          recs.push_back(trace::TraceRecorder::find(grp.shard(s)));
-        }
-        trace::TraceRecorder::flush_merged(recs, *sink);
-      } else {
-        trace::TraceRecorder::find(ctx.events())->flush(*sink);
-      }
+      rec->flush(*sink);
       const std::string path = cfg_.trace_dir + "/trace_" +
                                sanitize_for_filename(ctx.name()) +
                                trace::sink_extension(cfg_.trace_sink);
       if (trace::write_text_file(path, sink->text())) r.trace_path = path;
     }
     r.metrics.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-    r.metrics.events_processed = grp.events_processed();
+    r.metrics.events_processed = ctx.events().events_processed();
     r.metrics.events_per_sec =
         r.metrics.wall_seconds > 0.0
             ? static_cast<double>(r.metrics.events_processed) /
                   r.metrics.wall_seconds
             : 0.0;
-    for (int s = 0; s < grp.size(); ++s) {
-      if (const net::PacketPool* pool =
-              net::PacketPool::find(grp.shard(s))) {
-        r.metrics.peak_pool_packets += pool->peak_outstanding();
-      }
-      r.metrics.scheduler_switches += grp.shard(s).scheduler_switches();
+    if (const net::PacketPool* pool = net::PacketPool::find(ctx.events())) {
+      r.metrics.peak_pool_packets = pool->peak_outstanding();
     }
     r.metrics.scheduler = to_string(ctx.events().scheduler_kind());
+    r.metrics.scheduler_switches = ctx.events().scheduler_switches();
   };
 
   const unsigned nthreads = resolved_threads();

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "core/event_list.hpp"
-#include "core/shard.hpp"
 #include "trace/sinks.hpp"
 #include "trace/trace.hpp"
 
@@ -42,29 +41,16 @@ struct RunMetrics {
 };
 
 // Handed to each job: the simulation instance plus a keyed scalar recorder.
-// The simulation is a ShardGroup of `shard_threads` EventLists; the default
-// of one shard degenerates to the classic single-EventList run (a
-// one-shard group forwards run_until straight to its only list), so every
-// existing caller of events()/run_until() is unchanged.
 class RunContext {
  public:
-  RunContext(std::string name, SchedulerKind scheduler,
-             int shard_threads = 1)
-      : name_(std::move(name)),
-        group_(shard_threads > 1 ? shard_threads : 1, scheduler) {}
+  RunContext(std::string name, SchedulerKind scheduler)
+      : name_(std::move(name)), events_(scheduler) {}
 
   RunContext(const RunContext&) = delete;
   RunContext& operator=(const RunContext&) = delete;
 
   const std::string& name() const { return name_; }
-  // Shard 0: the main list. Construction, single-shard topologies and all
-  // pre/post-run bookkeeping happen here.
-  EventList& events() { return group_.shard(0); }
-  ShardGroup& shards() { return group_; }
-
-  // Advance the whole simulation to `t` — barrier-windowed across shards
-  // when sharded, plain EventList::run_until otherwise.
-  void run_until(SimTime t) { group_.run_until(t); }
+  EventList& events() { return events_; }
 
   // Record a named statistic (kept in insertion order).
   void record(std::string key, double value) {
@@ -87,7 +73,7 @@ class RunContext {
 
  private:
   std::string name_;
-  ShardGroup group_;
+  EventList events_;
   std::vector<std::pair<std::string, double>> values_;
   std::vector<std::pair<std::string, std::string>> annotations_;
 };
@@ -115,10 +101,6 @@ struct RunResult {
 struct RunnerConfig {
   unsigned threads = 0;  // 0 => hardware concurrency; 1 => run on the caller
   SchedulerKind scheduler = SchedulerKind::kAuto;  // for every job's EventList
-  // Shards *within* each job's simulation (conservative parallel DES);
-  // 1 = classic sequential runs. Composes with `threads`: `threads` jobs
-  // each fan out `shard_threads` workers.
-  int shard_threads = 1;
   // Flight-recorder emission. kNone = off. Otherwise every job gets a
   // recorder installed before it runs, and its trace is flushed to
   // `trace_dir`/trace_<run-name><ext> after the job returns (run names are

@@ -191,11 +191,6 @@ class FatTreeTopo final : public BuiltTopology {
     return topo::sample_path_pairs(ft_, src, dst, n, rng);
   }
 
-  EventList& host_events(int h, EventList& fallback) override {
-    (void)fallback;  // hosts always have a definite shard in a fat tree
-    return ft_.host_events(h);
-  }
-
   std::vector<net::Queue*> queues() override {
     // Access then core, the Fig. 13 reporting order.
     std::vector<net::Queue*> qs;
@@ -644,11 +639,8 @@ class MatrixTraffic final : public TrafficModel {
     ccfg.scheduler = parse_scheduler(env);
     int idx = 0;
     for (const auto& [src, dst] : tm) {
-      // Each connection lives on its source host's shard; with one shard
-      // host_events is `events` and this is the classic construction.
       auto conn = std::make_unique<mptcp::MptcpConnection>(
-          topo.host_events(src, events), "f" + std::to_string(idx),
-          *algo.cc, ccfg);
+          events, "f" + std::to_string(idx), *algo.cc, ccfg);
       auto paths =
           topo.host_paths(src, dst, algo.single_path ? 1 : subflows_, rng);
       for (auto& pr : paths) {
@@ -760,8 +752,6 @@ class PoissonTraffic final : public TrafficModel {
   }
 
   void set_seed(std::uint64_t seed) { seed_ = seed; }
-
-  bool builds_during_run() const override { return true; }
 
   std::vector<const mptcp::MptcpConnection*> connections() const override {
     std::vector<const mptcp::MptcpConnection*> out;
@@ -894,8 +884,6 @@ class ChurnTraffic final : public TrafficModel {
   }
 
   void set_seed(std::uint64_t seed) { seed_ = seed; }
-
-  bool builds_during_run() const override { return true; }
 
   std::vector<const mptcp::MptcpConnection*> connections() const override {
     std::vector<const mptcp::MptcpConnection*> out;

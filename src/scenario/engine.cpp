@@ -179,7 +179,6 @@ void Scenario::validate(double time_scale) const {
 std::vector<runner::RunResult> Scenario::run(const EngineOptions& opts) const {
   runner::RunnerConfig rcfg;
   rcfg.threads = opts.threads;
-  rcfg.shard_threads = opts.shard_threads;
   rcfg.trace_sink = opts.trace_sink;
   rcfg.trace_dir = opts.trace_dir;
   rcfg.trace_capacity = opts.trace_capacity;
@@ -216,46 +215,39 @@ std::size_t Scenario::spec_trace_capacity() const {
 
 namespace {
 
-// Periodic per-connection goodput samples into the flight recorder — the
-// Fig. 17 timeline as kGoodput trace records.
+// Periodic goodput samples of one connection into the flight recorder —
+// the Fig. 17 timeline as kGoodput trace records.
 class GoodputSampler final : public EventSource {
  public:
   GoodputSampler(EventList& events, trace::TraceRecorder& rec,
-                 std::vector<const mptcp::MptcpConnection*> conns,
-                 SimTime interval)
+                 const mptcp::MptcpConnection& conn, SimTime interval)
       : EventSource(events, "scenario/sampler"),
         events_(events),
         rec_(rec),
-        conns_(std::move(conns)),
-        interval_(interval) {
-    for (const auto* c : conns_) {
-      sid_.push_back(rec_.register_object("goodput/" + c->name()));
-      base_.push_back(c->delivered_pkts());
-    }
+        conn_(conn),
+        interval_(interval),
+        sid_(rec.register_object("goodput/" + conn.name())),
+        base_(conn.delivered_pkts()) {
     events_.schedule_in(*this, interval_);
   }
 
   void on_event() override {
     trace::TraceRecorder* rec = &rec_;
-    for (std::size_t i = 0; i < conns_.size(); ++i) {
-      const std::uint64_t now_pkts = conns_[i]->delivered_pkts();
-      const double mbps =
-          stats::pkts_to_mbps(now_pkts - base_[i], interval_);
-      MPSIM_TRACE(rec, trace::goodput_sample(events_.now(), sid_[i],
-                                             conns_[i]->flow_id(), 0,
-                                             mbps));
-      base_[i] = now_pkts;
-    }
+    const std::uint64_t now_pkts = conn_.delivered_pkts();
+    const double mbps = stats::pkts_to_mbps(now_pkts - base_, interval_);
+    MPSIM_TRACE(rec, trace::goodput_sample(events_.now(), sid_,
+                                           conn_.flow_id(), 0, mbps));
+    base_ = now_pkts;
     events_.schedule_in(*this, interval_);
   }
 
  private:
   EventList& events_;
   trace::TraceRecorder& rec_;
-  std::vector<const mptcp::MptcpConnection*> conns_;
+  const mptcp::MptcpConnection& conn_;
   SimTime interval_;
-  std::vector<std::uint16_t> sid_;
-  std::vector<std::uint64_t> base_;
+  std::uint16_t sid_;
+  std::uint64_t base_;
 };
 
 // A requested output metric, parsed from [output] metrics.
@@ -367,9 +359,8 @@ void execute_run(const ResolvedRun& run, double time_scale,
 
   // Construction mirrors the bench binaries exactly: recorder (installed
   // by the runner before this function), then Network, topology, meter,
-  // then connections in flow order. The network sees the run's shard
-  // group; with one shard every element lands on ctx.events() as before.
-  topo::Network net(ctx.events(), &ctx.shards());
+  // then connections in flow order.
+  topo::Network net(ctx.events());
   const Section& topo_sec = spec.require_section("topology");
   auto topology =
       reg.topology(topo_sec.get_string("kind"), topo_sec)(net, topo_sec, env);
@@ -401,20 +392,6 @@ void execute_run(const ResolvedRun& run, double time_scale,
     faults = parse_fault_plan(*faults_sec, net.fault_targets(), env);
   }
 
-  // Sharded execution supports static flow sets only: mid-run construction
-  // (Poisson arrivals, churn) and fault injection both act from one shard
-  // on state owned by others, which the conservative windows do not order.
-  if (net.multi_shard()) {
-    if (faults_sec != nullptr) {
-      faults_sec->fail("[faults] is not supported with --shard-threads > 1");
-    }
-    if (traffic->builds_during_run()) {
-      traffic_sec.fail("traffic kind '" + traffic_sec.get_string("kind") +
-                       "' builds flows during the run; not supported with "
-                       "--shard-threads > 1");
-    }
-  }
-
   // Every key must have been read by now — a typo dies here, in dry runs
   // and real ones alike.
   spec.check_all_used();
@@ -431,29 +408,23 @@ void execute_run(const ResolvedRun& run, double time_scale,
         recovery.get());
   }
 
-  ctx.run_until(warmup);
+  ctx.events().run_until(warmup);
   for (auto* q : topology->queues()) q->reset_stats();
   meter.mark();
 
-  // One sampler per connection, on the connection's home EventList — a
-  // sampler reads its connection's delivered counter every interval, which
-  // must happen on the shard that owns it. The per-connection split (vs
-  // one sampler for all) holds at one shard too, so the object-construction
-  // sequence is identical across shard counts.
+  // One sampler per connection, as every committed trace and run report
+  // was recorded with (a single sampler would change the event count).
   std::vector<std::unique_ptr<GoodputSampler>> samplers;
   if (sample_interval > 0) {
-    for (const auto* c : conns) {
-      if (trace::TraceRecorder* rec =
-              trace::TraceRecorder::find(c->events())) {
+    if (trace::TraceRecorder* rec = trace::TraceRecorder::find(ctx.events())) {
+      for (const auto* c : conns) {
         samplers.push_back(std::make_unique<GoodputSampler>(
-            c->events(), *rec,
-            std::vector<const mptcp::MptcpConnection*>{c},
-            sample_interval));
+            ctx.events(), *rec, *c, sample_interval));
       }
     }
   }
 
-  ctx.run_until(warmup + measure);
+  ctx.events().run_until(warmup + measure);
 
   const std::vector<double> mbps = meter.mbps();
   const auto queues = topology->queues();

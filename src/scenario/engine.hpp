@@ -35,9 +35,6 @@ struct ResolvedRun {
 struct EngineOptions {
   unsigned threads = 0;       // 0 = hardware concurrency
   double time_scale = 1.0;    // scales [run] warmup/measure and schedules
-  // Shards per simulation (CLI --shard-threads): conservative parallel
-  // DES inside each run, byte-identical to shard_threads = 1.
-  int shard_threads = 1;
   // Trace emission for every run (CLI --trace / [output] trace).
   trace::SinkKind trace_sink = trace::SinkKind::kNone;
   std::string trace_dir = ".";

@@ -86,14 +86,6 @@ class BuiltTopology {
   virtual std::vector<topo::PathPair> host_paths(int src, int dst, int n,
                                                  Rng& rng);
 
-  // The EventList host `h` lives on — sharded fabrics return the host's
-  // shard so traffic models build each connection where its endpoints run;
-  // unsharded topologies return `fallback` (the run's main list).
-  virtual EventList& host_events(int h, EventList& fallback) {
-    (void)h;
-    return fallback;
-  }
-
   // BCube TP2-style neighbour traffic matrix; empty = unsupported.
   virtual std::vector<std::pair<int, int>> neighbor_pairs() const {
     return {};
@@ -124,12 +116,6 @@ class TrafficModel {
 
   // Connections to meter, in flow order.
   virtual std::vector<const mptcp::MptcpConnection*> connections() const = 0;
-
-  // True when the model creates flows while the clock is running (Poisson
-  // arrivals, churn). Such models are incompatible with sharded execution:
-  // object construction must happen in the single-threaded phase for event
-  // keys and packet pools to stay shard-consistent.
-  virtual bool builds_during_run() const { return false; }
 
   // Same connections, mutably, for fault-target registration (subflow
   // resets act on the connection). Models that cannot support faults may

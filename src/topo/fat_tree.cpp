@@ -14,49 +14,41 @@ FatTree::FatTree(Network& net, int k, double link_rate_bps,
   const int pods = k_;
   const int cores = half_k_ * half_k_;
 
-  auto mk = [&](const std::string& name, int src_shard, int dst_shard) {
-    return net_.add_link(name, link_rate_bps, per_hop_delay_, buf_bytes,
-                         src_shard, dst_shard);
+  auto mk = [&](const std::string& name) {
+    return net_.add_link(name, link_rate_bps, per_hop_delay_, buf_bytes);
   };
 
   host_up_.reserve(hosts);
   host_down_.reserve(hosts);
   for (int h = 0; h < hosts; ++h) {
-    const int s = shard_of_pod(pod_of(h));
-    host_up_.push_back(mk("ft/h" + std::to_string(h) + "/up", s, s));
-    host_down_.push_back(mk("ft/h" + std::to_string(h) + "/down", s, s));
+    host_up_.push_back(mk("ft/h" + std::to_string(h) + "/up"));
+    host_down_.push_back(mk("ft/h" + std::to_string(h) + "/down"));
   }
 
   edge_agg_.resize(pods);
   agg_edge_.resize(pods);
   agg_core_.resize(pods);
   for (int p = 0; p < pods; ++p) {
-    const int sp = shard_of_pod(p);
     edge_agg_[p].resize(half_k_);
     agg_edge_[p].resize(half_k_);
     agg_core_[p].resize(half_k_);
     for (int e = 0; e < half_k_; ++e) {
       for (int a = 0; a < half_k_; ++a) {
         edge_agg_[p][e].push_back(mk("ft/p" + std::to_string(p) + "/e" +
-                                         std::to_string(e) + "-a" +
-                                         std::to_string(a),
-                                     sp, sp));
+                                     std::to_string(e) + "-a" +
+                                     std::to_string(a)));
       }
     }
     for (int a = 0; a < half_k_; ++a) {
       for (int e = 0; e < half_k_; ++e) {
         agg_edge_[p][a].push_back(mk("ft/p" + std::to_string(p) + "/a" +
-                                         std::to_string(a) + "-e" +
-                                         std::to_string(e),
-                                     sp, sp));
+                                     std::to_string(a) + "-e" +
+                                     std::to_string(e)));
       }
-      // Aggregation -> core links are the upward cross-shard edges; their
-      // propagation delay is the group's conservative lookahead.
       for (int c = 0; c < half_k_; ++c) {
         agg_core_[p][a].push_back(mk("ft/p" + std::to_string(p) + "/a" +
-                                         std::to_string(a) + "-c" +
-                                         std::to_string(c),
-                                     sp, shard_of_core(a * half_k_ + c)));
+                                     std::to_string(a) + "-c" +
+                                     std::to_string(c)));
       }
     }
   }
@@ -65,8 +57,7 @@ FatTree::FatTree(Network& net, int k, double link_rate_bps,
   for (int c = 0; c < cores; ++c) {
     for (int p = 0; p < pods; ++p) {
       core_agg_[c].push_back(
-          mk("ft/c" + std::to_string(c) + "-p" + std::to_string(p),
-             shard_of_core(c), shard_of_pod(p)));
+          mk("ft/c" + std::to_string(c) + "-p" + std::to_string(p)));
     }
   }
 }
@@ -79,17 +70,11 @@ std::vector<Path> FatTree::paths(int src, int dst) {
   const int es = edge_of(src), ed = edge_of(dst);
   std::vector<Path> out;
 
-  // Terminal hop: the dst host's access link, re-homed so delivery lands
-  // on src's shard, where the connection's receiver runs. One pipe +
-  // boundary per paths() call (shared by all paths returned — they all end
-  // at the same host), created unconditionally so the element count, and
-  // with it every object id, is independent of the shard layout.
-  const int home = shard_of_pod(ps);
-  const std::string dname = "ft/dlv" + std::to_string(dlv_count_++);
-  net::Pipe& dlv_pipe =
-      net_.add_pipe(net_.shard_events(home), dname + "/p", per_hop_delay_);
-  net::BoundarySink& dlv = net_.add_boundary(
-      dname + "/b", net_.shard_events(shard_of_pod(pd)), dlv_pipe, home);
+  // Terminal hop: the dst host's access queue, then a delivery pipe of
+  // this call's own, shared by all paths returned (they all end at the
+  // same host) but by no other connection.
+  net::Pipe& dlv = net_.add_pipe(
+      "ft/dlv" + std::to_string(dlv_count_++) + "/p", per_hop_delay_);
   auto append_delivery = [&](Path& p) {
     p.push_back(host_down_[dst].queue);
     p.push_back(&dlv);
@@ -143,18 +128,14 @@ std::vector<Path> FatTree::sample_paths(int src, int dst, int n, Rng& rng) {
   return all;
 }
 
-Path FatTree::ack_path(const Path& fwd, int src) {
-  // Forward paths alternate queue/boundary, so hops = size/2; the ACK pipe
-  // carries the same total propagation delay. One pipe per call, on src's
-  // home shard (sharing pipes across connections would make the element
-  // count depend on which delays coincide — fine sequentially, but the
-  // count must not change when pods spread across shards and pipes can no
-  // longer be shared; per-call pipes keep ids layout-invariant).
+Path FatTree::ack_path(const Path& fwd) {
+  // Forward paths alternate queue/pipe, so hops = size/2; the ACK pipe
+  // carries the same total propagation delay. One pipe per call (see the
+  // header).
   const SimTime delay =
       per_hop_delay_ * static_cast<SimTime>(fwd.size() / 2);
-  net::Pipe& pipe = net_.add_pipe(
-      net_.shard_events(shard_of_pod(pod_of(src))),
-      "ft/ack" + std::to_string(ack_count_++), delay);
+  net::Pipe& pipe =
+      net_.add_pipe("ft/ack" + std::to_string(ack_count_++), delay);
   return {&pipe};
 }
 
@@ -185,7 +166,7 @@ std::vector<PathPair> sample_path_pairs(FatTree& ft, int src, int dst, int n,
                                         Rng& rng) {
   std::vector<PathPair> out;
   for (auto& p : ft.sample_paths(src, dst, n, rng)) {
-    auto rev = ft.ack_path(p, src);
+    auto rev = ft.ack_path(p);
     out.emplace_back(std::move(p), std::move(rev));
   }
   return out;

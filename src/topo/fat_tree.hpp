@@ -8,23 +8,15 @@
 // select up to 8 of these at random per host pair, and mimic ECMP by
 // letting single-path TCP pick one of them at random.
 //
-// Every directed link is a Queue (serialization/buffer) on the source
-// node's shard, a BoundarySink, and a Pipe (propagation) on the
-// destination node's shard; routes hop queue -> boundary and the pipe
-// continues the route after propagation (net/boundary.hpp). This is the
-// parallel-DES partition: pod p lives on shard p % N, core switch c on
-// shard c % N, so the only cross-shard edges are aggregation<->core links
-// and the conservative lookahead is one hop's propagation delay. On an
-// ungrouped Network every boundary degenerates to an inline handoff and
-// the element graph — and therefore every canonical event key — is
-// identical, which is what makes sharded runs byte-comparable to
-// sequential ones.
+// Every directed link is a Queue (serialization/buffer) followed by a Pipe
+// (propagation). ACKs return over delay-matched pipes (the reverse
+// direction is never the bottleneck in these workloads).
 //
-// ACKs return over delay-matched pipes (the reverse direction is never the
-// bottleneck in these workloads). ACK and final-delivery elements are
-// created per paths()/ack_path() call, never shared/cached: the element
-// count must be a pure function of the call sequence, not of the shard
-// count, or object ids would diverge between sharded and sequential runs.
+// The final delivery pipe and the ACK pipe are created per paths() /
+// ack_path() call, never shared between connections. Each pipe is an
+// EventSource, so this construction order fixes every canonical event key
+// (core/event_list.hpp); a shared pipe could also deliver several
+// connections' packets in one wake-up, changing the event count.
 #pragma once
 
 #include <cstdint>
@@ -46,24 +38,15 @@ class FatTree {
   int num_switches() const { return k_ * k_ + k_ * k_ / 4; }
 
   // All shortest paths src -> dst ((k/2)^2, k/2 or 1 of them). Non-const:
-  // each call creates one delivery boundary+pipe on src's home shard,
-  // shared by the returned paths, so the terminal hop lands on the shard
-  // that owns the connection's endpoints.
+  // each call creates the delivery pipe the returned paths end on.
   std::vector<Path> paths(int src, int dst);
 
   // A random sample of up to `n` distinct shortest paths.
   std::vector<Path> sample_paths(int src, int dst, int n, Rng& rng);
 
-  // Delay-matched ACK return path for a forward path produced above. The
-  // pipe lives on src's home shard (where the connection's sender and
-  // receiver run), so the whole ACK round stays shard-local.
-  Path ack_path(const Path& fwd, int src);
-
-  // The EventList that owns host h's pod — connections between hosts must
-  // be built on the source host's list.
-  EventList& host_events(int h) {
-    return net_.shard_events(shard_of_pod(pod_of(h)));
-  }
+  // Delay-matched ACK return path for a forward path produced above: one
+  // new pipe per call.
+  Path ack_path(const Path& fwd);
 
   // Queue inventory for loss-rate distributions (Fig. 13 separates core
   // from access links).
@@ -75,14 +58,12 @@ class FatTree {
   int edge_of(int host) const {  // edge switch index within its pod
     return (host % (half_k_ * half_k_)) / half_k_;
   }
-  int shard_of_pod(int pod) const { return pod % net_.shards(); }
-  int shard_of_core(int core) const { return core % net_.shards(); }
 
   Network& net_;
   int k_;
   int half_k_;
   SimTime per_hop_delay_;
-  int dlv_count_ = 0;  // names per-call delivery elements deterministically
+  int dlv_count_ = 0;  // names per-call delivery pipes deterministically
   int ack_count_ = 0;  // names per-call ACK pipes deterministically
 
   // Directed links, addressed structurally.

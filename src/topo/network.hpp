@@ -16,11 +16,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/check.hpp"
 #include "core/event_list.hpp"
-#include "core/shard.hpp"
 #include "fault/fault.hpp"
-#include "net/boundary.hpp"
 #include "net/cbr.hpp"
 #include "net/lossy_link.hpp"
 #include "net/packet.hpp"
@@ -35,50 +32,25 @@ using Path = std::vector<net::PacketSink*>;
 // (forward, ACK-return) element lists for one subflow.
 using PathPair = std::pair<Path, Path>;
 
-// One direction of a link. `boundary` is non-null for links built by the
-// shard-aware path (FatTree): the route hops are then queue + boundary and
-// the pipe sits behind the boundary, fed by receive_shipped (see
-// net/boundary.hpp); classic links put queue + pipe on the route directly.
+// One direction of a link.
 struct Link {
   net::Queue* queue = nullptr;
   net::Pipe* pipe = nullptr;
-  net::BoundarySink* boundary = nullptr;
 };
 
 class Network {
  public:
   explicit Network(EventList& events) : events_(events) {}
-  // Shard-aware network: elements may be placed on any of the group's
-  // shards; `events` is the default (shard 0) for the classic overloads.
-  Network(EventList& events, ShardGroup* group)
-      : events_(events), group_(group) {}
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
   EventList& events() { return events_; }
 
-  ShardGroup* shard_group() { return group_; }
-  int shards() const { return group_ != nullptr ? group_->size() : 1; }
-  // True when elements actually live on more than one shard's EventList —
-  // the condition scenario::Engine gates dynamic traffic and faults on.
-  bool multi_shard() const { return group_ != nullptr && group_->multi(); }
-  // The EventList of shard `i` (modulo nothing — callers map their own
-  // structure to shard indices). Without a group every index is the one
-  // sequential EventList, so shard-aware builders need no special case.
-  EventList& shard_events(int i) {
-    return group_ != nullptr ? group_->shard(i) : events_;
-  }
-
   net::Queue& add_queue(const std::string& name, double rate_bps,
                         std::uint64_t buf_bytes) {
-    return add_queue(events_, name, rate_bps, buf_bytes);
-  }
-
-  net::Queue& add_queue(EventList& events, const std::string& name,
-                        double rate_bps, std::uint64_t buf_bytes) {
     queues_.push_back(
-        std::make_unique<net::Queue>(events, name, rate_bps, buf_bytes));
+        std::make_unique<net::Queue>(events_, name, rate_bps, buf_bytes));
     faults_.add_queue(name, *queues_.back());
     return *queues_.back();
   }
@@ -93,40 +65,15 @@ class Network {
   }
 
   net::Pipe& add_pipe(const std::string& name, SimTime delay) {
-    return add_pipe(events_, name, delay);
-  }
-
-  net::Pipe& add_pipe(EventList& events, const std::string& name,
-                      SimTime delay) {
-    pipes_.push_back(std::make_unique<net::Pipe>(events, name, delay));
+    pipes_.push_back(std::make_unique<net::Pipe>(events_, name, delay));
     return *pipes_.back();
   }
 
-  // Test hook: force every pipe created so far onto one service discipline
-  // (the batching-equivalence suite runs both in one process, overriding
-  // the cached MPSIM_BATCH_SERVICE default). Call after all topology and
-  // per-path elements exist, before the run.
+  // Test reference: switch every pipe created so far to one wake-up per
+  // packet (false) or back to head-armed service (true). Call after all
+  // topology and per-path elements exist, before the run.
   void set_pipes_batched(bool batched) {
     for (auto& p : pipes_) p->set_batched(batched);
-  }
-
-  // Boundary in front of `pipe`, receiving on `src_events`' shard. Builds
-  // the inline (same-shard) variant when source and pipe share an
-  // EventList, the mailbox variant otherwise — so topology code calls this
-  // unconditionally and the element graph is identical at any shard count.
-  net::BoundarySink& add_boundary(const std::string& name,
-                                  EventList& src_events, net::Pipe& pipe,
-                                  int dst_shard) {
-    if (&src_events == &pipe.events()) {
-      boundaries_.push_back(
-          std::make_unique<net::BoundarySink>(name, src_events, pipe));
-    } else {
-      MPSIM_CHECK(group_ != nullptr,
-                  "cross-shard boundary requires a ShardGroup");
-      boundaries_.push_back(std::make_unique<net::BoundarySink>(
-          name, src_events, pipe, *group_, dst_shard));
-    }
-    return *boundaries_.back();
   }
 
   net::LossyLink& add_lossy(const std::string& name, double loss_prob,
@@ -143,24 +90,6 @@ class Network {
     Link link;
     link.queue = &add_queue(name + "/q", rate_bps, buf_bytes);
     link.pipe = &add_pipe(name + "/p", delay);
-    return link;
-  }
-
-  // Shard-aware link: queue on the source node's shard, pipe on the
-  // destination node's, and a boundary between them that ships departures
-  // across (or hands them straight through when both shards coincide —
-  // including every link of an ungrouped Network, where shard_events()
-  // always returns the same list). Routes built from such a link hop
-  // queue -> boundary; the pipe is reached via receive_shipped and its
-  // advance() continues with the hop after the boundary.
-  Link add_link(const std::string& name, double rate_bps, SimTime delay,
-                std::uint64_t buf_bytes, int src_shard, int dst_shard) {
-    Link link;
-    link.queue =
-        &add_queue(shard_events(src_shard), name + "/q", rate_bps, buf_bytes);
-    link.pipe = &add_pipe(shard_events(dst_shard), name + "/p", delay);
-    link.boundary = &add_boundary(name + "/b", shard_events(src_shard),
-                                  *link.pipe, dst_shard);
     return link;
   }
 
@@ -181,25 +110,17 @@ class Network {
 
  private:
   EventList& events_;
-  ShardGroup* group_ = nullptr;
   fault::TargetRegistry faults_;
   std::vector<std::unique_ptr<net::Queue>> queues_;
   std::vector<std::unique_ptr<net::VariableRateQueue>> vqueues_;
   std::vector<std::unique_ptr<net::Pipe>> pipes_;
   std::vector<std::unique_ptr<net::LossyLink>> lossy_;
-  std::vector<std::unique_ptr<net::BoundarySink>> boundaries_;
 };
 
-// Path assembly helpers. A boundary-style link routes queue -> boundary
-// (the pipe is behind the boundary, not a hop); a classic link routes
-// queue -> pipe.
+// Path assembly helpers.
 inline void append_link(Path& path, const Link& link) {
   path.push_back(link.queue);
-  if (link.boundary != nullptr) {
-    path.push_back(link.boundary);
-  } else {
-    path.push_back(link.pipe);
-  }
+  path.push_back(link.pipe);
 }
 
 inline Path path_of(std::initializer_list<const Link*> links) {

@@ -1,8 +1,8 @@
 // The flight recorder's record schema.
 //
-// One Record is a fixed-size POD cell: a timestamp, a type tag, the ids of
-// the object/flow/subflow it describes, and a small typed payload (two
-// integers, two reals). Fixed size keeps the ring buffer a flat
+// One Record is a fixed-size 56-byte POD cell: a timestamp, a type tag, the
+// ids of the object/flow/subflow it describes, and a small typed payload
+// (two integers, two reals). Fixed size keeps the ring buffer a flat
 // preallocated array — appending is a bump-and-store, never an allocation —
 // and gives every sink (CSV, JSONL) the same column set.
 //
@@ -83,15 +83,8 @@ struct Record {
   std::uint64_t b = 0;      // integer payload
   double x = 0.0;           // real payload
   double y = 0.0;           // real payload
-  // Merge-order stamps, filled by TraceRecorder::append_unchecked and never
-  // emitted by sinks: the canonical dispatch key of the event that recorded
-  // this (0 before the run starts, all-ones for out-of-band emissions
-  // between run phases) and a sequence number within that stamp group.
-  // Sorting a multi-shard run's rings by (t, okey, oseq) reproduces the
-  // sequential emission order exactly — see TraceRecorder::flush_merged.
-  std::uint64_t okey = 0;
-  std::uint64_t oseq = 0;
 };
+static_assert(sizeof(Record) == 56, "ring memory is sized in 56-byte records");
 
 // --- builders -------------------------------------------------------------
 // One per record type, so instrumentation sites read as prose and cannot

@@ -1,6 +1,5 @@
 #include "trace/trace.hpp"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -19,10 +18,8 @@ TraceRecorder& TraceRecorder::install(EventList& events, Config cfg) {
               "TraceRecorder::install: recorder already attached");
   // kTraceRecorderSlot holds a TraceRecorder or nothing, so the downcast is
   // safe by construction (same contract as PacketPool's slot).
-  auto& rec = static_cast<TraceRecorder&>(events.attach_service(
+  return static_cast<TraceRecorder&>(events.attach_service(
       EventList::kTraceRecorderSlot, std::make_unique<TraceRecorder>(cfg)));
-  rec.events_ = &events;
-  return rec;
 }
 
 TraceRecorder* TraceRecorder::find(const EventList& events) {
@@ -53,37 +50,6 @@ void TraceRecorder::flush(TraceSink& sink) const {
     const Record& r = ring_[i];
     sink.record(r, object_name(r.obj));
     if (++i == ring_.size()) i = 0;
-  }
-  sink.finish();
-}
-
-void TraceRecorder::flush_merged(
-    const std::vector<const TraceRecorder*>& recorders, TraceSink& sink) {
-  struct Tagged {
-    const Record* r;
-    const TraceRecorder* rec;
-  };
-  std::vector<Tagged> all;
-  std::size_t total = 0;
-  for (const TraceRecorder* rec : recorders) total += rec->size();
-  all.reserve(total);
-  for (const TraceRecorder* rec : recorders) {
-    std::size_t i =
-        (rec->write_ + rec->ring_.size() - rec->size_) % rec->ring_.size();
-    for (std::size_t n = 0; n < rec->size_; ++n) {
-      all.push_back(Tagged{&rec->ring_[i], rec});
-      if (++i == rec->ring_.size()) i = 0;
-    }
-  }
-  std::stable_sort(all.begin(), all.end(), [](const Tagged& a,
-                                              const Tagged& b) {
-    if (a.r->t != b.r->t) return a.r->t < b.r->t;
-    if (a.r->okey != b.r->okey) return a.r->okey < b.r->okey;
-    return a.r->oseq < b.r->oseq;
-  });
-  sink.begin();
-  for (const Tagged& t : all) {
-    sink.record(*t.r, t.rec->object_name(t.r->obj));
   }
   sink.finish();
 }

@@ -39,8 +39,8 @@ namespace mpsim::trace {
 class TraceRecorder final : public EventList::Service {
  public:
   struct Config {
-    // Ring capacity in records (~72 B each; the default holds the last
-    // ~256k records in ~18 MB). MPSIM_TRACE_CAPACITY overrides via
+    // Ring capacity in records (56 B each; the default holds the last
+    // ~256k records in ~14 MB). MPSIM_TRACE_CAPACITY overrides via
     // config_from_env().
     std::size_t capacity = std::size_t{1} << 18;
   };
@@ -62,32 +62,10 @@ class TraceRecorder final : public EventList::Service {
   const std::string& object_name(std::uint16_t id) const;
   std::size_t object_count() const { return names_.size(); }
 
-  // Out-of-band merge stamp: records emitted outside any dispatch after
-  // the run has started (inter-phase engine code). Sorts after every real
-  // dispatch key — canonical keys top out below this (order ids are
-  // checked against exhaustion well short of 2^32 - 1).
-  static constexpr std::uint64_t kOutOfBandKey = ~std::uint64_t{0};
-
   // Raw ring append. Call via MPSIM_TRACE only — the macro is the null
-  // check and the lint boundary. Stamps the record's merge order: okey is
-  // the emitting dispatch's canonical key (0 for pre-run construction,
-  // kOutOfBandKey for later out-of-band emissions) and oseq the current
-  // sequence counter — shared across a shard group's recorders during
-  // single-threaded phases, private per recorder while shard workers run
-  // (see use_sequence_counter).
+  // check and the lint boundary.
   void append_unchecked(const Record& r) {
-    Record& cell = ring_[write_];
-    cell = r;
-    std::uint64_t key = 0;
-    if (events_ != nullptr) {
-      key = events_->current_dispatch_key();
-      if (key == 0 &&
-          (events_->now() > 0 || events_->events_processed() > 0)) {
-        key = kOutOfBandKey;
-      }
-    }
-    cell.okey = key;
-    cell.oseq = (*oseq_)++;
+    ring_[write_] = r;
     if (++write_ == ring_.size()) write_ = 0;
     if (size_ < ring_.size()) {
       ++size_;
@@ -96,31 +74,9 @@ class TraceRecorder final : public EventList::Service {
     }
   }
 
-  // Redirect the oseq stamp to a counter owned elsewhere (the shard
-  // group's shared counter, or back to this recorder's own — see
-  // own_sequence_counter). Single-threaded phases share one counter so
-  // out-of-band records from different shards' recorders keep a global
-  // order; worker phases flip to private counters (every parallel-phase
-  // record has a unique (t, okey) dispatch identity, so private counters
-  // only order records *within* one dispatch).
-  void use_sequence_counter(std::uint64_t* c) { oseq_ = c; }
-  std::uint64_t* own_sequence_counter() { return &own_oseq_; }
-
   // Replay the held records, oldest first, through `sink` (begin/record*/
   // finish). const: flushing twice, or to several sinks, is fine.
   void flush(TraceSink& sink) const;
-
-  // Merge several recorders' rings — one per shard of a ShardGroup — into
-  // the exact record stream a sequential run would have flushed: a stable
-  // sort by (t, okey, oseq). Sequential emission order is monotone in that
-  // triple (time advances; same-time dispatches run in canonical key
-  // order; records within a dispatch share its key and count up oseq; and
-  // out-of-band records sort before (construction) or after (inter-phase)
-  // all same-time dispatches via okey 0 / kOutOfBandKey with a globally
-  // shared oseq), so the sort is exactly the inverse of sharding the
-  // stream. Each record's object name resolves through its own recorder.
-  static void flush_merged(const std::vector<const TraceRecorder*>& recorders,
-                           TraceSink& sink);
 
   std::size_t capacity() const { return ring_.size(); }
   std::size_t size() const { return size_; }
@@ -134,9 +90,6 @@ class TraceRecorder final : public EventList::Service {
   std::size_t size_ = 0;   // records held (== capacity once wrapped)
   std::uint64_t overwritten_ = 0;
   std::vector<std::string> names_;
-  const EventList* events_ = nullptr;  // stamp source, set by install()
-  std::uint64_t own_oseq_ = 0;
-  std::uint64_t* oseq_ = &own_oseq_;
 };
 
 // --- environment knobs ----------------------------------------------------

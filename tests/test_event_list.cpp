@@ -81,9 +81,9 @@ TEST_P(EventListTest, TiesBreakInCanonicalSourceOrder) {
   Recorder a(events, "a"), b(events, "b"), c(events, "c");
   // Same-time ties dispatch by the canonical (source order id, per-source
   // seq) key: source construction order wins, NOT global insertion order.
-  // That key is a pure function of the simulation's construction and
-  // dispatch history — never of which thread or shard ran schedule_at —
-  // which is what makes sharded execution byte-identical to sequential.
+  // That key is a pure function of the simulation's construction and each
+  // source's own schedule history, which is what lets a pipe deliver its
+  // whole same-time batch in one dispatch without reordering anything.
   events.schedule_at(b, from_ms(1));
   events.schedule_at(a, from_ms(1));
   events.schedule_at(c, from_ms(1));

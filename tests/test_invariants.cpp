@@ -14,13 +14,10 @@
 #include "cc/coupled.hpp"
 #include "cc/mptcp_lia.hpp"
 #include "core/event_list.hpp"
-#include "core/shard.hpp"
 #include "fake_view.hpp"
 #include "mptcp/connection.hpp"
-#include "net/boundary.hpp"
 #include "net/cbr.hpp"
 #include "net/packet.hpp"
-#include "net/pipe.hpp"
 #include "net/queue.hpp"
 #include "topo/network.hpp"
 
@@ -54,57 +51,6 @@ TEST(InvariantClockRollback, BothSchedulerBackendsFire) {
     events.run_until(from_ms(2));
     EXPECT_THROW(events.schedule_at(t, 0), CheckFailureError);
   }
-}
-
-// --- invariant class: parallel-DES causality -----------------------------
-
-TEST(InvariantCausality, DispatchPastHorizonFires) {
-  // The conservative window protocol sets each shard's horizon to the
-  // window bound before releasing it; a shard outrunning its lookahead
-  // must trip the dispatch check, not silently reorder cross-shard events.
-  ScopedThrowingChecks guard;
-  EventList events;
-  Ticker t(events);
-  events.schedule_at(t, from_ms(10));
-  events.set_horizon(from_ms(5));
-  EXPECT_THROW(events.run_until(from_ms(20)), CheckFailureError);
-  EXPECT_EQ(t.fired, 0) << "the over-horizon event must not have run";
-}
-
-TEST(InvariantCausality, DispatchWithinHorizonIsClean) {
-  // Positive control: a horizon at-or-past every pending event changes
-  // nothing.
-  ScopedThrowingChecks guard;
-  EventList events;
-  Ticker t(events);
-  events.schedule_at(t, from_ms(10));
-  events.set_horizon(from_ms(10));
-  events.run_until(from_ms(10));
-  EXPECT_EQ(t.fired, 1);
-}
-
-TEST(InvariantCausality, UnstampedMailboxHandoffFires) {
-  // Every packet crossing a shard boundary carries a (time, seq) stamp;
-  // a stampless mailbox entry means the producer bypassed the boundary
-  // protocol and the drain must refuse it.
-  ScopedThrowingChecks guard;
-  ShardGroup group(2, SchedulerKind::kHeap);
-  net::Pipe pipe(group.shard(1), "p", from_ms(1));
-  net::BoundarySink boundary("b", group.shard(0), pipe, group,
-                             /*dst_shard=*/1);
-  ASSERT_TRUE(boundary.cross_shard());
-  boundary.push_unstamped_for_test();
-  EXPECT_THROW(boundary.drain(), CheckFailureError);
-}
-
-TEST(InvariantCausality, ZeroDelayCrossShardEdgeRejected) {
-  // A zero-delay cross-shard edge would force zero-width windows: no
-  // conservative progress is possible, so construction must refuse it.
-  ScopedThrowingChecks guard;
-  ShardGroup group(2, SchedulerKind::kHeap);
-  net::Pipe pipe(group.shard(1), "p", 0);
-  EXPECT_THROW(net::BoundarySink("b", group.shard(0), pipe, group, 1),
-               CheckFailureError);
 }
 
 // --- invariant class: packet conservation / pool discipline --------------

@@ -19,7 +19,6 @@
 #include "core/rng.hpp"
 #include "mptcp/connection.hpp"
 #include "net/packet.hpp"
-#include "topo/fat_tree.hpp"
 #include "topo/network.hpp"
 
 namespace mpsim::runner {
@@ -142,70 +141,6 @@ TEST(RunnerStress, AdaptiveBackendMatchesHeapUnderContention) {
   EXPECT_GT(total_switches, 0u)
       << "no job ever crossed the forced thresholds; the adaptive leg "
       << "tested nothing";
-}
-
-TEST(RunnerStress, NestedShardWorkersUnderSeedWorkersByteIdentical) {
-  // Nested parallelism for the TSan lane: runner seed-workers each fan out
-  // shard-worker threads (conservative parallel DES) inside their job. A
-  // sharded FatTree job has real cross-shard traffic — every agg<->core
-  // hop is a mailbox handoff — so this exercises window barriers, drains
-  // and per-shard pools *under* the work-stealing pool, and re-asserts
-  // that the composition stays byte-identical to fully sequential runs.
-  auto sweep_nested = [](unsigned threads, int shard_threads, int njobs) {
-    RunnerConfig cfg;
-    cfg.threads = threads;
-    cfg.shard_threads = shard_threads;
-    cfg.scheduler = SchedulerKind::kWheel;
-    ExperimentRunner r(cfg);
-    for (int k = 0; k < njobs; ++k) {
-      r.add("ft" + std::to_string(k), [k](RunContext& ctx) {
-        topo::Network net(ctx.events(), &ctx.shards());
-        topo::FatTree ft(net, 4);
-        Rng rng(9000 + static_cast<std::uint64_t>(k));
-        std::vector<std::unique_ptr<mptcp::MptcpConnection>> conns;
-        for (int c = 0; c < 3; ++c) {
-          const int src = (4 * c + k) % ft.num_hosts();
-          const int dst = (src + 7) % ft.num_hosts();  // cross-pod on k=4
-          auto pairs = topo::sample_path_pairs(ft, src, dst, 2, rng);
-          auto conn = std::make_unique<mptcp::MptcpConnection>(
-              ft.host_events(src), "mp" + std::to_string(c),
-              cc::mptcp_lia());
-          for (auto& pr : pairs) {
-            conn->add_subflow(std::move(pr.first), std::move(pr.second));
-          }
-          conn->start(0);
-          conns.push_back(std::move(conn));
-        }
-        ctx.run_until(from_ms(50));
-        for (std::size_t c = 0; c < conns.size(); ++c) {
-          ctx.record("delivered" + std::to_string(c),
-                     static_cast<double>(conns[c]->delivered_pkts()));
-        }
-        ctx.record("events",
-                   static_cast<double>(ctx.shards().events_processed()));
-      });
-    }
-    return r.run_all();
-  };
-  const int njobs = 6;
-  const auto sequential = sweep_nested(/*threads=*/1, /*shard_threads=*/1,
-                                       njobs);
-  const auto nested = sweep_nested(/*threads=*/2, /*shard_threads=*/2, njobs);
-  const auto wide = sweep_nested(/*threads=*/2, /*shard_threads=*/4, njobs);
-  ASSERT_EQ(sequential.size(), nested.size());
-  ASSERT_EQ(sequential.size(), wide.size());
-  for (std::size_t i = 0; i < sequential.size(); ++i) {
-    EXPECT_GT(sequential[i].value("delivered0"), 0.0) << sequential[i].name;
-    ASSERT_EQ(sequential[i].values.size(), nested[i].values.size());
-    for (std::size_t j = 0; j < sequential[i].values.size(); ++j) {
-      EXPECT_EQ(sequential[i].values[j].second, nested[i].values[j].second)
-          << sequential[i].name << "." << sequential[i].values[j].first
-          << " (2 runner threads x 2 shards)";
-      EXPECT_EQ(sequential[i].values[j].second, wide[i].values[j].second)
-          << sequential[i].name << "." << sequential[i].values[j].first
-          << " (2 runner threads x 4 shards)";
-    }
-  }
 }
 
 TEST(RunnerStress, FlowIdsDeterministicUnderConcurrency) {

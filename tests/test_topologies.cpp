@@ -52,7 +52,13 @@ TEST(FatTree, CrossPodPathsHaveSixHops) {
   Network net(events);
   FatTree ft(net, 4);
   for (const Path& p : ft.paths(0, 15)) {
-    EXPECT_EQ(p.size(), 12u);  // 6 links x (queue + pipe)
+    ASSERT_EQ(p.size(), 12u);  // 6 links x (queue + pipe)
+    for (std::size_t i = 0; i < p.size(); i += 2) {
+      EXPECT_NE(dynamic_cast<net::Queue*>(p[i]), nullptr)
+          << "hop " << i << " must be a queue";
+      EXPECT_NE(dynamic_cast<net::Pipe*>(p[i + 1]), nullptr)
+          << "hop " << i + 1 << " must be a pipe";
+    }
   }
 }
 
@@ -94,13 +100,12 @@ TEST(FatTree, AckPathsArePerCallAndDelayMatched) {
   FatTree ft(net, 4);
   auto p1 = ft.paths(0, 15)[0];
   auto p2 = ft.paths(1, 14)[0];
-  auto a1 = ft.ack_path(p1, 0);
-  auto a2 = ft.ack_path(p2, 1);
+  auto a1 = ft.ack_path(p1);
+  auto a2 = ft.ack_path(p2);
   ASSERT_EQ(a1.size(), 1u);
   ASSERT_EQ(a2.size(), 1u);
-  // Per-call pipes: the element count is a pure function of the call
-  // sequence, never of which delays happen to coincide — that invariance
-  // is what keeps object ids identical across shard layouts.
+  // Per-call pipes (see fat_tree.hpp): sharing one between connections
+  // would change the canonical event keys and the event count.
   EXPECT_NE(a1[0], a2[0]) << "ACK pipes are per-call, not shared";
   EXPECT_EQ(static_cast<net::Pipe*>(a1[0])->delay(),
             static_cast<net::Pipe*>(a2[0])->delay())

@@ -39,10 +39,6 @@ int usage() {
                "options:\n"
                "  --threads=N     worker threads (default MPSIM_THREADS, "
                "else hardware)\n"
-               "  --shard-threads=N  shards per simulation (conservative "
-               "parallel DES;\n"
-               "                  default MPSIM_SHARD_THREADS, else 1; "
-               "byte-identical to 1)\n"
                "  --scale=X       simulated-duration scale (default "
                "MPSIM_BENCH_SCALE, else 1)\n"
                "  --trace=KIND    csv|jsonl|null|off; overrides MPSIM_TRACE "
@@ -66,7 +62,6 @@ int usage() {
 
 struct Options {
   unsigned threads = 0;
-  int shard_threads = 1;
   double scale = 1.0;
   std::string trace;  // "" = not given on the command line
   std::string trace_dir = ".";
@@ -76,8 +71,6 @@ struct Options {
 bool parse_args(int argc, char** argv, Options& opts) {
   opts.threads = static_cast<unsigned>(
       env::env_int("MPSIM_THREADS", 0, 0, 1 << 20));
-  opts.shard_threads =
-      static_cast<int>(env::env_int("MPSIM_SHARD_THREADS", 1, 1, 1 << 10));
   opts.scale = env::env_double("MPSIM_BENCH_SCALE", 1.0, 0.0);
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -96,14 +89,6 @@ bool parse_args(int argc, char** argv, Options& opts) {
         return false;
       }
       opts.threads = static_cast<unsigned>(n);
-    } else if (value_of("--shard-threads=", v)) {
-      std::int64_t n = 0;
-      if (!env::parse_int(v, n) || n < 1 || n > (1 << 10)) {
-        std::fprintf(stderr, "mpsim: --shard-threads wants an integer "
-                             ">= 1, got \"%s\"\n", v.c_str());
-        return false;
-      }
-      opts.shard_threads = static_cast<int>(n);
     } else if (value_of("--scale=", v)) {
       double d = 0.0;
       if (!env::parse_double(v, d) || !(d > 0.0)) {
@@ -195,7 +180,6 @@ int cmd_run(const Options& opts) {
 
       scenario::EngineOptions eng;
       eng.threads = opts.threads;
-      eng.shard_threads = opts.shard_threads;
       eng.time_scale = opts.scale;
       eng.trace_sink = resolve_sink(opts, scn);
       eng.trace_dir = opts.trace_dir;

@@ -29,8 +29,8 @@ hot-static        No function-local `static` mutable state: concurrent
                   C++ magic-statics serialize on first use).
 packet-ownership  A function that takes packets from the pool
                   (Packet::alloc / PacketPool::alloc) must also hand each
-                  one on (send_on/advance/push_back/receive_shipped) or
-                  return it (release); an alloc with no downstream
+                  one on (send_on/advance/push_back) or return it
+                  (release); an alloc with no downstream
                   transfer leaks the packet out of the conservation
                   ledger.
 simtime-unit      SimTime values are built with from_ns/us/ms/sec(), not
@@ -75,7 +75,7 @@ SIMTIME_CAST_RE = re.compile(
 
 PKT_SOURCE_RE = re.compile(r"\bPacket::alloc\s*\(|\bpool\b[\w.]*\.alloc\s*\(")
 PKT_TRANSFER_RE = re.compile(
-    r"\.\s*(?:send_on|advance|release|receive_shipped)\s*\(|\bpush_back\s*\("
+    r"\.\s*(?:send_on|advance|release)\s*\(|\bpush_back\s*\("
     r"|\breturn\b[^;]*\balloc\s*\(|\breturn\s+(?:\*?\s*)?p\b")
 
 
