@@ -1,17 +1,12 @@
 // Microbenchmarks of the simulator core (google-benchmark): event-loop
-// dispatch under both scheduler backends, queue+pipe packet forwarding, the
-// LIA increase computation (linear vs brute force), and a complete small TCP
-// simulation. These bound how much simulated time the experiment harness can
-// afford.
+// dispatch, queue+pipe packet forwarding, the LIA increase computation
+// (linear vs brute force), and a complete small TCP simulation. These bound
+// how much simulated time the experiment harness can afford.
 //
-// After the google-benchmark suites, main() runs a head-to-head scheduler
-// comparison (binary heap vs timing wheel vs adaptive) through the
-// ExperimentRunner and writes BENCH_micro_core.json. The headline numbers:
-// dispatch.wheel_speedup (timing-wheel over binary-heap events/sec on the
-// dense dispatch workload) and the two adaptive_vs_best ratios — the
-// adaptive backend's events/sec over the better pure backend on the dense
-// (32k-source dispatch) and sparse (tcp_1flow) workloads, which the perf
-// gate keeps near 1.0.
+// After the google-benchmark suites, main() measures the event scheduler on
+// a dense workload (32k-source dispatch) and a sparse one (tcp_1flow)
+// through the ExperimentRunner and writes BENCH_micro_core.json: events/sec
+// for the perf gate, plus the scheduler's deterministic work counters.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -64,26 +59,15 @@ std::vector<std::unique_ptr<NopSource>> make_dispatch_load(EventList& events,
   return sources;
 }
 
-void BM_EventListDispatch(benchmark::State& state, SchedulerKind kind) {
-  EventList events(kind);
+void BM_EventListDispatch(benchmark::State& state) {
+  EventList events;
   auto sources = make_dispatch_load(events, static_cast<int>(state.range(0)));
   for (auto _ : state) {
     events.run_one();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK_CAPTURE(BM_EventListDispatch, heap, SchedulerKind::kHeap)
-    ->Arg(64)
-    ->Arg(1024)
-    ->Arg(4096);
-BENCHMARK_CAPTURE(BM_EventListDispatch, wheel, SchedulerKind::kWheel)
-    ->Arg(64)
-    ->Arg(1024)
-    ->Arg(4096);
-BENCHMARK_CAPTURE(BM_EventListDispatch, adaptive, SchedulerKind::kAdaptive)
-    ->Arg(64)
-    ->Arg(1024)
-    ->Arg(4096);
+BENCHMARK(BM_EventListDispatch)->Arg(64)->Arg(1024)->Arg(4096);
 
 void BM_QueuePipeForwarding(benchmark::State& state) {
   EventList events;
@@ -131,10 +115,10 @@ void BM_LiaIncreaseBruteForce(benchmark::State& state) {
 }
 BENCHMARK(BM_LiaIncreaseBruteForce)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
-void BM_SmallTcpSimulation(benchmark::State& state, SchedulerKind kind) {
+void BM_SmallTcpSimulation(benchmark::State& state) {
   // One simulated second of a single TCP over a 10 Mb/s bottleneck.
   for (auto _ : state) {
-    EventList events(kind);
+    EventList events;
     topo::Network net(events);
     auto link = net.add_link("l", 10e6, from_ms(10),
                              topo::bdp_bytes(10e6, from_ms(20)));
@@ -146,24 +130,17 @@ void BM_SmallTcpSimulation(benchmark::State& state, SchedulerKind kind) {
     benchmark::DoNotOptimize(tcp->delivered_pkts());
   }
 }
-BENCHMARK_CAPTURE(BM_SmallTcpSimulation, heap, SchedulerKind::kHeap)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SmallTcpSimulation, wheel, SchedulerKind::kWheel)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SmallTcpSimulation, adaptive, SchedulerKind::kAdaptive)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SmallTcpSimulation)->Unit(benchmark::kMillisecond);
 
-// --- JSON scheduler comparison ------------------------------------------
+// --- JSON scheduler report -----------------------------------------------
 
 // Run `total_events` dispatches of the mixed-period load; the runner's
 // metrics capture wall time and events/sec.
-runner::RunResult measure_dispatch(SchedulerKind kind, const char* label,
-                                   std::uint64_t total_events, int nsrc) {
+runner::RunResult measure_dispatch(std::uint64_t total_events, int nsrc) {
   runner::RunnerConfig cfg;
   cfg.threads = 1;  // sequential: timing fidelity over parallelism here
-  cfg.scheduler = kind;
   runner::ExperimentRunner r(cfg);
-  r.add(label, [total_events, nsrc](runner::RunContext& ctx) {
+  r.add("dispatch", [total_events, nsrc](runner::RunContext& ctx) {
     auto sources = make_dispatch_load(ctx.events(), nsrc);
     for (std::uint64_t i = 0; i < total_events; ++i) {
       ctx.events().run_one();
@@ -172,14 +149,12 @@ runner::RunResult measure_dispatch(SchedulerKind kind, const char* label,
   return r.run_all().front();
 }
 
-// Full TCP simulation over `sim_sec` simulated seconds under `kind`.
-runner::RunResult measure_tcp(SchedulerKind kind, const char* label,
-                              double sim_sec) {
+// Full TCP simulation over `sim_sec` simulated seconds.
+runner::RunResult measure_tcp(double sim_sec) {
   runner::RunnerConfig cfg;
   cfg.threads = 1;
-  cfg.scheduler = kind;
   runner::ExperimentRunner r(cfg);
-  r.add(label, [sim_sec](runner::RunContext& ctx) {
+  r.add("tcp", [sim_sec](runner::RunContext& ctx) {
     EventList& events = ctx.events();
     topo::Network net(events);
     auto link = net.add_link("l", 10e6, from_ms(10),
@@ -194,109 +169,54 @@ runner::RunResult measure_tcp(SchedulerKind kind, const char* label,
   return r.run_all().front();
 }
 
+// Best-of-N: scheduler cost is deterministic, so the fastest trial is the
+// least-perturbed one.
+template <typename Measure>
+runner::RunResult fastest(Measure measure) {
+  constexpr int kTrials = 3;
+  runner::RunResult best = measure();
+  for (int trial = 1; trial < kTrials; ++trial) {
+    runner::RunResult r = measure();
+    if (r.metrics.wall_seconds < best.metrics.wall_seconds) best = r;
+  }
+  return best;
+}
+
 bench::Json json_side(const runner::RunResult& r) {
   bench::Json o = bench::Json::object();
   o.set("events_processed",
         static_cast<double>(r.metrics.events_processed));
   o.set("wall_seconds", r.metrics.wall_seconds);
   o.set("events_per_sec", r.metrics.events_per_sec);
-  o.set("scheduler_switches",
-        static_cast<double>(r.metrics.scheduler_switches));
+  r.metrics.scheduler.for_each([&o](const char* k, std::uint64_t v) {
+    o.set(k, static_cast<double>(v));
+  });
   return o;
 }
 
-void scheduler_comparison_json() {
+void scheduler_report_json() {
   const double scale = bench::time_scale();
   const auto dispatch_events =
       static_cast<std::uint64_t>(4'000'000 * scale);
   // Pending-set size of a large datacenter sweep: a 1024-host FatTree at 8
   // paths per flow keeps ~8k subflows' timers plus per-queue/pipe
-  // deliveries in flight — tens of thousands of pending events, where the
-  // heap's O(log n) comparisons and cache misses bite hardest.
+  // deliveries in flight — tens of thousands of pending events.
   const int nsrc = 32768;
   const double tcp_sec = 20.0 * scale;
 
-  std::printf(
-      "\n--- scheduler comparison (heap vs wheel vs adaptive) ---\n");
-  // Interleaved best-of-N: scheduler cost is deterministic, so the fastest
-  // trial is the least-perturbed one; interleaving decorrelates the
-  // sides from background machine noise.
-  constexpr int kTrials = 3;
-  auto best = [](const runner::RunResult& a, const runner::RunResult& b) {
-    return b.metrics.wall_seconds > 0 &&
-                   (a.metrics.wall_seconds <= 0 ||
-                    b.metrics.wall_seconds < a.metrics.wall_seconds)
-               ? b
-               : a;
-  };
-  runner::RunResult heap_d, wheel_d, adapt_d, heap_t, wheel_t, adapt_t;
-  for (int trial = 0; trial < kTrials; ++trial) {
-    heap_d = best(heap_d, measure_dispatch(SchedulerKind::kHeap,
-                                           "dispatch:heap", dispatch_events,
-                                           nsrc));
-    wheel_d = best(wheel_d, measure_dispatch(SchedulerKind::kWheel,
-                                             "dispatch:wheel",
-                                             dispatch_events, nsrc));
-    adapt_d = best(adapt_d, measure_dispatch(SchedulerKind::kAdaptive,
-                                             "dispatch:adaptive",
-                                             dispatch_events, nsrc));
-    heap_t = best(heap_t,
-                  measure_tcp(SchedulerKind::kHeap, "tcp:heap", tcp_sec));
-    wheel_t = best(wheel_t,
-                   measure_tcp(SchedulerKind::kWheel, "tcp:wheel", tcp_sec));
-    adapt_t = best(adapt_t, measure_tcp(SchedulerKind::kAdaptive,
-                                        "tcp:adaptive", tcp_sec));
-  }
+  const runner::RunResult d =
+      fastest([&] { return measure_dispatch(dispatch_events, nsrc); });
+  const runner::RunResult t = fastest([&] { return measure_tcp(tcp_sec); });
+  std::printf("\n--- event scheduler ---\n");
+  std::printf("dispatch (%d sources): %.3g ev/s\n", nsrc,
+              d.metrics.events_per_sec);
+  std::printf("tcp %.3gs sim: %.3g ev/s\n", tcp_sec,
+              t.metrics.events_per_sec);
 
-  const double dispatch_speedup =
-      heap_d.metrics.events_per_sec > 0
-          ? wheel_d.metrics.events_per_sec / heap_d.metrics.events_per_sec
-          : 0.0;
-  const double tcp_speedup =
-      heap_t.metrics.events_per_sec > 0
-          ? wheel_t.metrics.events_per_sec / heap_t.metrics.events_per_sec
-          : 0.0;
-  // The adaptive contract: at least the better pure backend on BOTH the
-  // dense and the sparse workload (ratio ~1.0; the perf gate flags drops).
-  const double best_d = std::max(heap_d.metrics.events_per_sec,
-                                 wheel_d.metrics.events_per_sec);
-  const double best_t = std::max(heap_t.metrics.events_per_sec,
-                                 wheel_t.metrics.events_per_sec);
-  const double adapt_vs_best_d =
-      best_d > 0 ? adapt_d.metrics.events_per_sec / best_d : 0.0;
-  const double adapt_vs_best_t =
-      best_t > 0 ? adapt_t.metrics.events_per_sec / best_t : 0.0;
-
-  std::printf("dispatch (%d sources): heap %.3g ev/s, wheel %.3g ev/s "
-              "(%.2fx), adaptive %.3g ev/s (%.2fx of best, %llu switches)\n",
-              nsrc, heap_d.metrics.events_per_sec,
-              wheel_d.metrics.events_per_sec, dispatch_speedup,
-              adapt_d.metrics.events_per_sec, adapt_vs_best_d,
-              static_cast<unsigned long long>(
-                  adapt_d.metrics.scheduler_switches));
-  std::printf("tcp %.3gs sim: heap %.3g ev/s, wheel %.3g ev/s (%.2fx), "
-              "adaptive %.3g ev/s (%.2fx of best, %llu switches)\n",
-              tcp_sec, heap_t.metrics.events_per_sec,
-              wheel_t.metrics.events_per_sec, tcp_speedup,
-              adapt_t.metrics.events_per_sec, adapt_vs_best_t,
-              static_cast<unsigned long long>(
-                  adapt_t.metrics.scheduler_switches));
-
-  bench::Json dispatch = bench::Json::object();
+  bench::Json dispatch = json_side(d);
   dispatch.set("sources", static_cast<double>(nsrc));
-  dispatch.set("heap", json_side(heap_d));
-  dispatch.set("wheel", json_side(wheel_d));
-  dispatch.set("adaptive", json_side(adapt_d));
-  dispatch.set("wheel_speedup", dispatch_speedup);
-  dispatch.set("adaptive_vs_best", adapt_vs_best_d);
-
-  bench::Json tcp = bench::Json::object();
+  bench::Json tcp = json_side(t);
   tcp.set("sim_seconds", tcp_sec);
-  tcp.set("heap", json_side(heap_t));
-  tcp.set("wheel", json_side(wheel_t));
-  tcp.set("adaptive", json_side(adapt_t));
-  tcp.set("wheel_speedup", tcp_speedup);
-  tcp.set("adaptive_vs_best", adapt_vs_best_t);
 
   bench::Json root = bench::Json::object();
   root.set("bench", "micro_core");
@@ -312,6 +232,6 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  scheduler_comparison_json();
+  scheduler_report_json();
   return 0;
 }

@@ -17,29 +17,16 @@
 // of its same-time completions inside one dispatch without reordering
 // anything (see net::Pipe's head-armed service).
 //
-// Two interchangeable backends implement the queue, plus a policy that
-// switches between them at run time:
-//   * kWheel — hierarchical timing wheel (core/timing_wheel.hpp), amortized
-//     O(1) schedule/dispatch; wins when many events are pending.
-//   * kHeap  — binary heap, O(log n) per operation; wins on sparse queues
-//     (a handful of timers), and is cross-checked against the wheel (tests
-//     assert both dispatch identical event orders).
-//   * kAdaptive — starts on the heap and migrates pending events to a wheel
-//     when live occupancy crosses a high-water mark, back when it falls
-//     under a low-water mark (hysteresis plus an events-processed cooldown
-//     so a workload hovering at the boundary cannot thrash). Migration
-//     preserves every (time, seq) key, so dispatch order — and therefore
-//     every trace byte — is identical to both pure backends; only wall
-//     time and scheduler_switches() differ. The default.
-// kAuto resolves from the MPSIM_SCHEDULER environment variable ("adaptive",
-// "wheel" or "heap"), defaulting to adaptive.
+// The queue is a hierarchical timing wheel (core/timing_wheel.hpp) with
+// amortized O(1) schedule and dispatch; dispatch follows (time, key) order
+// exactly, so the key above is the whole tie-break contract.
 //
 // Cancellation is lazy on the hot path: a source that no longer wants a
 // pending wake-up simply ignores the callback (sources track their own next
 // valid deadline). This keeps the queue free of tombstone bookkeeping where
 // it matters. For teardown — an EventSource about to be destroyed while
 // wake-ups for it are still queued — cancel() eagerly removes every pending
-// entry for the source; it is O(pending) and meant for cold paths only.
+// entry for the source; it is a cold-path sweep over the occupied slots.
 //
 // An EventList is also the identity of one simulation instance: per-run
 // services (the packet pool, see net::PacketPool; the flight recorder, see
@@ -50,9 +37,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <string>
-#include <vector>
 
 #include "core/check.hpp"
 #include "core/time.hpp"
@@ -90,44 +75,19 @@ class EventSource {
   std::uint32_t sched_seq_ = 0;  // this source's schedule_at count
 };
 
-enum class SchedulerKind {
-  kAuto,      // resolve from MPSIM_SCHEDULER, default kAdaptive
-  kHeap,      // binary heap (the original backend)
-  kWheel,     // hierarchical timing wheel
-  kAdaptive,  // heap <-> wheel, switched on live occupancy
-};
-
-// "auto", "heap", "wheel" or "adaptive" — the MPSIM_SCHEDULER spellings.
-const char* to_string(SchedulerKind kind);
-
 class EventList {
  public:
-  explicit EventList(SchedulerKind kind = SchedulerKind::kAuto);
+  // Defaulted out of line, so that even a value-initialized EventList never
+  // zeroes the wheel's slot arrays (see core/timing_wheel.hpp).
+  EventList();
 
   EventList(const EventList&) = delete;
   EventList& operator=(const EventList&) = delete;
 
-  // The scheduler this instance was configured with (kHeap, kWheel or
-  // kAdaptive — never kAuto; that resolves at construction).
-  SchedulerKind scheduler_kind() const { return mode_; }
-  // The backend currently dispatching (kHeap or kWheel). Equal to
-  // scheduler_kind() for the pure backends; flips over time under
-  // kAdaptive.
-  SchedulerKind active_backend() const {
-    return wheel_ ? SchedulerKind::kWheel : SchedulerKind::kHeap;
-  }
-  // How many heap<->wheel migrations have happened (0 for pure backends).
-  // Deterministic for a given run: it depends only on the schedule/dispatch
-  // sequence, never on wall time or thread interleaving.
-  std::uint64_t scheduler_switches() const { return switches_; }
-  // Override the adaptive thresholds (test hook; also usable for tuning).
-  // Pending >= `high` on the heap migrates to a wheel; pending <= `low` on
-  // the wheel migrates back; at least `cooldown` dispatched events must
-  // separate consecutive switches. Requires high > low.
-  void set_adaptive_policy(std::size_t high, std::size_t low,
-                           std::uint64_t cooldown);
-  // What kAuto resolves to for new EventLists (reads MPSIM_SCHEDULER once).
-  static SchedulerKind default_scheduler();
+  // The scheduler's deterministic work counters (cascades, opened ticks,
+  // merged runs, peak pending): identical for a given run whatever thread
+  // executes it.
+  const TimingWheel::Stats& scheduler_stats() const { return wheel_.stats(); }
 
   SimTime now() const { return now_; }
 
@@ -140,15 +100,13 @@ class EventList {
   }
 
   // Eagerly remove every pending wake-up for `src` and return how many were
-  // dropped. O(pending events) on either backend — this is the teardown
-  // path for sources whose lifetime ends before the simulation's (periodic
+  // dropped. A sweep over every pending event — this is the teardown path
+  // for sources whose lifetime ends before the simulation's (periodic
   // samplers, short-lived monitors), not a hot-path primitive.
   std::size_t cancel(const EventSource& src);
 
-  bool empty() const { return wheel_ ? wheel_->empty() : heap_.empty(); }
-  std::size_t pending() const {
-    return wheel_ ? wheel_->size() : heap_.size();
-  }
+  bool empty() const { return wheel_.empty(); }
+  std::size_t pending() const { return wheel_.size(); }
   std::uint64_t events_processed() const { return processed_; }
 
   // Dispatch the earliest pending event. Returns false if none remain.
@@ -201,50 +159,20 @@ class EventList {
   Service& attach_service(std::size_t slot, std::unique_ptr<Service> s);
 
  private:
-  struct Entry {
-    SimTime time;
-    std::uint64_t seq;  // canonical (order id << 32 | per-source seq) key
-    EventSource* src;
-    bool operator>(const Entry& o) const {
-      if (time != o.time) return time > o.time;
-      return seq > o.seq;
-    }
-  };
-
-  // True when kAdaptive may migrate right now: outside the cooldown window
-  // (or before the first switch ever).
-  bool switch_allowed() const {
-    return switches_ == 0 || processed_ - last_switch_processed_ >= cooldown_;
-  }
-  void switch_to_wheel();  // heap -> wheel, preserving (time, seq) keys
-  void switch_to_heap();   // wheel -> heap, preserving (time, seq) keys
-  // Post-dispatch hook: under kAdaptive, fall back to the heap once the
-  // wheel has drained to the low-water mark.
-  void after_dispatch() {
-    if (mode_ == SchedulerKind::kAdaptive && wheel_ &&
-        wheel_->size() <= low_water_ && switch_allowed()) {
-      switch_to_heap();
-    }
+  // Dispatch one popped entry: advance the clock, count, wake the source.
+  void dispatch(const TimingWheel::Entry& e) {
+    MPSIM_CHECK(e.time >= now_, "event clock must advance monotonically");
+    now_ = e.time;
+    ++processed_;
+    e.src->on_event();
   }
 
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
-  std::unique_ptr<TimingWheel> wheel_;  // non-null iff the wheel is active
   std::array<std::unique_ptr<Service>, kServiceSlots> services_;
   SimTime now_ = 0;
   std::uint64_t processed_ = 0;
   std::uint32_t order_counter_ = 1;  // 0 is reserved ("no source")
   std::uint32_t flow_counter_ = 1;
-  SchedulerKind mode_ = SchedulerKind::kHeap;  // resolved, never kAuto
-  // Adaptive policy. The defaults bracket the measured heap/wheel crossover
-  // (BENCH_micro_core: the wheel wins from a few thousand pending events
-  // up, the heap below a few hundred) with a wide hysteresis band; the
-  // cooldown bounds migration frequency to once per 8k dispatches even if
-  // occupancy oscillates across both marks.
-  std::size_t high_water_ = 2048;
-  std::size_t low_water_ = 256;
-  std::uint64_t cooldown_ = 8192;
-  std::uint64_t switches_ = 0;
-  std::uint64_t last_switch_processed_ = 0;
+  TimingWheel wheel_;  // last: its slot array is most of the object
 };
 
 // Inline: one call per scheduled event — for simulations pushing tens of
@@ -256,15 +184,7 @@ inline void EventList::schedule_at(EventSource& src, SimTime t) {
               "per-source schedule counter exhausted");
   const std::uint64_t key =
       (static_cast<std::uint64_t>(src.order_id_) << 32) | src.sched_seq_++;
-  if (wheel_) {
-    wheel_->schedule(t, key, &src);
-  } else {
-    heap_.push(Entry{t, key, &src});
-    if (mode_ == SchedulerKind::kAdaptive && heap_.size() >= high_water_ &&
-        switch_allowed()) {
-      switch_to_wheel();
-    }
-  }
+  wheel_.schedule(t, key, &src);
 }
 
 inline EventSource::EventSource(EventList& events, std::string name)

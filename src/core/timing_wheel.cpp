@@ -7,28 +7,96 @@
 
 namespace mpsim {
 
-void TimingWheel::cascade(int lv, int idx) {
-  Level& level = levels_[static_cast<std::size_t>(lv)];
-  Slot& s = level.slots[static_cast<std::size_t>(idx)];
-  if (s.entries.size() == 1) {  // common in sparse simulations
-    const Entry e = s.entries.front();
-    s.entries.clear();
-    s.sorted = false;
-    unmark(level, idx);
-    --wheel_size_;
-    insert(e);
-    return;
+namespace {
+
+struct SeqLess {
+  bool operator()(const TimingWheel::Entry& a,
+                  const TimingWheel::Entry& b) const {
+    return a.seq < b.seq;
   }
-  // Copy into the reusable scratch buffer and clear() the slot so both keep
-  // their capacity: after the first lap of the wheel, cascading allocates
-  // nothing. (insert() never calls cascade, so scratch_ cannot be reentered.)
-  scratch_.assign(s.entries.begin(), s.entries.end());
-  s.entries.clear();
-  s.head = 0;
-  s.sorted = false;
-  unmark(level, idx);
-  wheel_size_ -= scratch_.size();
-  for (const Entry& e : scratch_) insert(e);
+};
+
+}  // namespace
+
+TimingWheel::TimingWheel() {
+  for (Level& level : levels_) {
+    level.bitmap.fill(0);
+    level.summary = 0;
+  }
+}
+
+void TimingWheel::cascade(int lv, int idx) {
+  std::uint32_t n = slot(lv, idx).head;
+  unmark(levels_[static_cast<std::size_t>(lv)], idx);
+  // Relink in FIFO order, so each destination slot receives this slot's
+  // entries as one subsequence of their arrival order. Every entry shares
+  // the slot's epoch with cur_ (the caller moved cur_ to the slot base), so
+  // each lands strictly below `lv`.
+  while (n != kNil) {
+    const std::uint32_t next = pool_[n].next;
+    pool_[n].next = kNil;
+    link(level_of(static_cast<std::uint64_t>(pool_[n].e.time)), n);
+    ++stats_.cascaded;
+    n = next;
+  }
+}
+
+void TimingWheel::open_tick(int idx) {
+  const std::uint32_t first = slot(0, idx).head;
+  const std::uint32_t last = slot(0, idx).tail;
+  open_.clear();
+  open_pos_ = 0;
+  runs_.clear();
+  // One pass gathers the entries and records where each ascending run
+  // starts. Buffer growth is amortized like the pool's: capacity persists
+  // across ticks, so growth stops at the busiest tick's size.
+  for (std::uint32_t n = first;; n = pool_[n].next) {
+    const Entry& e = pool_[n].e;
+    if (open_.empty() || e.seq < open_.back().seq) {
+      // mpsim-analyze: allow(hot-alloc)
+      runs_.push_back(static_cast<std::uint32_t>(open_.size()));
+    }
+    // mpsim-analyze: allow(hot-alloc)
+    open_.push_back(e);
+    if (n == last) break;
+  }
+  free_nodes(first, last);
+  unmark(levels_[0], idx);
+  wheel_size_ -= open_.size();
+  if (runs_.size() == 1) return;
+
+  // Bottom-up merge of neighbouring runs, ping-ponging between open_ and
+  // merge_: ceil(log2(runs)) passes instead of a comparison sort.
+  stats_.runs_merged += runs_.size() - 1;
+  const auto n = static_cast<std::uint32_t>(open_.size());
+  // mpsim-analyze: allow(hot-alloc)
+  runs_.push_back(n);  // sentinel: run i spans [runs_[i], runs_[i + 1])
+  // mpsim-analyze: allow(hot-alloc)
+  merge_.resize(n);
+  for (std::size_t nruns = runs_.size() - 1; nruns > 1;) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < nruns; i += 2) {
+      const std::uint32_t a = runs_[i];
+      const std::uint32_t b = runs_[i + 1];
+      const std::uint32_t c = i + 1 < nruns ? runs_[i + 2] : b;
+      std::merge(open_.begin() + a, open_.begin() + b, open_.begin() + b,
+                 open_.begin() + c, merge_.begin() + a, SeqLess{});
+      runs_[kept++] = a;
+    }
+    runs_[kept] = n;
+    nruns = kept;
+    open_.swap(merge_);
+  }
+}
+
+void TimingWheel::insert_open(const Entry& e) {
+  // A source dispatching at this very tick scheduled another same-tick
+  // event. Its canonical key may be smaller than a pending entry's, so it
+  // goes where the (time, seq) order puts it, not at the end.
+  const auto pending = open_.begin() + static_cast<std::ptrdiff_t>(open_pos_);
+  // Same amortized growth as open_tick()'s gather.
+  // mpsim-analyze: allow(hot-alloc)
+  open_.insert(std::upper_bound(pending, open_.end(), e, SeqLess{}), e);
 }
 
 int TimingWheel::find_slot(const Level& lv, int from) const {
@@ -48,6 +116,7 @@ int TimingWheel::find_slot(const Level& lv, int from) const {
 
 SimTime TimingWheel::next_time() const {
   if (size_ == 0) return kNever;
+  if (open_pos_ < open_.size()) return static_cast<SimTime>(cur_);
   // Level 0: the slot index is the exact tick within the current epoch.
   const int idx =
       find_slot(levels_[0], static_cast<int>(cur_ & (kSlots - 1)));
@@ -61,14 +130,17 @@ SimTime TimingWheel::next_time() const {
   // the first occupied level holds the minimum. Its slot spans many ticks;
   // scan it for the earliest entry.
   for (int lv = 1; lv < kLevels; ++lv) {
+    const Level& level = levels_[static_cast<std::size_t>(lv)];
     const int il =
         static_cast<int>((cur_ >> (kSlotBits * lv)) & (kSlots - 1));
-    const int j = find_slot(levels_[static_cast<std::size_t>(lv)], il + 1);
+    const int j = find_slot(level, il + 1);
     if (j < 0) continue;
-    const Slot& s = levels_[static_cast<std::size_t>(lv)]
-                        .slots[static_cast<std::size_t>(j)];
+    const auto& slots = slots_[static_cast<std::size_t>(lv)];
     SimTime best = kNever;
-    for (const Entry& e : s.entries) best = std::min(best, e.time);
+    for (std::uint32_t n = slots[static_cast<std::size_t>(j)].head; n != kNil;
+         n = pool_[n].next) {
+      best = std::min(best, pool_[n].e.time);
+    }
     return best;
   }
   return overflow_.top().time;
@@ -76,40 +148,66 @@ SimTime TimingWheel::next_time() const {
 
 TimingWheel::Entry TimingWheel::pop() {
   MPSIM_CHECK(size_ > 0, "pop() from an empty wheel");
-  Entry e;
+  Entry e{};
   const bool ok = pop_if_before(kNever, e);
   MPSIM_CHECK(ok, "non-empty wheel must yield an entry");
   (void)ok;
   return e;
 }
 
+std::size_t TimingWheel::cancel_in_slot(int lv, int idx,
+                                        const EventSource* src) {
+  Slot& s = slot(lv, idx);
+  std::size_t removed = 0;
+  std::uint32_t prev = kNil;
+  for (std::uint32_t n = s.head; n != kNil;) {
+    const std::uint32_t next = pool_[n].next;
+    if (pool_[n].e.src == src) {
+      // Unlink, keeping the survivors' FIFO order.
+      if (prev == kNil) {
+        s.head = next;
+      } else {
+        pool_[prev].next = next;
+      }
+      if (n == s.tail) s.tail = prev;
+      free_nodes(n, n);
+      ++removed;
+    } else {
+      prev = n;
+    }
+    n = next;
+  }
+  if (s.head == kNil) unmark(levels_[static_cast<std::size_t>(lv)], idx);
+  return removed;
+}
+
 std::size_t TimingWheel::cancel(const EventSource* src) {
   std::size_t removed = 0;
+  if (open_pos_ < open_.size()) {
+    // Only the pending suffix; erasing keeps it in seq order.
+    const auto it = std::remove_if(
+        open_.begin() + static_cast<std::ptrdiff_t>(open_pos_), open_.end(),
+        [src](const Entry& e) { return e.src == src; });
+    removed += static_cast<std::size_t>(open_.end() - it);
+    open_.erase(it, open_.end());
+  }
+  std::size_t from_levels = 0;
   for (int lv = 0; lv < kLevels; ++lv) {
-    Level& level = levels_[static_cast<std::size_t>(lv)];
-    for (int idx = 0; idx < kSlots; ++idx) {
-      Slot& s = level.slots[static_cast<std::size_t>(idx)];
-      if (s.entries.empty()) continue;
-      // Only the pending suffix [head, end) may be touched; [0, head) of a
-      // mid-drain level-0 slot was already dispatched. Erasing preserves
-      // relative order, so the `sorted` flag remains valid.
-      const auto pending_begin = s.entries.begin() + s.head;
-      const auto it = std::remove_if(
-          pending_begin, s.entries.end(),
-          [src](const Entry& e) { return e.src == src; });
-      const auto n = static_cast<std::size_t>(s.entries.end() - it);
-      if (n == 0) continue;
-      s.entries.erase(it, s.entries.end());
-      removed += n;
-      if (s.head == s.entries.size()) {
-        s.entries.clear();
-        s.head = 0;
-        s.sorted = false;
-        unmark(level, idx);
+    const Level& level = levels_[static_cast<std::size_t>(lv)];
+    // Iterate over copies of the bitmap words: cancel_in_slot may clear
+    // the bits it visits.
+    for (std::uint32_t words = level.summary; words != 0;
+         words &= words - 1) {
+      const int w = std::countr_zero(words);
+      for (std::uint64_t bits = level.bitmap[static_cast<std::size_t>(w)];
+           bits != 0; bits &= bits - 1) {
+        from_levels +=
+            cancel_in_slot(lv, (w << 6) + std::countr_zero(bits), src);
       }
     }
   }
-  wheel_size_ -= removed;
+  wheel_size_ -= from_levels;
+  removed += from_levels;
   if (!overflow_.empty()) {
     std::vector<Entry> keep;
     keep.reserve(overflow_.size());
@@ -129,8 +227,15 @@ std::size_t TimingWheel::cancel(const EventSource* src) {
 }
 
 bool TimingWheel::pop_if_before(SimTime limit, Entry& out) {
-  if (size_ == 0) return false;
   const auto lim = static_cast<std::uint64_t>(limit);
+  if (open_pos_ < open_.size()) {
+    // Draining the open tick: the common case on a busy simulation.
+    if (cur_ > lim) return false;
+    out = open_[open_pos_++];
+    --size_;
+    return true;
+  }
+  if (size_ == 0) return false;
   for (;;) {
     const int idx =
         find_slot(levels_[0], static_cast<int>(cur_ & (kSlots - 1)));
@@ -139,33 +244,20 @@ bool TimingWheel::pop_if_before(SimTime limit, Entry& out) {
           (cur_ & ~static_cast<std::uint64_t>(kSlots - 1)) |
           static_cast<std::uint64_t>(idx);
       if (tick > lim) return false;
-      Level& l0 = levels_[0];
-      Slot& s = l0.slots[static_cast<std::size_t>(idx)];
-      if (!s.sorted) {
-        // Only the pending suffix [head, end) may be reordered; [0, head)
-        // was already dispatched. A mid-drain slot can become unsorted
-        // under canonical keys: a source dispatching at this very tick may
-        // schedule another same-tick event whose (order id, seq) key is
-        // smaller than a pending entry's — exactly the case where the heap
-        // backend would pop the newcomer first, so the re-sort here is what
-        // keeps the two backends dispatch-identical.
-        if (s.entries.size() - s.head > 1) {
-          std::sort(s.entries.begin() + s.head, s.entries.end(),
-                    [](const Entry& a, const Entry& b) {
-                      return a.seq < b.seq;
-                    });
-        }
-        s.sorted = true;
-      }
-      out = s.entries[s.head++];
       cur_ = tick;
-      if (s.head == s.entries.size()) {
-        s.entries.clear();
-        s.head = 0;
-        s.sorted = false;
-        unmark(l0, idx);
+      ++stats_.ticks_opened;
+      const Slot& s = slot(0, idx);
+      if (s.head == s.tail) {
+        // A lone entry needs no buffer: pop it straight off the slot.
+        const std::uint32_t head = s.head;
+        out = pool_[head].e;
+        free_nodes(head, head);
+        unmark(levels_[0], idx);
+        --wheel_size_;
+      } else {
+        open_tick(idx);
+        out = open_[open_pos_++];
       }
-      --wheel_size_;
       --size_;
       return true;
     }
@@ -178,14 +270,13 @@ bool TimingWheel::pop_if_before(SimTime limit, Entry& out) {
       // not moved past `limit` either.
       bool advanced = false;
       for (int lv = 1; lv < kLevels; ++lv) {
+        Level& level = levels_[static_cast<std::size_t>(lv)];
         const int il =
             static_cast<int>((cur_ >> (kSlotBits * lv)) & (kSlots - 1));
-        const int j =
-            find_slot(levels_[static_cast<std::size_t>(lv)], il + 1);
+        const int j = find_slot(level, il + 1);
         if (j < 0) continue;
-        Level& level = levels_[static_cast<std::size_t>(lv)];
-        Slot& s = level.slots[static_cast<std::size_t>(j)];
-        if (s.entries.size() == 1) {
+        const Slot& s = slot(lv, j);
+        if (s.head == s.tail) {
           // Sparse fast path: the sole entry of the first occupied slot of
           // the lowest occupied level is the wheel's minimum (every lower
           // level is empty, higher levels and the overflow sort after it),
@@ -193,10 +284,10 @@ bool TimingWheel::pop_if_before(SimTime limit, Entry& out) {
           // only to pop it from level 0 a few scans later. This is the
           // dominant dispatch shape for sparse simulations (a handful of
           // timers spread over a wide horizon).
-          const Entry e = s.entries.front();
+          const std::uint32_t head = s.head;
+          const Entry e = pool_[head].e;
           if (static_cast<std::uint64_t>(e.time) > lim) return false;
-          s.entries.clear();
-          s.sorted = false;
+          free_nodes(head, head);
           unmark(level, j);
           cur_ = static_cast<std::uint64_t>(e.time);
           --wheel_size_;
@@ -228,43 +319,11 @@ bool TimingWheel::pop_if_before(SimTime limit, Entry& out) {
     while (!overflow_.empty() &&
            (static_cast<std::uint64_t>(overflow_.top().time) >>
             kHorizonBits) == (cur_ >> kHorizonBits)) {
-      insert(overflow_.top());
+      place(overflow_.top());
       overflow_.pop();
     }
     overflow_empty_ = overflow_.empty();
   }
-}
-
-void TimingWheel::drain(std::vector<Entry>& out) {
-  // Migration path: called once per wheel->heap backend switch, which the
-  // adaptive scheduler rate-limits; never on per-event dispatch.
-  // mpsim-analyze: allow(hot-alloc)
-  out.reserve(out.size() + size_);
-  for (int lv = 0; lv < kLevels; ++lv) {
-    Level& level = levels_[static_cast<std::size_t>(lv)];
-    if (level.summary == 0) continue;
-    for (int idx = 0; idx < kSlots; ++idx) {
-      Slot& s = level.slots[static_cast<std::size_t>(idx)];
-      if (s.entries.empty()) continue;
-      // Only the pending suffix survives; [0, head) of a mid-drain level-0
-      // slot has already been dispatched. Within the reserve() above.
-      // mpsim-analyze: allow(hot-alloc)
-      out.insert(out.end(), s.entries.begin() + s.head, s.entries.end());
-      s.entries.clear();
-      s.head = 0;
-      s.sorted = false;
-      unmark(level, idx);
-    }
-  }
-  while (!overflow_.empty()) {
-    // Within the reserve() above (size_ counts overflow entries).
-    // mpsim-analyze: allow(hot-alloc)
-    out.push_back(overflow_.top());
-    overflow_.pop();
-  }
-  overflow_empty_ = true;
-  wheel_size_ = 0;
-  size_ = 0;
 }
 
 }  // namespace mpsim

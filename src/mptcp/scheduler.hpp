@@ -45,8 +45,8 @@
 namespace mpsim::mptcp {
 
 // Selectable scheduling policy (scenario spec: [scheduler] kind = "...").
-// Named DataSchedulerKind: core::SchedulerKind already names the *event*
-// scheduler backends (heap/wheel/adaptive); these pick data placement.
+// Named DataSchedulerKind to keep it apart from the *event* scheduler
+// (core/event_list.hpp); these pick data placement.
 enum class DataSchedulerKind { kStripe, kMinRttFirst, kRedundant, kBlest };
 
 const char* to_string(DataSchedulerKind kind);

@@ -55,7 +55,7 @@ void Queue::start_service() {
 
 void Queue::on_event() {
   // Lazy-cancellation guard: VariableRateQueue reschedules completions when
-  // the rate changes, which can leave stale wake-ups in the heap.
+  // the rate changes, which can leave stale wake-ups in the event list.
   if (!busy_ || events_.now() < service_done_at_) return;
   Packet* pkt = in_service_;
   MPSIM_CHECK(pkt != nullptr, "busy queue must have a packet in service");

@@ -53,7 +53,7 @@ std::vector<RunResult> ExperimentRunner::run_all() {
   std::vector<RunResult> results(n);
 
   auto exec = [&](std::size_t idx) {
-    RunContext ctx(jobs_[idx].first, cfg_.scheduler);
+    RunContext ctx(jobs_[idx].first);
     if (cfg_.trace_sink != trace::SinkKind::kNone) {
       trace::TraceRecorder::Config tc;
       if (cfg_.trace_capacity > 0) tc.capacity = cfg_.trace_capacity;
@@ -90,8 +90,7 @@ std::vector<RunResult> ExperimentRunner::run_all() {
     if (const net::PacketPool* pool = net::PacketPool::find(ctx.events())) {
       r.metrics.peak_pool_packets = pool->peak_outstanding();
     }
-    r.metrics.scheduler = to_string(ctx.events().scheduler_kind());
-    r.metrics.scheduler_switches = ctx.events().scheduler_switches();
+    r.metrics.scheduler = ctx.events().scheduler_stats();
   };
 
   const unsigned nthreads = resolved_threads();

@@ -32,19 +32,15 @@ struct RunMetrics {
   std::uint64_t events_processed = 0;
   double events_per_sec = 0.0;
   std::size_t peak_pool_packets = 0;  // high-water mark of the run's pool
-  // The *resolved* scheduler this run's EventList used ("heap", "wheel" or
-  // "adaptive") and, for the adaptive backend, how many heap<->wheel
-  // migrations it performed — so bench numbers stay attributable. Both are
-  // deterministic per run (never thread- or wall-time-dependent).
-  std::string scheduler;
-  std::uint64_t scheduler_switches = 0;
+  // The event scheduler's work counters for this run — deterministic, so
+  // bench numbers stay attributable without depending on thread count.
+  TimingWheel::Stats scheduler;
 };
 
 // Handed to each job: the simulation instance plus a keyed scalar recorder.
 class RunContext {
  public:
-  RunContext(std::string name, SchedulerKind scheduler)
-      : name_(std::move(name)), events_(scheduler) {}
+  explicit RunContext(std::string name) : name_(std::move(name)) {}
 
   RunContext(const RunContext&) = delete;
   RunContext& operator=(const RunContext&) = delete;
@@ -100,7 +96,6 @@ struct RunResult {
 
 struct RunnerConfig {
   unsigned threads = 0;  // 0 => hardware concurrency; 1 => run on the caller
-  SchedulerKind scheduler = SchedulerKind::kAuto;  // for every job's EventList
   // Flight-recorder emission. kNone = off. Otherwise every job gets a
   // recorder installed before it runs, and its trace is flushed to
   // `trace_dir`/trace_<run-name><ext> after the job returns (run names are

@@ -34,11 +34,9 @@ inline stats::Json json_from_result(const RunResult& r) {
   m.set("events_per_sec", r.metrics.events_per_sec);
   m.set("peak_pool_packets",
         static_cast<double>(r.metrics.peak_pool_packets));
-  if (!r.metrics.scheduler.empty()) {
-    m.set("scheduler", r.metrics.scheduler);
-    m.set("scheduler_switches",
-          static_cast<double>(r.metrics.scheduler_switches));
-  }
+  r.metrics.scheduler.for_each([&m](const char* k, std::uint64_t v) {
+    m.set(std::string("scheduler_") + k, static_cast<double>(v));
+  });
   o.set("metrics", std::move(m));
   if (!r.trace_path.empty()) o.set("trace_path", r.trace_path);
   return o;

@@ -171,7 +171,7 @@ std::vector<ResolvedRun> Scenario::expand() const {
 
 void Scenario::validate(double time_scale) const {
   for (const ResolvedRun& run : expand()) {
-    runner::RunContext ctx(run.name, SchedulerKind::kAuto);
+    runner::RunContext ctx(run.name);
     execute_run(run, time_scale, ctx, /*dry_run=*/true);
   }
 }
@@ -508,7 +508,7 @@ void execute_run(const ResolvedRun& run, double time_scale,
   // The machine-readable echo of this run's resolved parameters.
   ctx.annotate("algorithm", algo.name);
   if (env.scheduler != nullptr) {
-    // "scheduler" is taken by the event-queue backend annotation.
+    // "scheduler" names the event scheduler's counters in the report.
     ctx.annotate("data_scheduler",
                  env.scheduler->get_string("kind", "stripe"));
   }

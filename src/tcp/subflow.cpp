@@ -367,7 +367,7 @@ void Subflow::arm_rto() {
   schedule_wakeup(rto_deadline_);
   // If an earlier wake-up is already pending, schedule_wakeup keeps it; it
   // will re-arm itself forward to rto_deadline_ when it fires (lazy
-  // rescheduling keeps the event heap from accumulating one stale entry
+  // rescheduling keeps the event list from accumulating one stale entry
   // per ACK).
 }
 

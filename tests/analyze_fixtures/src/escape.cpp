@@ -9,3 +9,11 @@ struct Delegator {
     escape_helper(3);
   }
 };
+
+// A hot static member function defined on one line: the `static` belongs
+// to its signature, not its body, so hot-static must stay quiet.
+struct Bits {
+  static int low(int v) { return v & 1; }
+  void on_event() { last = low(last + 1); }
+  int last = 0;
+};

@@ -1,23 +1,17 @@
-# Runs a spec with a pinned scheduler backend and compares its CSV trace
-# byte-for-byte against the committed golden file. Every backend must
-# reproduce the same bytes — the golden is the cross-backend oracle.
+# Runs a spec and compares its CSV trace byte-for-byte against the
+# committed golden file.
 #
 #   cmake -DMPSIM=<cli> -DSPEC=<spec.toml> -DGOLDEN=<golden.csv>
-#         -DOUT=<scratch dir> -DRUN_NAME=<run> [-DSCHEDULER=<backend>]
-#         -P run_golden.cmake
+#         -DOUT=<scratch dir> -DRUN_NAME=<run> -P run_golden.cmake
 foreach(var MPSIM SPEC GOLDEN OUT RUN_NAME)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "run_golden.cmake: -D${var}= is required")
   endif()
 endforeach()
-if(NOT DEFINED SCHEDULER)
-  set(SCHEDULER wheel)
-endif()
 
 file(MAKE_DIRECTORY ${OUT})
 execute_process(
-  COMMAND ${CMAKE_COMMAND} -E env MPSIM_SCHEDULER=${SCHEDULER}
-          ${MPSIM} run --trace=csv --trace-dir=${OUT} ${SPEC}
+  COMMAND ${MPSIM} run --trace=csv --trace-dir=${OUT} ${SPEC}
   WORKING_DIRECTORY ${OUT}
   RESULT_VARIABLE run_rc
   OUTPUT_QUIET)

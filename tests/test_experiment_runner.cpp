@@ -164,18 +164,26 @@ TEST(ExperimentRunner, PoolAccountingIsolatedAcrossParallelRuns) {
   }
 }
 
-TEST(ExperimentRunner, SchedulerConfigAppliesToJobs) {
-  for (SchedulerKind kind : {SchedulerKind::kHeap, SchedulerKind::kWheel}) {
-    RunnerConfig cfg;
-    cfg.threads = 1;
-    cfg.scheduler = kind;
-    ExperimentRunner r(cfg);
-    r.add("probe", [kind](RunContext& ctx) {
-      ctx.record("kind_ok",
-                 ctx.events().scheduler_kind() == kind ? 1.0 : 0.0);
-    });
-    EXPECT_EQ(r.run_all()[0].value("kind_ok"), 1.0);
-  }
+TEST(ExperimentRunner, ReportsSchedulerCounters) {
+  struct Nop : EventSource {
+    explicit Nop(EventList& e) : EventSource(e, "nop") {}
+    void on_event() override {}
+  };
+  RunnerConfig cfg;
+  cfg.threads = 1;
+  ExperimentRunner r(cfg);
+  r.add("probe", [](RunContext& ctx) {
+    Nop a(ctx.events()), b(ctx.events());
+    ctx.events().schedule_at(b, 5);
+    ctx.events().schedule_at(a, 5);
+    ctx.events().schedule_at(a, 7);
+    ctx.events().run_all();
+  });
+  const TimingWheel::Stats s = r.run_all()[0].metrics.scheduler;
+  EXPECT_EQ(s.peak_pending, 3u);
+  EXPECT_EQ(s.ticks_opened, 2u);
+  EXPECT_EQ(s.runs_merged, 1u);
+  EXPECT_EQ(s.cascaded, 0u);
 }
 
 TEST(ExperimentRunner, ZeroJobsIsFine) {

@@ -42,14 +42,22 @@ TEST(InvariantClockRollback, SchedulingInThePastFires) {
   EXPECT_THROW(events.schedule_at(t, from_ms(5)), CheckFailureError);
 }
 
-TEST(InvariantClockRollback, BothSchedulerBackendsFire) {
+TEST(InvariantClockRollback, FiresAfterRunOneAndRunUntil) {
   ScopedThrowingChecks guard;
-  for (auto kind : {SchedulerKind::kWheel, SchedulerKind::kHeap}) {
-    EventList events(kind);
+  {
+    EventList events;
     Ticker t(events);
     events.schedule_at(t, from_ms(1));
-    events.run_until(from_ms(2));
+    events.schedule_at(t, from_ms(3));
+    ASSERT_TRUE(events.run_one());  // now() == 1ms
     EXPECT_THROW(events.schedule_at(t, 0), CheckFailureError);
+  }
+  {
+    EventList events;
+    Ticker t(events);
+    events.schedule_at(t, from_ms(1));
+    events.run_until(from_ms(2));  // now() == 2ms, queue drained
+    EXPECT_THROW(events.schedule_at(t, from_ms(1)), CheckFailureError);
   }
 }
 

@@ -111,7 +111,7 @@ struct FatTreeRun {
 // FatTree (the construction the scenario builders perform), with every
 // pipe on one service discipline.
 FatTreeRun run_fattree(bool batched) {
-  EventList events(SchedulerKind::kWheel);
+  EventList events;
   topo::Network net(events);
   topo::FatTree ft(net, 4);
   Rng rng(77);
@@ -167,7 +167,7 @@ class OrderSink final : public PacketSink {
 
 TEST(Pipe, BatchBoundariesPreserveSameTimeTieOrder) {
   auto run = [](bool batched) {
-    EventList events(SchedulerKind::kHeap);
+    EventList events;
     Pipe p1(events, "p1", from_us(50));
     Pipe p2(events, "p2", from_us(50));
     p1.set_batched(batched);

@@ -99,48 +99,39 @@ TEST(RunnerStress, ContendedSweepsAreByteIdentical) {
   }
 }
 
-TEST(RunnerStress, AdaptiveBackendMatchesHeapUnderContention) {
-  // The adaptive migrator must be invisible to results even when jobs run
-  // on contended worker threads: a 4-thread adaptive sweep (thresholds
-  // forced low enough to migrate mid-run) byte-matches a 1-thread pure-heap
-  // sweep, and the reported backend/switch counts stay deterministic.
-  auto sweep_kind = [](SchedulerKind kind, unsigned threads, int njobs) {
+TEST(RunnerStress, SchedulerCountersIdenticalAcrossThreads) {
+  // The scheduler's work counters are part of a run's deterministic
+  // output: a 4-thread sweep reports exactly the counters (and values) of
+  // a 1-thread sweep, however the jobs interleave.
+  auto sweep = [](unsigned threads, int njobs) {
     RunnerConfig cfg;
     cfg.threads = threads;
-    cfg.scheduler = kind;
     ExperimentRunner r(cfg);
     for (int k = 0; k < njobs; ++k) {
-      r.add("seed" + std::to_string(k), [k, kind](RunContext& ctx) {
-        if (kind == SchedulerKind::kAdaptive) {
-          // Forced low enough to migrate mid-run even with batched pipe
-          // service, which keeps at most one pending wake per pipe and so
-          // shrinks the schedule far below the legacy per-packet counts.
-          ctx.events().set_adaptive_policy(/*high=*/10, /*low=*/4,
-                                           /*cooldown=*/128);
-        }
+      r.add("seed" + std::to_string(k), [k](RunContext& ctx) {
         mptcp_job(ctx, 7000 + static_cast<std::uint64_t>(k));
       });
     }
     return r.run_all();
   };
   const int njobs = 12;
-  const auto heap = sweep_kind(SchedulerKind::kHeap, /*threads=*/1, njobs);
-  const auto adaptive =
-      sweep_kind(SchedulerKind::kAdaptive, /*threads=*/4, njobs);
-  ASSERT_EQ(heap.size(), adaptive.size());
-  std::uint64_t total_switches = 0;
-  for (std::size_t i = 0; i < heap.size(); ++i) {
-    EXPECT_EQ(adaptive[i].metrics.scheduler, "adaptive");
-    total_switches += adaptive[i].metrics.scheduler_switches;
-    ASSERT_EQ(heap[i].values.size(), adaptive[i].values.size());
-    for (std::size_t j = 0; j < heap[i].values.size(); ++j) {
-      EXPECT_EQ(heap[i].values[j].second, adaptive[i].values[j].second)
-          << heap[i].name << "." << heap[i].values[j].first;
+  const auto one = sweep(/*threads=*/1, njobs);
+  const auto four = sweep(/*threads=*/4, njobs);
+  ASSERT_EQ(one.size(), four.size());
+  for (std::size_t i = 0; i < one.size(); ++i) {
+    const TimingWheel::Stats& a = one[i].metrics.scheduler;
+    const TimingWheel::Stats& b = four[i].metrics.scheduler;
+    EXPECT_GT(a.ticks_opened, 0u) << one[i].name;
+    EXPECT_EQ(a.cascaded, b.cascaded) << one[i].name;
+    EXPECT_EQ(a.ticks_opened, b.ticks_opened) << one[i].name;
+    EXPECT_EQ(a.runs_merged, b.runs_merged) << one[i].name;
+    EXPECT_EQ(a.peak_pending, b.peak_pending) << one[i].name;
+    ASSERT_EQ(one[i].values.size(), four[i].values.size());
+    for (std::size_t j = 0; j < one[i].values.size(); ++j) {
+      EXPECT_EQ(one[i].values[j].second, four[i].values[j].second)
+          << one[i].name << "." << one[i].values[j].first;
     }
   }
-  EXPECT_GT(total_switches, 0u)
-      << "no job ever crossed the forced thresholds; the adaptive leg "
-      << "tested nothing";
 }
 
 TEST(RunnerStress, FlowIdsDeterministicUnderConcurrency) {

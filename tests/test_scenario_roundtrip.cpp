@@ -36,7 +36,7 @@ std::vector<std::pair<std::string, double>> engine_values(
   Scenario s = Scenario::from_string(text, "rt.toml");
   const auto runs = s.expand();
   EXPECT_EQ(runs.size(), 1u);
-  runner::RunContext ctx(runs[0].name, SchedulerKind::kAuto);
+  runner::RunContext ctx(runs[0].name);
   execute_run(runs[0], /*time_scale=*/1.0, ctx);
   return ctx.values();
 }
@@ -67,7 +67,7 @@ metrics = ["flow_mbps", "jain", "queue_loss", "loss_ratio:0:2"]
 )");
 
   // The same simulation, written the way bench_fig8_torus writes it.
-  runner::RunContext ctx("direct", SchedulerKind::kAuto);
+  runner::RunContext ctx("direct");
   EventList& events = ctx.events();
   topo::Network net(events);
   topo::Torus torus(net, {1000.0, 1000.0, 250.0, 1000.0, 1000.0});
@@ -141,7 +141,7 @@ measure = "0.5s"
 metrics = ["total_mbps", "jain", "per_flow_mean_mbps", "per_host_mbps"]
 )");
 
-  runner::RunContext ctx("direct", SchedulerKind::kAuto);
+  runner::RunContext ctx("direct");
   EventList& events = ctx.events();
   topo::Network net(events);
   topo::FatTree ft(net, 4, 100e6, from_us(20), 100 * net::kDataPacketBytes);
@@ -207,7 +207,7 @@ warmup = "2s"
 measure = "10s"
 )");
 
-  runner::RunContext ctx("direct", SchedulerKind::kAuto);
+  runner::RunContext ctx("direct");
   EventList& events = ctx.events();
   topo::Network net(events);
   topo::WirelessClient radio(net);

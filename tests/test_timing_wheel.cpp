@@ -1,7 +1,9 @@
 // Direct tests of the hierarchical timing wheel, exercising the cases a
 // whole-EventList test reaches only by luck: cross-level cascades, the
-// overflow heap beyond the wheel horizon, idle-gap rebasing, and the
-// peek-without-cascade contract that run_until() depends on.
+// overflow heap beyond the wheel horizon, idle-gap rebasing, the
+// peek-without-cascade contract that run_until() depends on, run merging
+// in an opened tick, schedules into the tick being drained, and cancel()
+// wherever an entry waits.
 #include "core/timing_wheel.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/check.hpp"
 #include "core/event_list.hpp"
 #include "core/rng.hpp"
 
@@ -131,6 +134,79 @@ TEST(TimingWheel, NextTimeExactAcrossLevels) {
     EXPECT_EQ(w.next_time(), t);
     EXPECT_EQ(w.pop().time, t);
   }
+}
+
+TEST(TimingWheel, SmallerKeyIntoDrainingTick) {
+  // A schedule for the tick being drained goes to its key position among
+  // the pending entries, even ahead of all of them: exactly where a global
+  // (time, seq) order puts it.
+  TimingWheel w;
+  w.schedule(100, 10, tag(1));
+  w.schedule(100, 20, tag(2));
+  w.schedule(100, 30, tag(3));
+  EXPECT_EQ(w.pop().seq, 10u);  // opens the tick
+  w.schedule(100, 25, tag(4));
+  w.schedule(100, 5, tag(5));
+  w.schedule(100, 40, tag(6));
+  w.schedule(101, 1, tag(7));  // the next tick is not the open one
+  std::vector<std::uint64_t> seqs;
+  while (!w.empty()) seqs.push_back(w.pop().seq);
+  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{5, 20, 25, 30, 40, 1}));
+}
+
+TEST(TimingWheel, CancelInOpenTickLevelsAndOverflow) {
+  TimingWheel w;
+  EventSource* a = tag(1);
+  EventSource* b = tag(2);
+  std::uint64_t seq = 0;
+  // The open tick, another level-0 tick, level 1, level 2 and overflow.
+  const SimTime times[] = {100, 100, 100, 600, 1 << 12, 1 << 25,
+                           (1ll << 34) + 3};
+  for (SimTime t : times) {
+    w.schedule(t, seq++, a);
+    w.schedule(t, seq++, b);
+  }
+  const TimingWheel::Entry first = w.pop();  // opens tick 100
+  EXPECT_EQ(first.src, a);
+  EXPECT_EQ(w.cancel(a), 6u);
+  EXPECT_EQ(w.size(), 7u);
+  std::vector<SimTime> got;
+  while (!w.empty()) {
+    const TimingWheel::Entry e = w.pop();
+    EXPECT_EQ(e.src, b);
+    got.push_back(e.time);
+  }
+  EXPECT_EQ(got, (std::vector<SimTime>{100, 100, 100, 600, 1 << 12, 1 << 25,
+                                       (1ll << 34) + 3}));
+  EXPECT_EQ(w.cancel(a), 0u);
+}
+
+TEST(TimingWheel, InterleavedRunsMergeAfterCascade) {
+  // Three interleaved ascending runs reach one level-0 tick through two
+  // cascades (level 2 -> level 1 -> level 0) and dispatch fully merged.
+  TimingWheel w;
+  const SimTime t = (1ll << 23) + (1 << 12) + 5;  // level 2 from cur_ = 0
+  for (std::uint64_t seq : {1, 4, 7, 10, 2, 5, 8, 3, 6, 9}) {
+    w.schedule(t, seq, tag(seq));
+  }
+  for (std::uint64_t want = 1; want <= 10; ++want) {
+    const TimingWheel::Entry e = w.pop();
+    EXPECT_EQ(e.time, t);
+    EXPECT_EQ(e.seq, want);
+  }
+  EXPECT_EQ(w.stats().cascaded, 20u);
+  EXPECT_EQ(w.stats().ticks_opened, 1u);
+  EXPECT_EQ(w.stats().runs_merged, 2u);
+  EXPECT_EQ(w.stats().peak_pending, 10u);
+}
+
+TEST(TimingWheel, ScheduleBeforeCurrentTickFires) {
+  ScopedThrowingChecks guard;
+  TimingWheel w;
+  w.schedule(100, 1, tag(1));
+  w.schedule(200, 2, tag(1));
+  EXPECT_EQ(w.pop().time, 100);
+  EXPECT_THROW(w.schedule(50, 3, tag(1)), CheckFailureError);
 }
 
 TEST(TimingWheel, RandomizedAgainstReferenceOrder) {

@@ -7,7 +7,7 @@
 // `run` prints one deterministic block per run (name + recorded metrics,
 // fixed formatting) to stdout and writes BENCH_scenario_<name>.json; wall
 // timings go to stderr, so stdout and the trace files are byte-identical
-// across thread counts and schedulers — CI diffs them. A malformed spec
+// across thread counts — CI diffs them. A malformed spec
 // exits 2 with a file:line diagnostic.
 #include <cstdio>
 #include <cstring>
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/env.hpp"
-#include "core/event_list.hpp"
 #include "runner/report.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/registry.hpp"
@@ -34,7 +33,7 @@ int usage() {
                "grid\n"
                "  validate  dry-build every grid point; no simulated time\n"
                "  list      print registered topology/algorithm/traffic/"
-               "scheduler kinds\n"
+               "data-scheduler kinds\n"
                "\n"
                "options:\n"
                "  --threads=N     worker threads (default MPSIM_THREADS, "
@@ -45,11 +44,6 @@ int usage() {
                "and [output] trace\n"
                "  --trace-dir=D   directory for trace_<run>.* files "
                "(default \".\")\n"
-               "\n"
-               "environment:\n"
-               "  MPSIM_SCHEDULER=adaptive|wheel|heap   event-queue backend "
-               "(default adaptive;\n"
-               "                  bad values exit 2; see `mpsim list`)\n"
                "\n"
                "specs may carry a [faults] section (scripted link "
                "down/up/rate/ramp,\nloss bursts, queue drain/corrupt, "
@@ -145,13 +139,6 @@ int cmd_list() {
   print("algorithms", reg.algorithm_names());
   print("traffic", reg.traffic_names());
   print("data schedulers ([scheduler] kind=...)", reg.scheduler_names());
-  std::printf("event schedulers (MPSIM_SCHEDULER=adaptive|wheel|heap):\n");
-  std::printf("  %-12s %s\n", "adaptive",
-              "heap while sparse, timing wheel while dense (default)");
-  std::printf("  %-12s %s\n", "wheel", "hierarchical timing wheel");
-  std::printf("  %-12s %s\n", "heap", "binary heap");
-  std::printf("  resolved default: %s\n",
-              to_string(EventList::default_scheduler()));
   return 0;
 }
 
@@ -193,18 +180,12 @@ int cmd_run(const Options& opts) {
       std::printf("== %s ==\n", scn.name().c_str());
       for (const runner::RunResult& r : results) {
         std::printf("run %s\n", r.name.c_str());
-        // The resolved backend (and, for adaptive, its migration count) is
-        // deterministic per run, so printing it keeps stdout byte-identical
-        // across thread counts while making bench numbers attributable.
-        if (!r.metrics.scheduler.empty()) {
-          std::printf("  # scheduler = %s", r.metrics.scheduler.c_str());
-          if (r.metrics.scheduler == "adaptive") {
-            std::printf(" (switches=%llu)",
-                        static_cast<unsigned long long>(
-                            r.metrics.scheduler_switches));
-          }
-          std::printf("\n");
-        }
+        // Deterministic per run, so stdout stays identical across threads.
+        std::printf("  # scheduler:");
+        r.metrics.scheduler.for_each([](const char* k, std::uint64_t v) {
+          std::printf(" %s=%llu", k, static_cast<unsigned long long>(v));
+        });
+        std::printf("\n");
         for (const auto& [k, v] : r.annotations) {
           std::printf("  # %s = %s\n", k.c_str(), v.c_str());
         }

@@ -60,6 +60,9 @@ class FunctionDef:
     start_line: int    # line of the name token
     body_start: int    # line of the opening '{'
     end_line: int      # line of the closing '}'
+    # Which '{' on line body_start opens the body (1-based): the text
+    # before it on that line is signature, not body.
+    body_brace_nth: int = 1
     calls: list = field(default_factory=list)  # list[CallSite]
 
     @property
@@ -235,14 +238,20 @@ class _Parser:
         scope_cls = next((nm for kd, nm in reversed(stack) if kd == "class"),
                          "")
         namespaces = "::".join(nm for kd, nm in stack if kd == "namespace")
+        brace_line = self.toks[k].line
+        b, nth = k, 0
+        while b >= 0 and self.toks[b].line == brace_line:
+            nth += self.toks[b].text == "{"  # string tokens read '""'
+            b -= 1
         fn = FunctionDef(
             name=name,
             cls=explicit_cls or scope_cls,
             namespace=namespaces,
             path=self.lf.path,
             start_line=self.toks[i].line,
-            body_start=self.toks[k].line,
+            body_start=brace_line,
             end_line=self.toks[body_end].line,
+            body_brace_nth=nth,
         )
         fn.calls = self._extract_calls(k + 1, body_end)
         # Parameter-list defaults can call too (rare; include them).

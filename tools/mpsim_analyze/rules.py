@@ -110,11 +110,22 @@ def _allow_site(lexed, line: int, rule: str):
     return None
 
 
-def _scan(lexed, fn, rule, regex, message, findings, used_allows):
+def _body(lexed, fn):
+    """(line, code) for every line of fn's body. The line holding the
+    body's opening brace yields only the text after that brace, so a
+    signature sharing it (`static int f(int v) { ... }`) is not body."""
     lines = lexed.lines
     for ln in range(fn.body_start, min(fn.end_line, len(lines)) + 1):
-        raw = lines[ln - 1]
-        if not regex.search(code_of(raw)):
+        code = code_of(lines[ln - 1])
+        if ln == fn.body_start:
+            parts = code.split("{", fn.body_brace_nth)
+            code = parts[-1] if len(parts) > fn.body_brace_nth else code
+        yield ln, code
+
+
+def _scan(lexed, fn, rule, regex, message, findings, used_allows):
+    for ln, code in _body(lexed, fn):
+        if not regex.search(code):
             continue
         site = _allow_site(lexed, ln, rule)
         if site is not None:
@@ -169,13 +180,11 @@ def _check_packet_ownership(lexed, fn, findings, used_allows):
     same body. Function-level, not path-sensitive: a transfer on any path
     satisfies the rule (MPSIM_CHECK + the pool's conservation ledger cover
     the dynamic cases)."""
-    lines = lexed.lines
-    body = range(fn.body_start, min(fn.end_line, len(lines)) + 1)
-    sources = [ln for ln in body if PKT_SOURCE_RE.search(code_of(lines[ln - 1]))]
+    body = list(_body(lexed, fn))
+    sources = [ln for ln, code in body if PKT_SOURCE_RE.search(code)]
     if not sources:
         return
-    has_transfer = any(PKT_TRANSFER_RE.search(code_of(lines[ln - 1]))
-                       for ln in body)
+    has_transfer = any(PKT_TRANSFER_RE.search(code) for _, code in body)
     if has_transfer:
         return
     for ln in sources:

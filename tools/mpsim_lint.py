@@ -39,11 +39,11 @@ trace-discipline    Instrumentation sites go through the MPSIM_TRACE macro,
 arena-discipline    The per-event hot paths (event scheduling, subflow ACK
                     processing, queue enqueue/dequeue) must not allocate:
                     per-subflow and per-queue hot state lives in the
-                    SimArena SoA columns, packets in the pool, wheel slots
-                    in reserved vectors. Any `new` / make_unique /
-                    make_shared / malloc there is a finding; the rare
-                    legitimate one-off (backend migration, arena chunk
-                    growth) carries an allow comment. For this rule only,
+                    SimArena SoA columns, packets in the pool, pending
+                    events in the timing wheel's node pool. Any `new` /
+                    make_unique / make_shared / malloc there is a finding;
+                    the rare legitimate one-off (arena chunk growth)
+                    carries an allow comment. For this rule only,
                     the allow may sit on the preceding line — the
                     allocation statements it blesses are usually already
                     at the 80-column limit.
