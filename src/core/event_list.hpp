@@ -146,6 +146,9 @@ class EventList {
   //   kArenaSlot          SimArena (core/arena.hpp), attached lazily by the
   //                       first Subflow/Queue built on this simulation; the
   //                       SoA home of per-subflow and per-queue hot state.
+  //   kReorderLedgerSlot  mptcp::ReorderLedger (mptcp/reorder_window.hpp),
+  //                       attached lazily by the first MPTCP receiver; the
+  //                       bytes its reorder windows hold.
   class Service {
    public:
     virtual ~Service() = default;
@@ -153,7 +156,8 @@ class EventList {
   static constexpr std::size_t kPacketPoolSlot = 0;
   static constexpr std::size_t kTraceRecorderSlot = 1;
   static constexpr std::size_t kArenaSlot = 2;
-  static constexpr std::size_t kServiceSlots = 3;
+  static constexpr std::size_t kReorderLedgerSlot = 3;
+  static constexpr std::size_t kServiceSlots = 4;
 
   Service* service(std::size_t slot) const { return services_[slot].get(); }
   Service& attach_service(std::size_t slot, std::unique_ptr<Service> s);

@@ -11,21 +11,16 @@ MptcpReceiver::MptcpReceiver(EventList& events, std::string name,
     : EventSource(events, std::move(name)),
       events_(events),
       flow_id_(flow_id),
-      capacity_(buffer_pkts) {
+      capacity_(buffer_pkts),
+      data_reorder_(&ReorderLedger::of(events)) {
   trace_ = trace::TraceRecorder::find(events);
   if (trace_ != nullptr) trace_id_ = trace_->register_object(this->name());
-  // Reorder tracking never outgrows the shared buffer, so one up-front
-  // reservation makes the per-packet receive path allocation-free.
-  ooo_data_.reserve(capacity_);
 }
 
 void MptcpReceiver::add_subflow(const net::Route& ack_route) {
   // Subflow-open granularity (see MptcpConnection::add_subflow): the
   // receive path proper never reaches this.
-  SubflowRx rx;
-  rx.ack_route = &ack_route;
-  // mpsim-analyze: allow(hot-alloc)
-  rx.ooo.reserve(capacity_);
+  SubflowRx rx{&ack_route, ReorderWindow(&ReorderLedger::of(events_))};
   // mpsim-analyze: allow(hot-alloc)
   subflows_.push_back(std::move(rx));
 }
@@ -55,52 +50,37 @@ void MptcpReceiver::receive(net::Packet& pkt) {
   ++packets_received_;
 
   // --- subflow-level reassembly (drives loss detection at the sender) ---
-  SubflowRx& sub = subflows_[pkt.subflow_id];
-  const bool subflow_in_order = pkt.subflow_seq == sub.rcv_nxt;
-  if (subflow_in_order) {
-    ++sub.rcv_nxt;
-    while (!sub.ooo.empty() && sub.ooo.min() == sub.rcv_nxt) {
-      sub.ooo.erase_min();
-      ++sub.rcv_nxt;
-    }
-  } else if (pkt.subflow_seq > sub.rcv_nxt) {
-    sub.ooo.add(pkt.subflow_seq);
+  ReorderWindow& sub = subflows_[pkt.subflow_id].reorder;
+  if (pkt.subflow_seq == sub.edge()) {
+    sub.advance();
+  } else if (pkt.subflow_seq > sub.edge()) {
+    sub.add(pkt.subflow_seq);
   }
-  // (subflow_seq < rcv_nxt: duplicate from go-back-N, nothing to track)
+  // (subflow_seq below the edge: duplicate from go-back-N, nothing to track)
 
   // --- data-level reassembly into the shared buffer ---
   const std::uint64_t dseq = pkt.data_seq;
-  bool data_in_order = false;
-  if (dseq < rcv_nxt_data_ || ooo_data_.contains(dseq)) {
+  if (dseq < data_reorder_.edge() || data_reorder_.contains(dseq)) {
     ++duplicate_data_;  // reinjected or go-back-N copy; already have it
   } else if (buffer_occupancy() >= capacity_) {
     // No room. A sender honouring the advertised window cannot trigger
     // this; counted so tests can assert the invariant.
     ++window_violations_;
-  } else if (dseq == rcv_nxt_data_) {
-    data_in_order = true;
-    ++rcv_nxt_data_;
-    while (!ooo_data_.empty() && ooo_data_.min() == rcv_nxt_data_) {
-      ooo_data_.erase_min();
-      ++rcv_nxt_data_;
-    }
+  } else if (dseq == data_reorder_.edge()) {
+    data_reorder_.advance();
     drain_to_app();
   } else {
-    ooo_data_.add(dseq);
+    data_reorder_.add(dseq);
   }
 
   MPSIM_CHECK(buffer_occupancy() <= capacity_,
               "shared receive buffer overflow (6 deadlock-avoidance bound)");
-  MPSIM_CHECK(app_read_seq_ <= rcv_nxt_data_,
+  MPSIM_CHECK(app_read_seq_ <= data_reorder_.edge(),
               "application cannot read past the in-order edge");
   MPSIM_TRACE(trace_, trace::rcv_buffer(events_.now(), trace_id_, flow_id_,
                                         buffer_occupancy(),
                                         advertised_window()));
   send_ack(pkt);
-  // Perfectly in-order traffic under delayed ACKs may leave one segment
-  // pending; anything else was acked immediately inside send_ack.
-  (void)subflow_in_order;
-  (void)data_in_order;
   pkt.release();
 }
 
@@ -115,9 +95,9 @@ void MptcpReceiver::send_ack(const net::Packet& data_pkt) {
   // Delayed ACKs: hold a perfectly in-order segment briefly; everything
   // irregular (gaps, duplicates, retransmits) is acked at once so the
   // sender's loss detection is never delayed.
-  const bool irregular = data_pkt.subflow_seq + 1 != sub.rcv_nxt ||
-                         data_pkt.is_retransmit || !sub.ooo.empty() ||
-                         !ooo_data_.empty();
+  const bool irregular = data_pkt.subflow_seq + 1 != sub.reorder.edge() ||
+                         data_pkt.is_retransmit || !sub.reorder.empty() ||
+                         !data_reorder_.empty();
   ++sub.pending_acks;
   if (sub.pending_acks == 1) {
     sub.pending_ts_echo = data_pkt.ts_echo;
@@ -144,8 +124,8 @@ void MptcpReceiver::emit_ack(std::uint32_t subflow_id, SimTime ts_echo,
   ack.type = net::PacketType::kAck;
   ack.flow_id = flow_id_;
   ack.subflow_id = subflow_id;
-  ack.subflow_cum_ack = sub.rcv_nxt;
-  ack.data_cum_ack = rcv_nxt_data_;
+  ack.subflow_cum_ack = sub.reorder.edge();
+  ack.data_cum_ack = data_reorder_.edge();
   ack.rcv_window = advertised_window();
   ack.size_bytes = net::kAckPacketBytes;
   ack.ts_echo = ts_echo;
@@ -185,17 +165,18 @@ void MptcpReceiver::maybe_send_window_update() {
 void MptcpReceiver::drain_to_app() {
   if (app_read_rate_ <= 0.0) {
     // Infinitely fast application: in-order data leaves the buffer at once.
-    app_read_seq_ = rcv_nxt_data_;
+    app_read_seq_ = data_reorder_.edge();
     return;
   }
   const SimTime now = events_.now();
   read_credit_ += app_read_rate_ * to_sec(now - last_drain_);
   last_drain_ = now;
-  while (read_credit_ >= 1.0 && app_read_seq_ < rcv_nxt_data_) {
+  while (read_credit_ >= 1.0 && app_read_seq_ < data_reorder_.edge()) {
     read_credit_ -= 1.0;
     ++app_read_seq_;
   }
-  if (app_read_seq_ >= rcv_nxt_data_) read_credit_ = 0.0;  // no banking ahead
+  // No banking ahead: a reader with nothing left to read keeps no credit.
+  if (app_read_seq_ >= data_reorder_.edge()) read_credit_ = 0.0;
   maybe_send_window_update();
 }
 

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "core/event_list.hpp"
-#include "mptcp/flat_seq_set.hpp"
+#include "mptcp/reorder_window.hpp"
 #include "net/packet.hpp"
 #include "trace/trace.hpp"
 
@@ -66,12 +66,12 @@ class MptcpReceiver : public net::PacketSink, public EventSource {
   void set_delayed_ack(bool enabled, SimTime delay = from_ms(40));
 
   // --- observability ---
-  std::uint64_t data_cum_ack() const { return rcv_nxt_data_; }
+  std::uint64_t data_cum_ack() const { return data_reorder_.edge(); }
   // In-order data packets that have reached the application.
   std::uint64_t delivered() const { return app_read_seq_; }
   std::uint64_t buffer_capacity() const { return capacity_; }
   std::uint64_t buffer_occupancy() const {
-    return (rcv_nxt_data_ - app_read_seq_) + ooo_data_.size();
+    return (data_reorder_.edge() - app_read_seq_) + data_reorder_.size();
   }
   std::uint64_t advertised_window() const {
     return capacity_ - buffer_occupancy();
@@ -97,13 +97,13 @@ class MptcpReceiver : public net::PacketSink, public EventSource {
   std::uint64_t capacity_;
   std::uint64_t* wire_counter_ = nullptr;
 
-  // Data-level reassembly.
-  std::uint64_t rcv_nxt_data_ = 0;  // next expected data seq
+  // Data-level reassembly. The window's edge is the next expected data seq
+  // (the data-level cumulative ACK); it holds what arrived beyond it. It
+  // allocates nothing while data arrives in order, and its ring grows with
+  // the widest data-level reorder span, which flow control bounds by
+  // capacity_.
+  ReorderWindow data_reorder_;
   std::uint64_t app_read_seq_ = 0;  // next data seq the app will read
-  // Received beyond rcv_nxt_data_. Flat and reserved to capacity_ (its
-  // live size is bounded by buffer occupancy): no per-packet node
-  // allocation on the reorder path.
-  FlatSeqSet ooo_data_;
 
   // Application read model.
   double app_read_rate_ = 0.0;  // pkts/s; 0 = infinite
@@ -123,8 +123,8 @@ class MptcpReceiver : public net::PacketSink, public EventSource {
   // Per-subflow reassembly for the subflow-level cumulative ACK.
   struct SubflowRx {
     const net::Route* ack_route = nullptr;
-    std::uint64_t rcv_nxt = 0;
-    FlatSeqSet ooo;  // reserved to capacity_ by add_subflow()
+    // Edge: the next expected subflow seq (the subflow's cumulative ACK).
+    ReorderWindow reorder;
     // Delayed-ACK bookkeeping.
     int pending_acks = 0;
     SimTime pending_ts_echo = 0;

@@ -1,5 +1,7 @@
 #include "net/packet.hpp"
 
+#include <memory>
+
 #include "core/check.hpp"
 
 namespace mpsim::net {
@@ -7,16 +9,9 @@ namespace mpsim::net {
 Packet& PacketPool::alloc() {
   Packet* p;
   if (free_.empty()) {
-    // Pool growth: one heap allocation per new high-water mark of
-    // in-flight packets, amortized to zero once the simulation reaches
-    // steady state — never one per packet.
-    // mpsim-analyze: allow(hot-alloc)
-    storage_.push_back(std::unique_ptr<Packet>(new Packet()));
-    // Keep free_ able to hold every packet ever created, so release() on
-    // the per-hop hot path can never reallocate the free list.
-    // mpsim-analyze: allow(hot-alloc)
-    free_.reserve(storage_.capacity());
-    p = storage_.back().get();
+    if (carve_ == carve_end_) add_slab();
+    p = std::construct_at(carve_++);
+    ++carved_;
     p->pool_ = this;
   } else {
     p = free_.back();
@@ -27,9 +22,33 @@ Packet& PacketPool::alloc() {
   ++outstanding_;
   ++total_allocated_;
   if (outstanding_ > peak_) peak_ = outstanding_;
-  MPSIM_CHECK(outstanding_ + free_.size() == storage_.size(),
+  MPSIM_CHECK(outstanding_ + free_.size() == carved_,
               "packet conservation: outstanding + free != capacity");
   return *p;
+}
+
+void PacketPool::add_slab() {
+  // Plain storage aligned by hand: aligned operator new (memalign) splits a
+  // small free chunk off every slab, and the heap of a process that runs
+  // one simulation after another then grew from run to run. Left
+  // uninitialised, fresh slab pages become resident only as packets are
+  // first carved from them.
+  constexpr std::size_t kSlabBytes = kSlabPackets * sizeof(Packet);
+  std::size_t space = kSlabBytes + alignof(Packet);
+  // Pool growth: one heap allocation per kSlabPackets new high-water
+  // packets in flight, amortized to zero once the simulation reaches
+  // steady state — never one per packet.
+  // mpsim-analyze: allow(hot-alloc)
+  slabs_.push_back(std::make_unique_for_overwrite<std::byte[]>(space));
+  void* first = slabs_.back().get();
+  first = std::align(alignof(Packet), kSlabBytes, first, space);
+  carve_ = static_cast<Packet*>(first);
+  carve_end_ = carve_ + kSlabPackets;
+  // Keep free_ able to hold every packet the slabs can carve, so release()
+  // on the per-hop hot path can never reallocate the free list. Sized from
+  // slabs_' capacity, so it grows geometrically with it.
+  // mpsim-analyze: allow(hot-alloc)
+  free_.reserve(slabs_.capacity() * kSlabPackets);
 }
 
 void PacketPool::release(Packet& p) {
@@ -48,7 +67,7 @@ void PacketPool::release(Packet& p) {
   // packet it ever creates, so this push never allocates.
   // mpsim-analyze: allow(hot-alloc)
   free_.push_back(&p);
-  MPSIM_CHECK(outstanding_ + free_.size() == storage_.size(),
+  MPSIM_CHECK(outstanding_ + free_.size() == carved_,
               "packet conservation: outstanding + free != capacity");
 }
 

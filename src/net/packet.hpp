@@ -6,6 +6,15 @@
 // simulations push tens of millions of packets, so per-packet heap churn
 // would dominate the profile.
 //
+// Forwarding is memory-bound: a queue or pipe does almost no arithmetic per
+// packet and waits on the packet's cache lines. So a Packet is laid out by
+// use. Its first 64-byte line is the hop header (PacketHop: FIFO links, due
+// time, route, next hop, pool, size, ids, type and flags), everything a
+// hop touches; the endpoint fields (sequence numbers, cumulative ACKs,
+// window, timestamp echo, wire refs) fill the second line, read only at the
+// ends of a route. The pool stores packets in line-aligned slabs, so each
+// line of a packet is exactly one cache line.
+//
 // The pool is instance-scoped: each EventList (one simulation) owns its own
 // PacketPool, attached lazily as the EventList's service. There is no global
 // mutable state in the data path, so fully independent simulations can run
@@ -16,9 +25,11 @@
 // separately for queue occupancy and serialization-time computation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/check.hpp"
@@ -88,40 +99,12 @@ enum class PacketType : std::uint8_t {
 inline constexpr std::uint32_t kDataPacketBytes = 1500;
 inline constexpr std::uint32_t kAckPacketBytes = 40;
 
-class Packet {
+// The hop header: every field a queue, pipe or loss element reads or writes
+// while forwarding a packet, packed into the packet's first cache line so a
+// hop touches one line. The endpoint fields follow in the second line (see
+// Packet); forwarding never reads them.
+class alignas(64) PacketHop {
  public:
-  // --- identity ---
-  PacketType type = PacketType::kData;
-  std::uint32_t flow_id = 0;     // connection id
-  std::uint32_t subflow_id = 0;  // index of subflow within the connection
-
-  // --- sequence numbers (in packets) ---
-  std::uint64_t subflow_seq = 0;  // per-subflow sequence (loss detection)
-  std::uint64_t data_seq = 0;     // connection-level data sequence (reassembly)
-
-  // --- ACK fields (valid when type == kAck) ---
-  std::uint64_t subflow_cum_ack = 0;  // next subflow seq expected
-  std::uint64_t data_cum_ack = 0;     // next data seq expected
-  std::uint64_t rcv_window = 0;       // packets beyond data_cum_ack allowed
-  // Gratuitous window update (receive buffer reopened after advertising
-  // zero). Not a duplicate ACK for loss-detection purposes (RFC 5681
-  // excludes window-changing segments from the dupack definition).
-  bool is_window_update = false;
-
-  // --- bookkeeping ---
-  std::uint32_t size_bytes = kDataPacketBytes;
-  SimTime ts_echo = 0;        // sender timestamp, echoed by the ACK
-  bool is_retransmit = false; // suppresses RTT sampling (Karn's rule)
-
-  // Wire-reference ledger hook. Endpoints that want to know when every
-  // packet they put on the wire is gone (delivered, dropped, or released
-  // any other way) point this at a counter and increment it at send time;
-  // PacketPool::release() decrements it on the way back to the pool. A
-  // connection is safe to destroy only when its counter reads zero — the
-  // gate PoissonFlowGenerator's deferred reclamation uses so no in-flight
-  // packet can reference a torn-down flow's sinks or routes.
-  std::uint64_t* wire_refs = nullptr;
-
   // --- container hooks (owned by whichever element holds the packet) ----
   // Intrusive FIFO links for PacketFifo (a Queue's waiting list or a Pipe's
   // in-flight list). A packet sits in at most one such list at a time, so a
@@ -131,6 +114,52 @@ class Packet {
   Packet* link_next = nullptr;
   Packet* link_prev = nullptr;
   SimTime link_due = 0;
+
+  // --- identity and size ---
+  std::uint32_t size_bytes = kDataPacketBytes;
+  std::uint32_t flow_id = 0;     // connection id
+  std::uint32_t subflow_id = 0;  // index of subflow within the connection
+  PacketType type = PacketType::kData;
+
+  // --- flags ---
+  bool is_retransmit = false;  // suppresses RTT sampling (Karn's rule)
+  // Gratuitous window update (receive buffer reopened after advertising
+  // zero). Not a duplicate ACK for loss-detection purposes (RFC 5681
+  // excludes window-changing segments from the dupack definition).
+  bool is_window_update = false;
+
+ private:
+  friend class Packet;
+  friend class PacketPool;
+
+  // Route traversal and pool bookkeeping (see Packet).
+  const Route* route_ = nullptr;
+  PacketPool* pool_ = nullptr;  // owning pool, set once when first carved
+  std::uint32_t next_hop_ = 0;
+  bool in_pool_ = false;        // double-free detector (see PacketPool)
+};
+
+class Packet : public PacketHop {
+ public:
+  // --- sequence numbers (in packets) ---
+  std::uint64_t subflow_seq = 0;  // per-subflow sequence (loss detection)
+  std::uint64_t data_seq = 0;     // connection-level data sequence (reassembly)
+
+  // --- ACK fields (valid when type == kAck) ---
+  std::uint64_t subflow_cum_ack = 0;  // next subflow seq expected
+  std::uint64_t data_cum_ack = 0;     // next data seq expected
+  std::uint64_t rcv_window = 0;       // packets beyond data_cum_ack allowed
+
+  SimTime ts_echo = 0;  // sender timestamp, echoed by the ACK
+
+  // Wire-reference ledger hook. Endpoints that want to know when every
+  // packet they put on the wire is gone (delivered, dropped, or released
+  // any other way) point this at a counter and increment it at send time;
+  // PacketPool::release() decrements it on the way back to the pool. A
+  // connection is safe to destroy only when its counter reads zero — the
+  // gate PoissonFlowGenerator's deferred reclamation uses so no in-flight
+  // packet can reference a torn-down flow's sinks or routes.
+  std::uint64_t* wire_refs = nullptr;
 
   // Route traversal -----------------------------------------------------
   // Starts the packet down `route` (delivers to the first hop).
@@ -151,23 +180,28 @@ class Packet {
   Packet() = default;
 
  private:
-  friend class PacketPool;
-
   void reset();
-
-  const Route* route_ = nullptr;
-  std::uint32_t next_hop_ = 0;
-  PacketPool* pool_ = nullptr;  // owning pool, set once at first alloc
-  bool in_pool_ = false;        // double-free detector (see PacketPool)
 };
+
+// One line of hop header, one line of endpoint fields: a forwarding hop
+// touches only the first.
+static_assert(sizeof(PacketHop) == 64, "the hop header fills one cache line");
+static_assert(alignof(Packet) == 64, "packets start on a cache line");
+static_assert(sizeof(Packet) == 128, "a packet is two cache lines");
+// Slabs are freed as raw storage, without running packet destructors.
+static_assert(std::is_trivially_destructible_v<Packet>);
 
 // Free-list pool of one simulation instance. Owned by the EventList as its
 // attached service and created lazily by Packet::alloc(). Single-threaded
 // within one simulation, so no locking; separate simulations get separate
-// pools. Packets are recycled rather than freed; peak usage is bounded by
-// total in-flight packets across all queues and pipes.
+// pools. Packets live in contiguous, line-aligned slabs of kSlabPackets and
+// are recycled through a LIFO free list, never freed; a new packet is
+// constructed in the last slab only when the free list is empty, so peak
+// usage is bounded by total in-flight packets across all queues and pipes.
 class PacketPool final : public EventList::Service {
  public:
+  static constexpr std::size_t kSlabPackets = 256;  // 32 KiB per slab
+
   PacketPool() = default;
   ~PacketPool() override = default;
 
@@ -176,7 +210,9 @@ class PacketPool final : public EventList::Service {
 
   std::size_t outstanding() const { return outstanding_; }
   std::size_t peak_outstanding() const { return peak_; }
-  std::size_t capacity() const { return storage_.size(); }
+  // Packets constructed in the slabs so far (live or on the free list).
+  std::size_t capacity() const { return carved_; }
+  std::size_t slabs() const { return slabs_.size(); }
 
   // Conservation ledger: every alloc() and release() is counted, and the
   // invariant  total_allocated == total_released + outstanding  (equivalently
@@ -193,7 +229,13 @@ class PacketPool final : public EventList::Service {
   static PacketPool* find(const EventList& events);
 
  private:
-  std::vector<std::unique_ptr<Packet>> storage_;
+  void add_slab();
+
+  // Raw slab storage; packets are constructed in it on first use.
+  std::vector<std::unique_ptr<std::byte[]>> slabs_;
+  Packet* carve_ = nullptr;      // next unused slot of the last slab
+  Packet* carve_end_ = nullptr;  // one past the last slab's final slot
+  std::size_t carved_ = 0;
   std::vector<Packet*> free_;
   std::size_t outstanding_ = 0;
   std::size_t peak_ = 0;

@@ -6,6 +6,7 @@
 #include <mutex>
 #include <thread>
 
+#include "mptcp/reorder_window.hpp"
 #include "net/packet.hpp"
 
 namespace mpsim::runner {
@@ -89,6 +90,11 @@ std::vector<RunResult> ExperimentRunner::run_all() {
             : 0.0;
     if (const net::PacketPool* pool = net::PacketPool::find(ctx.events())) {
       r.metrics.peak_pool_packets = pool->peak_outstanding();
+      r.metrics.pool_slabs = pool->slabs();
+    }
+    if (const mptcp::ReorderLedger* ledger =
+            mptcp::ReorderLedger::find(ctx.events())) {
+      r.metrics.reorder_bytes_peak = ledger->peak_bytes();
     }
     r.metrics.scheduler = ctx.events().scheduler_stats();
   };

@@ -35,6 +35,19 @@ struct RunMetrics {
   // The event scheduler's work counters for this run — deterministic, so
   // bench numbers stay attributable without depending on thread count.
   TimingWheel::Stats scheduler;
+  // Deterministic memory counters: the packet slabs the pool carved, and
+  // the most bytes the run's reorder windows held at once (reclaimed
+  // connections included).
+  std::size_t pool_slabs = 0;
+  std::size_t reorder_bytes_peak = 0;
+
+  // Visits the memory counters in report order (the `memory_*` JSON keys
+  // and the `# memory:` line of `mpsim run`).
+  template <typename F>
+  void for_each_memory(F&& f) const {
+    f("pool_slabs", std::uint64_t{pool_slabs});
+    f("reorder_bytes_peak", std::uint64_t{reorder_bytes_peak});
+  }
 };
 
 // Handed to each job: the simulation instance plus a keyed scalar recorder.

@@ -37,6 +37,9 @@ inline stats::Json json_from_result(const RunResult& r) {
   r.metrics.scheduler.for_each([&m](const char* k, std::uint64_t v) {
     m.set(std::string("scheduler_") + k, static_cast<double>(v));
   });
+  r.metrics.for_each_memory([&m](const char* k, std::uint64_t v) {
+    m.set(std::string("memory_") + k, static_cast<double>(v));
+  });
   o.set("metrics", std::move(m));
   if (!r.trace_path.empty()) o.set("trace_path", r.trace_path);
   return o;

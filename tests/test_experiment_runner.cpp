@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -15,7 +16,9 @@
 
 #include "core/rng.hpp"
 #include "mptcp/connection.hpp"
+#include "mptcp/receiver.hpp"
 #include "net/packet.hpp"
+#include "runner/report.hpp"
 #include "topo/network.hpp"
 
 namespace mpsim::runner {
@@ -184,6 +187,47 @@ TEST(ExperimentRunner, ReportsSchedulerCounters) {
   EXPECT_EQ(s.ticks_opened, 2u);
   EXPECT_EQ(s.runs_merged, 1u);
   EXPECT_EQ(s.cascaded, 0u);
+}
+
+TEST(ExperimentRunner, ReportsMemoryCounters) {
+  struct AckDrop : net::PacketSink {
+    void receive(net::Packet& pkt) override { pkt.release(); }
+    const std::string& sink_name() const override { return name; }
+    std::string name = "acks";
+  };
+  RunnerConfig cfg;
+  cfg.threads = 1;
+  ExperimentRunner r(cfg);
+  r.add("probe", [](RunContext& ctx) {
+    EventList& events = ctx.events();
+    // One packet more than a slab holds, all in flight at once.
+    std::vector<net::Packet*> live;
+    for (std::size_t i = 0; i <= net::PacketPool::kSlabPackets; ++i) {
+      live.push_back(&net::Packet::alloc(events));
+    }
+    for (net::Packet* p : live) p->release();
+    // A receiver that holds seq 100 past both of its edges, then is
+    // reclaimed: its windows' bytes stay in the run's peak.
+    AckDrop acks;
+    net::Route ack_route({&acks});
+    auto rx = std::make_unique<mptcp::MptcpReceiver>(events, "rx", 1, 1024);
+    rx->add_subflow(ack_route);
+    net::Packet& p = net::Packet::alloc(events);
+    p.flow_id = 1;
+    p.subflow_seq = 100;
+    p.data_seq = 100;
+    net::Route direct({rx.get()});
+    p.send_on(direct);
+    rx.reset();
+  });
+  const RunResult res = r.run_all()[0];
+  EXPECT_EQ(res.metrics.pool_slabs, 2u);
+  // Two windows (subflow and data level), each a ring of two words.
+  EXPECT_EQ(res.metrics.reorder_bytes_peak, 32u);
+  const std::string json = json_from_result(res).dump();
+  EXPECT_NE(json.find("\"memory_pool_slabs\": 2,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"memory_reorder_bytes_peak\": 32"), std::string::npos)
+      << json;
 }
 
 TEST(ExperimentRunner, ZeroJobsIsFine) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -150,6 +151,56 @@ TEST(PacketPool, PeakOutstandingHighWaterMark) {
   for (int i = 0; i < 3; ++i) live.push_back(&pool.alloc());
   for (Packet* p : live) p->release();
   EXPECT_EQ(pool.peak_outstanding(), 7u);
+}
+
+// A forwarding hop reads only the first cache line of a packet.
+TEST(Packet, HopHeaderIsOneLine) {
+  EXPECT_EQ(sizeof(PacketHop), 64u);
+  EXPECT_EQ(alignof(Packet), 64u);
+  EXPECT_EQ(sizeof(Packet), 128u);
+}
+
+// Packets are carved in order out of contiguous, line-aligned slabs, and
+// recycled LIFO across slab boundaries with the conservation ledger intact.
+TEST(PacketPool, SlabsAreLineAlignedAndReusedLifo) {
+  EventList events;
+  PacketPool& pool = PacketPool::of(events);
+  constexpr std::size_t kSlab = PacketPool::kSlabPackets;
+  const std::size_t n = 3 * kSlab + 1;  // four slabs, the last barely used
+  std::vector<Packet*> live;
+  for (std::size_t i = 0; i < n; ++i) {
+    Packet& p = Packet::alloc(events);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&p) % 64, 0u) << i;
+    if (i % kSlab != 0) {
+      EXPECT_EQ(&p, live.back() + 1) << i;  // contiguous within a slab
+    }
+    live.push_back(&p);
+  }
+  EXPECT_EQ(pool.slabs(), 4u);
+  EXPECT_EQ(pool.capacity(), n);
+  EXPECT_EQ(pool.outstanding(), n);
+
+  // Release a stretch that spans two slab boundaries; it comes back in
+  // reverse order, and no packet is carved while the free list has any.
+  const std::size_t from = kSlab - 3;
+  const std::size_t to = 2 * kSlab + 5;
+  for (std::size_t i = from; i < to; ++i) live[i]->release();
+  EXPECT_EQ(pool.outstanding(), n - (to - from));
+  for (std::size_t i = to; i-- > from;) {
+    EXPECT_EQ(&Packet::alloc(events), live[i]) << i;
+  }
+  EXPECT_EQ(pool.capacity(), n);
+  EXPECT_EQ(&Packet::alloc(events), live.back() + 1);  // next carve
+  EXPECT_EQ(pool.slabs(), 4u);
+  EXPECT_EQ(pool.total_allocated(),
+            pool.total_released() + pool.outstanding());
+  EXPECT_EQ(pool.outstanding(), pool.capacity());
+
+  for (std::size_t i = 0; i <= n; ++i) {
+    (i < n ? live[i] : live.back() + 1)->release();
+  }
+  EXPECT_EQ(pool.outstanding(), 0u);
+  EXPECT_EQ(pool.total_allocated(), pool.total_released());
 }
 
 // Satellite (d): two simulations allocating concurrently on separate

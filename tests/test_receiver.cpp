@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <string>
 #include <vector>
 
 #include "core/event_list.hpp"
+#include "mptcp/connection.hpp"
 #include "net/packet.hpp"
 
 namespace mpsim::mptcp {
@@ -183,61 +185,44 @@ TEST_F(ReceiverTest, SlowReaderShrinksWindowToZero) {
   EXPECT_EQ(trap.windows.back(), 0u);
 }
 
-// The receiver's reorder sets are FlatSeqSets (no per-packet node
-// allocation); these pin the std::set semantics they must preserve.
+// With the default 2^20-packet buffer, a 100-packet reorder gap costs the
+// receiver one power-of-two ring of that span per window (data level and
+// the subflow's), not a reservation sized by the buffer.
+TEST(ReceiverReorderMemory, FollowsTheGapNotTheBuffer) {
+  EventList events;
+  AckTrap trap;
+  net::Route ack_route({&trap});
+  const std::uint64_t buffer = ConnectionConfig{}.recv_buffer_pkts;
+  ASSERT_EQ(buffer, std::uint64_t{1} << 20);
+  MptcpReceiver rx(events, "rx", /*flow_id=*/1, buffer);
+  rx.add_subflow(ack_route);
+  const ReorderLedger* ledger = ReorderLedger::find(events);
+  ASSERT_NE(ledger, nullptr);
+  EXPECT_EQ(ledger->live_bytes(), 0u);  // nothing until a seq is held
 
-TEST(FlatSeqSetTest, OrderedUniquePopMin) {
-  FlatSeqSet s;
-  s.reserve(8);
-  EXPECT_TRUE(s.empty());
-  EXPECT_TRUE(s.add(5));
-  EXPECT_TRUE(s.add(2));
-  EXPECT_TRUE(s.add(9));
-  EXPECT_FALSE(s.add(5));  // duplicate rejected
-  EXPECT_EQ(s.size(), 3u);
-  EXPECT_TRUE(s.contains(2));
-  EXPECT_TRUE(s.contains(9));
-  EXPECT_FALSE(s.contains(4));
-  EXPECT_EQ(s.min(), 2u);
-  s.erase_min();
-  EXPECT_EQ(s.min(), 5u);
-  s.erase_min();
-  EXPECT_EQ(s.min(), 9u);
-  s.erase_min();
-  EXPECT_TRUE(s.empty());
-}
+  auto deliver = [&](std::uint64_t seq) {
+    net::Packet& p = net::Packet::alloc(events);
+    p.type = net::PacketType::kData;
+    p.flow_id = 1;
+    p.subflow_seq = seq;
+    p.data_seq = seq;
+    net::Route direct({&rx});
+    p.send_on(direct);
+  };
+  constexpr std::uint64_t kGap = 100;
+  for (std::uint64_t s = 1; s <= kGap; ++s) deliver(s);  // seq 0 is late
+  EXPECT_EQ(rx.buffer_occupancy(), kGap);
+  EXPECT_EQ(rx.data_cum_ack(), 0u);
+  deliver(0);
+  EXPECT_EQ(rx.data_cum_ack(), kGap + 1);
+  EXPECT_EQ(rx.buffer_occupancy(), 0u);
+  EXPECT_EQ(trap.sub_acks.back(), kGap + 1);
 
-TEST(FlatSeqSetTest, HeadCompactionPreservesContents) {
-  FlatSeqSet s;
-  s.reserve(16);
-  // Many erase_min cycles push head_ across the compaction threshold;
-  // the live contents must be unaffected throughout.
-  std::uint64_t next = 0;
-  for (int round = 0; round < 50; ++round) {
-    for (int k = 0; k < 4; ++k) s.add(next + static_cast<std::uint64_t>(k));
-    EXPECT_EQ(s.min(), next);
-    for (int k = 0; k < 4; ++k) {
-      EXPECT_EQ(s.min(), next + static_cast<std::uint64_t>(k));
-      s.erase_min();
-    }
-    EXPECT_TRUE(s.empty());
-    next += 4;
-  }
-}
-
-TEST(FlatSeqSetTest, InterleavedAddEraseStaysSorted) {
-  FlatSeqSet s;
-  s.reserve(32);
-  // Descending adds force mid-vector inserts relative to head_.
-  for (std::uint64_t v : {70u, 30u, 50u, 10u, 60u, 20u, 40u}) s.add(v);
-  EXPECT_EQ(s.min(), 10u);
-  s.erase_min();
-  s.add(15);  // insert below the current minimum, after a head bump
-  EXPECT_EQ(s.min(), 15u);
-  s.erase_min();
-  EXPECT_EQ(s.min(), 20u);
-  EXPECT_TRUE(s.contains(70));
-  EXPECT_FALSE(s.contains(10));  // erased values are really gone
+  // One ring of bit_ceil(gap + 1) bits per window, two windows.
+  const std::size_t ring_bytes = std::bit_ceil(kGap + 1) / 8;
+  EXPECT_GT(ledger->peak_bytes(), 0u);
+  EXPECT_LE(ledger->peak_bytes(), 2 * ring_bytes);
+  EXPECT_EQ(ledger->live_bytes(), ledger->peak_bytes());  // never shrinks
 }
 
 }  // namespace

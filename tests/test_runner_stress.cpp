@@ -100,9 +100,9 @@ TEST(RunnerStress, ContendedSweepsAreByteIdentical) {
 }
 
 TEST(RunnerStress, SchedulerCountersIdenticalAcrossThreads) {
-  // The scheduler's work counters are part of a run's deterministic
-  // output: a 4-thread sweep reports exactly the counters (and values) of
-  // a 1-thread sweep, however the jobs interleave.
+  // The scheduler's work counters and the memory counters are part of a
+  // run's deterministic output: a 4-thread sweep reports exactly the
+  // counters (and values) of a 1-thread sweep, however the jobs interleave.
   auto sweep = [](unsigned threads, int njobs) {
     RunnerConfig cfg;
     cfg.threads = threads;
@@ -126,6 +126,12 @@ TEST(RunnerStress, SchedulerCountersIdenticalAcrossThreads) {
     EXPECT_EQ(a.ticks_opened, b.ticks_opened) << one[i].name;
     EXPECT_EQ(a.runs_merged, b.runs_merged) << one[i].name;
     EXPECT_EQ(a.peak_pending, b.peak_pending) << one[i].name;
+    const RunMetrics& ma = one[i].metrics;
+    const RunMetrics& mb = four[i].metrics;
+    EXPECT_GT(ma.pool_slabs, 0u) << one[i].name;
+    EXPECT_GT(ma.reorder_bytes_peak, 0u) << one[i].name;
+    EXPECT_EQ(ma.pool_slabs, mb.pool_slabs) << one[i].name;
+    EXPECT_EQ(ma.reorder_bytes_peak, mb.reorder_bytes_peak) << one[i].name;
     ASSERT_EQ(one[i].values.size(), four[i].values.size());
     for (std::size_t j = 0; j < one[i].values.size(); ++j) {
       EXPECT_EQ(one[i].values[j].second, four[i].values[j].second)

@@ -182,9 +182,12 @@ int cmd_run(const Options& opts) {
         std::printf("run %s\n", r.name.c_str());
         // Deterministic per run, so stdout stays identical across threads.
         std::printf("  # scheduler:");
-        r.metrics.scheduler.for_each([](const char* k, std::uint64_t v) {
+        auto print_counter = [](const char* k, std::uint64_t v) {
           std::printf(" %s=%llu", k, static_cast<unsigned long long>(v));
-        });
+        };
+        r.metrics.scheduler.for_each(print_counter);
+        std::printf("\n  # memory:");
+        r.metrics.for_each_memory(print_counter);
         std::printf("\n");
         for (const auto& [k, v] : r.annotations) {
           std::printf("  # %s = %s\n", k.c_str(), v.c_str());

@@ -61,10 +61,9 @@ ROOT_QUALIFIED = {
     ("PacketPool", "alloc"),
     ("PacketPool", "release"),
     ("TimingWheel", "schedule"),
-    ("FlatSeqSet", "add"),
-    ("FlatSeqSet", "erase_min"),
-    ("FlatSeqSet", "min"),
-    ("FlatSeqSet", "contains"),
+    ("ReorderWindow", "add"),
+    ("ReorderWindow", "advance"),
+    ("ReorderWindow", "contains"),
 }
 
 # Member-call sites (`x.name(...)` / `p->name(...)`) with these names are
@@ -82,7 +81,7 @@ STL_MEMBER_NAMES = {
     "assign", "fill", "length", "substr", "capacity", "first", "second",
     "value", "has_value",
     # Not STL, but a container-idiom name shared by several unrelated
-    # project classes (FlatSeqSet, Column, TargetRegistry, runner): bare
+    # project classes (ReorderWindow, Column, TargetRegistry, runner): bare
     # member resolution would alias them all together. Hot-path bearers
     # are rooted explicitly in ROOT_QUALIFIED instead.
     "add",
