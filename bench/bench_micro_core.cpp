@@ -1,7 +1,7 @@
 // Microbenchmarks of the simulator core (google-benchmark): event-loop
 // dispatch, queue+pipe packet forwarding, the LIA increase computation
 // (linear vs brute force), and a complete small TCP simulation. These bound
-// how much simulated time the experiment harness can afford.
+// how much simulated time a scenario run can afford.
 //
 // After the google-benchmark suites, main() measures the event scheduler on
 // a dense workload (32k-source dispatch) and a sparse one (tcp_1flow)
@@ -15,15 +15,17 @@
 #include <vector>
 
 #include "cc/mptcp_lia.hpp"
+#include "core/env.hpp"
 #include "core/event_list.hpp"
 #include "core/rng.hpp"
-#include "harness.hpp"
 #include "mptcp/connection.hpp"
 #include "net/cbr.hpp"
 #include "net/packet.hpp"
 #include "net/pipe.hpp"
 #include "net/queue.hpp"
 #include "runner/experiment_runner.hpp"
+#include "runner/report.hpp"
+#include "stats/json.hpp"
 #include "topo/network.hpp"
 
 namespace {
@@ -182,8 +184,8 @@ runner::RunResult fastest(Measure measure) {
   return best;
 }
 
-bench::Json json_side(const runner::RunResult& r) {
-  bench::Json o = bench::Json::object();
+stats::Json json_side(const runner::RunResult& r) {
+  stats::Json o = stats::Json::object();
   o.set("events_processed",
         static_cast<double>(r.metrics.events_processed));
   o.set("wall_seconds", r.metrics.wall_seconds);
@@ -195,7 +197,7 @@ bench::Json json_side(const runner::RunResult& r) {
 }
 
 void scheduler_report_json() {
-  const double scale = bench::time_scale();
+  const double scale = env::env_double("MPSIM_BENCH_SCALE", 1.0, 0.0);
   const auto dispatch_events =
       static_cast<std::uint64_t>(4'000'000 * scale);
   // Pending-set size of a large datacenter sweep: a 1024-host FatTree at 8
@@ -213,16 +215,16 @@ void scheduler_report_json() {
   std::printf("tcp %.3gs sim: %.3g ev/s\n", tcp_sec,
               t.metrics.events_per_sec);
 
-  bench::Json dispatch = json_side(d);
+  stats::Json dispatch = json_side(d);
   dispatch.set("sources", static_cast<double>(nsrc));
-  bench::Json tcp = json_side(t);
+  stats::Json tcp = json_side(t);
   tcp.set("sim_seconds", tcp_sec);
 
-  bench::Json root = bench::Json::object();
+  stats::Json root = stats::Json::object();
   root.set("bench", "micro_core");
   root.set("dispatch", std::move(dispatch));
   root.set("tcp_1flow", std::move(tcp));
-  bench::write_bench_json("micro_core", root);
+  runner::write_json_file("micro_core", root);
 }
 
 }  // namespace

@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
   describe("MPTCP:", run(k, npaths, true));
   std::printf(
       "\nMPTCP's min-flow and fairness improve because no flow stays "
-      "stuck behind a core collision — see bench_table_fattree for the "
-      "full k=8 paper configuration.\n");
+      "stuck behind a core collision — see examples/scenarios/"
+      "fig13_fattree.toml for the full k=8 paper configuration.\n");
   return 0;
 }

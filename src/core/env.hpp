@@ -1,8 +1,9 @@
 // Strict environment-variable parsing.
 //
-// Every process-level knob (MPSIM_THREADS, MPSIM_BENCH_SCALE, MPSIM_TRACE,
-// ...) goes through these helpers instead of ad-hoc getenv + atof/atol. The
-// difference is failure behaviour: a malformed value ("MPSIM_THREADS=fast",
+// All five process-level knobs (MPSIM_THREADS, MPSIM_BENCH_SCALE,
+// MPSIM_CHECKS, MPSIM_TRACE, MPSIM_TRACE_CAPACITY) go through these helpers
+// instead of ad-hoc getenv + atof/atol. The difference is failure
+// behaviour: a malformed value ("MPSIM_THREADS=fast",
 // "MPSIM_BENCH_SCALE=0x2") terminates the process with a diagnostic naming
 // the variable and the accepted form, instead of silently coercing to 0 and
 // running the wrong experiment.

@@ -5,12 +5,10 @@
 // lowercase and unique, so `mpsim list` and the spec grammar can never
 // drift apart or collide.
 //
-// Byte-identity contract: a builder must construct network elements and
-// connections in exactly the order the corresponding bench binary does —
-// element construction order determines names, event ordering and rng
-// draws. Where a bench and the engine share a helper (topo::WirelessClient,
-// topo::sample_path_pairs), identity is structural; elsewhere the order is
-// mirrored by hand and locked by the round-trip tests.
+// Construction order is part of a spec's output: element construction order
+// determines names, event ordering and rng draws. test_scenario_roundtrip
+// pins the torus, FatTree and wireless builders against direct C++
+// constructions, and the golden traces pin whole runs byte for byte.
 #include <array>
 #include <memory>
 #include <string>
@@ -29,7 +27,6 @@
 #include "core/check.hpp"
 #include "mptcp/path_manager.hpp"
 #include "net/cbr.hpp"
-#include "net/variable_rate_queue.hpp"
 #include "scenario/registry.hpp"
 #include "topo/bcube.hpp"
 #include "topo/fat_tree.hpp"
@@ -57,11 +54,34 @@ std::vector<topo::PathPair> take(std::vector<topo::PathPair> pairs, int n) {
   return pairs;
 }
 
+// Two disjoint links, each optionally fronted by a fixed-loss stage (§2.3)
+// and carrying on/off CBR cross-traffic (§3 table). Both draw from streams
+// derived from the run seed, so [run] seeds sweeps their randomness too.
 class TwoLinkTopo final : public BuiltTopology {
  public:
   TwoLinkTopo(topo::Network& net, const topo::LinkSpec& l1,
               const topo::LinkSpec& l2)
       : links_(net, l1, l2) {}
+
+  // Bernoulli loss in front of link `i`'s queue, on every path through it.
+  void add_loss(topo::Network& net, int i, double p, std::uint64_t seed) {
+    loss_[i] = &net.add_lossy("link" + std::to_string(i + 1) + "/loss", p,
+                              seed);
+  }
+
+  // On/off CBR through link `i` into a counting sink, started at t = 0.
+  void add_cbr(EventList& events, int i, double rate_bps, SimTime mean_on,
+               SimTime mean_off, std::uint64_t seed) {
+    const std::string name = "link" + std::to_string(i + 1) + "/cbr";
+    Cbr& c = cbr_[i];
+    c.sink = std::make_unique<net::CountingSink>(name + "/sink");
+    topo::Path path = fwd(i);
+    path.push_back(c.sink.get());
+    c.route = std::make_unique<net::Route>(path);
+    c.source = std::make_unique<net::OnOffCbrSource>(
+        events, name, *c.route, rate_bps, mean_on, mean_off, seed);
+    c.source->start(0);
+  }
 
   int flow_slots() const override { return 1; }
 
@@ -69,8 +89,7 @@ class TwoLinkTopo final : public BuiltTopology {
                                          Rng& rng) override {
     (void)slot;
     (void)rng;
-    return take({{links_.fwd(0), links_.rev(0)},
-                 {links_.fwd(1), links_.rev(1)}},
+    return take({{fwd(0), links_.rev(0)}, {fwd(1), links_.rev(1)}},
                 nsubflows);
   }
 
@@ -79,14 +98,41 @@ class TwoLinkTopo final : public BuiltTopology {
   }
 
  private:
+  struct Cbr {
+    std::unique_ptr<net::CountingSink> sink;
+    std::unique_ptr<net::Route> route;
+    std::unique_ptr<net::OnOffCbrSource> source;
+  };
+
+  topo::Path fwd(int i) const {
+    topo::Path path = links_.fwd(i);
+    if (loss_[i] != nullptr) path.insert(path.begin(), loss_[i]);
+    return path;
+  }
+
   topo::TwoLink links_;
+  std::array<net::LossyLink*, 2> loss_{};
+  std::array<Cbr, 2> cbr_;
 };
 
+// link<i>_rate/_delay, plus either link<i>_buf or `buffer_bdp`: both
+// buffers at that multiple of their own link's bandwidth-delay product,
+// as triangle's buffer_bdp does.
 topo::LinkSpec link_spec(const Section& s, const std::string& prefix) {
   topo::LinkSpec spec;
   spec.rate_bps = s.get_rate_bps(prefix + "_rate", spec.rate_bps);
   spec.one_way_delay = s.get_time(prefix + "_delay", spec.one_way_delay);
-  spec.buf_bytes = s.get_bytes(prefix + "_buf", spec.buf_bytes);
+  if (!s.has("buffer_bdp")) {
+    spec.buf_bytes = s.get_bytes(prefix + "_buf", spec.buf_bytes);
+    return spec;
+  }
+  if (s.has(prefix + "_buf")) {
+    s.reject(prefix + "_buf", "mutually exclusive with 'buffer_bdp'");
+  }
+  const double mult = s.get_number("buffer_bdp");
+  if (!(mult > 0.0)) s.fail("'buffer_bdp' must be > 0");
+  spec.buf_bytes =
+      topo::bdp_bytes(spec.rate_bps, 2 * spec.one_way_delay, mult);
   return spec;
 }
 
@@ -259,14 +305,6 @@ class WirelessTopo final : public BuiltTopology {
   WirelessTopo(topo::Network& net, double wifi_loss)
       : radio_(net, wifi_loss) {}
 
-  void add_schedule(EventList& events, net::VariableRateQueue& q,
-                    std::vector<net::RateSchedule::Change> changes) {
-    schedules_.push_back(
-        std::make_unique<net::RateSchedule>(events, q, std::move(changes)));
-  }
-
-  topo::WirelessClient& radio() { return radio_; }
-
   int flow_slots() const override { return 1; }
 
   // Path 0 = WiFi, path 1 = 3G.
@@ -285,29 +323,7 @@ class WirelessTopo final : public BuiltTopology {
 
  private:
   topo::WirelessClient radio_;
-  std::vector<std::unique_ptr<net::RateSchedule>> schedules_;
 };
-
-// "<time>:<rate>" schedule entries, e.g. "9min:0bps". Times are scaled
-// like every other simulated duration.
-std::vector<net::RateSchedule::Change> parse_schedule(
-    const Section& s, const std::string& key, const BuildEnv& env) {
-  std::vector<net::RateSchedule::Change> changes;
-  for (const std::string& entry : s.get_string_array(key)) {
-    const std::size_t colon = entry.find(':');
-    if (colon == std::string::npos) {
-      s.fail("schedule entry '" + entry + "' in '" + key +
-             "' must look like \"9min:5Mbps\"");
-    }
-    net::RateSchedule::Change c;
-    c.at = env.scaled(
-        parse_time(entry.substr(0, colon), s.file(), s.line()));
-    c.rate_bps =
-        parse_rate_bps(entry.substr(colon + 1), s.file(), s.line());
-    changes.push_back(c);
-  }
-  return changes;
-}
 
 // ---------------------------------------------------------------------------
 // Algorithms
@@ -477,6 +493,19 @@ class PersistentTraffic final : public TrafficModel {
         flows.push_back(std::move(fs));
       }
     }
+    // Per-flow arrays may be shorter than the flow list (the rest take the
+    // defaults) but never longer: an extra entry would silently do nothing.
+    auto check_length = [&](const char* key, std::size_t n) {
+      if (n <= flows.size()) return;
+      section_copy_->fail_at(
+          section_copy_->find(key)->line,
+          "'" + std::string(key) + "' lists " + std::to_string(n) +
+              " entries for " + std::to_string(flows.size()) + " flow" +
+              (flows.size() == 1 ? "" : "s"));
+    };
+    check_length("starts", starts_.size());
+    check_length("names", names_.size());
+    check_length("algos", algos_.size());
     for (std::size_t i = 0; i < flows.size(); ++i) {
       if (i < names_.size()) flows[i].name = names_[i];
       if (flows[i].name.empty()) {
@@ -578,9 +607,9 @@ class PersistentTraffic final : public TrafficModel {
   std::vector<std::unique_ptr<const cc::CongestionControl>> owned_algos_;
 };
 
-// The §4 traffic matrices, built exactly like bench::run_dc: flow idx gets
-// name "f<idx>", starts at 0.5 ms * (idx % 997) (unscaled — starts only
-// de-synchronize), and single-path runs sample one path.
+// The §4 traffic matrices: flow idx gets name "f<idx>", starts at
+// 0.5 ms * (idx % 997) (unscaled — starts only de-synchronize), and
+// single-path runs sample one path (the paper's ECMP stand-in).
 class MatrixTraffic final : public TrafficModel {
  public:
   enum class Kind { kPermutation, kOneToMany, kSparse, kNeighbors };
@@ -705,7 +734,7 @@ class PoissonTraffic final : public TrafficModel {
              const BuildEnv& env) override {
     (void)algo;  // per-companion algorithms below
     pcfg_.phase_duration = env.scaled(phase_);
-    pcfg_.seed = seed_;
+    pcfg_.seed = env.seed;
     auto pairs = topo.flow_paths(0, 2, rng);
     if (pairs.size() < 2) {
       section_->fail("poisson traffic needs a two-path flow slot");
@@ -736,8 +765,8 @@ class PoissonTraffic final : public TrafficModel {
       persistent_.push_back(std::move(conn));
       owned_algos_.push_back(std::move(inst.cc));
     }
-    // The bench's start stagger: generator at 0, long TCP at 3 ms,
-    // companions at 7, 13, 19, ... ms.
+    // Start stagger: generator at 0, long TCP at 3 ms, companions at 7,
+    // 13, 19, ... ms.
     gen_->start(0);
     std::size_t c = 0;
     for (auto& conn : persistent_) {
@@ -750,8 +779,6 @@ class PoissonTraffic final : public TrafficModel {
       ++c;
     }
   }
-
-  void set_seed(std::uint64_t seed) { seed_ = seed; }
 
   std::vector<const mptcp::MptcpConnection*> connections() const override {
     std::vector<const mptcp::MptcpConnection*> out;
@@ -778,7 +805,6 @@ class PoissonTraffic final : public TrafficModel {
   SimTime phase_;
   bool long_tcp_;
   std::vector<std::string> companions_;
-  std::uint64_t seed_ = 1;
   const Section* section_;
   std::unique_ptr<traffic::PoissonFlowGenerator> gen_;
   std::vector<std::unique_ptr<mptcp::MptcpConnection>> persistent_;
@@ -819,7 +845,7 @@ class ChurnTraffic final : public TrafficModel {
              const AlgorithmInstance& algo, Rng& rng,
              const BuildEnv& env) override {
     pcfg_.phase_duration = env.scaled(phase_);
-    pcfg_.seed = seed_;
+    pcfg_.seed = env.seed;
     auto pairs = topo.flow_paths(0, 2, rng);
     if (pairs.size() < 2) {
       section_->fail("churn traffic needs a two-path flow slot");
@@ -883,8 +909,6 @@ class ChurnTraffic final : public TrafficModel {
     }
   }
 
-  void set_seed(std::uint64_t seed) { seed_ = seed; }
-
   std::vector<const mptcp::MptcpConnection*> connections() const override {
     std::vector<const mptcp::MptcpConnection*> out;
     for (const auto& c : persistent_) out.push_back(c.get());
@@ -944,7 +968,6 @@ class ChurnTraffic final : public TrafficModel {
   int mp_count_ = 2;
   SimTime min_rto_ = 0;
   std::uint64_t recv_buffer_pkts_ = 0;
-  std::uint64_t seed_ = 1;
   const Section* section_;
   std::unique_ptr<traffic::PoissonFlowGenerator> gen_;
   std::vector<std::unique_ptr<mptcp::MptcpConnection>> persistent_;
@@ -961,10 +984,35 @@ Registry make_builtin_registry() {
   Registry r;
 
   r.add_topology(
-      "two_link", "client/server over two disjoint bottleneck links",
-      [](topo::Network& net, const Section& s, const BuildEnv&) {
-        return std::make_unique<TwoLinkTopo>(net, link_spec(s, "link1"),
-                                             link_spec(s, "link2"));
+      "two_link",
+      "client/server over two disjoint bottleneck links; optional fixed "
+      "loss and on/off CBR per link",
+      [](topo::Network& net, const Section& s, const BuildEnv& env) {
+        auto t = std::make_unique<TwoLinkTopo>(net, link_spec(s, "link1"),
+                                               link_spec(s, "link2"));
+        for (int i = 0; i < 2; ++i) {
+          const std::string link = "link" + std::to_string(i + 1);
+          // Per run seed s, link i's loss stage draws from stream 4s + 2i
+          // and its CBR from 4s + 2i + 1.
+          const std::uint64_t seed =
+              4 * env.seed + 2 * static_cast<std::uint64_t>(i);
+          if (s.has(link + "_loss")) {
+            const double p = s.get_number(link + "_loss");
+            if (!(p >= 0.0 && p < 1.0)) {
+              s.fail("'" + link + "_loss' must be in [0, 1)");
+            }
+            t->add_loss(net, i, p, seed);
+          }
+          if (s.has(link + "_cbr_rate")) {
+            const double rate = s.get_rate_bps(link + "_cbr_rate");
+            if (!(rate > 0.0)) s.fail("'" + link + "_cbr_rate' must be > 0");
+            // Exponential on/off periods with these means ("0s" for both
+            // = always on).
+            t->add_cbr(net.events(), i, rate, s.get_time(link + "_cbr_on"),
+                       s.get_time(link + "_cbr_off"), seed + 1);
+          }
+        }
+        return t;
       });
 
   r.add_topology(
@@ -1041,19 +1089,10 @@ Registry make_builtin_registry() {
 
   r.add_topology(
       "wireless",
-      "§5: WiFi (path 0) + 3G (path 1) client, scriptable rates",
-      [](topo::Network& net, const Section& s, const BuildEnv& env) {
+      "§5: WiFi (path 0) + 3G (path 1) client; [faults] scripts mobility",
+      [](topo::Network& net, const Section& s, const BuildEnv&) {
         const double wifi_loss = s.get_number("wifi_loss", 0.0005);
-        auto t = std::make_unique<WirelessTopo>(net, wifi_loss);
-        if (s.has("wifi_schedule")) {
-          t->add_schedule(net.events(), t->radio().wifi_q,
-                          parse_schedule(s, "wifi_schedule", env));
-        }
-        if (s.has("g3_schedule")) {
-          t->add_schedule(net.events(), t->radio().g3_q,
-                          parse_schedule(s, "g3_schedule", env));
-        }
-        return t;
+        return std::make_unique<WirelessTopo>(net, wifi_loss);
       });
 
   auto simple_algo = [](const char* kind) {
@@ -1161,17 +1200,6 @@ Registry make_builtin_registry() {
 const Registry& builtin_registry() {
   static const Registry registry = make_builtin_registry();
   return registry;
-}
-
-// The engine needs to push the run seed into the models with an arrival
-// process without widening the TrafficModel interface for every kind.
-void seed_poisson_model(TrafficModel& model, std::uint64_t seed) {
-  if (auto* p = dynamic_cast<PoissonTraffic*>(&model)) {
-    p->set_seed(seed);
-  }
-  if (auto* c = dynamic_cast<ChurnTraffic*>(&model)) {
-    c->set_seed(seed);
-  }
 }
 
 }  // namespace mpsim::scenario

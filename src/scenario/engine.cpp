@@ -260,6 +260,7 @@ struct MetricPlan {
     kLossRatio,
     kPerHostMbps,
     kPerFlowMeanMbps,
+    kSubflowMbps,
   };
   Kind kind;
   int a = 0;  // loss_ratio numerator queue index
@@ -283,6 +284,8 @@ std::vector<MetricPlan> parse_metrics(const std::vector<std::string>& names,
       p.kind = MetricPlan::Kind::kPerHostMbps;
     } else if (m == "per_flow_mean_mbps") {
       p.kind = MetricPlan::Kind::kPerFlowMeanMbps;
+    } else if (m == "subflow_mbps") {
+      p.kind = MetricPlan::Kind::kSubflowMbps;
     } else if (m.rfind("loss_ratio:", 0) == 0) {
       p.kind = MetricPlan::Kind::kLossRatio;
       const std::string rest = m.substr(11);
@@ -306,7 +309,8 @@ std::vector<MetricPlan> parse_metrics(const std::vector<std::string>& names,
     } else if (out != nullptr) {
       out->fail("unknown metric '" + m +
                 "' (known: flow_mbps, total_mbps, jain, queue_loss, "
-                "loss_ratio:<a>:<b>, per_host_mbps, per_flow_mean_mbps)");
+                "loss_ratio:<a>:<b>, per_host_mbps, per_flow_mean_mbps, "
+                "subflow_mbps)");
     }
     plan.push_back(p);
   }
@@ -333,6 +337,7 @@ void execute_run(const ResolvedRun& run, double time_scale,
   const Section& run_sec = spec.require_section("run");
   BuildEnv env;
   env.time_scale = time_scale;
+  env.seed = run.seed;
   env.scale_starts = run_sec.get_bool("scale_starts", false);
   // Traffic models that support path management consume this section; on
   // models that ignore it, its keys stay unread and check_all_used() below
@@ -357,9 +362,9 @@ void execute_run(const ResolvedRun& run, double time_scale,
 
   const Registry& reg = builtin_registry();
 
-  // Construction mirrors the bench binaries exactly: recorder (installed
-  // by the runner before this function), then Network, topology, meter,
-  // then connections in flow order.
+  // Construction order: recorder (installed by the runner before this
+  // function), then Network, topology, meter, then connections in flow
+  // order. The round-trip tests and the goldens pin it.
   topo::Network net(ctx.events());
   const Section& topo_sec = spec.require_section("topology");
   auto topology =
@@ -374,7 +379,6 @@ void execute_run(const ResolvedRun& run, double time_scale,
   const Section& traffic_sec = spec.require_section("traffic");
   auto traffic =
       reg.traffic(traffic_sec.get_string("kind"), traffic_sec)(traffic_sec);
-  seed_poisson_model(*traffic, run.seed);
 
   Rng rng(run.seed);
   traffic->build(ctx.events(), *topology, algo, rng, env);
@@ -411,6 +415,15 @@ void execute_run(const ResolvedRun& run, double time_scale,
   ctx.events().run_until(warmup);
   for (auto* q : topology->queues()) q->reset_stats();
   meter.mark();
+  // Subflow-level goodput: packets each subflow got acked in the window.
+  // Subflows opened later start from zero.
+  std::vector<std::vector<std::uint64_t>> subflow_base;
+  for (const auto* c : conns) {
+    auto& base = subflow_base.emplace_back();
+    for (std::size_t r = 0; r < c->num_subflows(); ++r) {
+      base.push_back(c->subflow(r).packets_acked());
+    }
+  }
 
   // One sampler per connection, as every committed trace and run report
   // was recorded with (a single sampler would change the event count).
@@ -481,6 +494,18 @@ void execute_run(const ResolvedRun& run, double time_scale,
                    conns.empty()
                        ? 0.0
                        : total / static_cast<double>(conns.size()));
+        break;
+      case MetricPlan::Kind::kSubflowMbps:
+        for (std::size_t i = 0; i < conns.size(); ++i) {
+          const auto& base = subflow_base[i];
+          for (std::size_t r = 0; r < conns[i]->num_subflows(); ++r) {
+            const std::uint64_t acked = conns[i]->subflow(r).packets_acked();
+            ctx.record("mbps_" + conns[i]->name() + "_sub" +
+                           std::to_string(r),
+                       stats::pkts_to_mbps(
+                           acked - (r < base.size() ? base[r] : 0), measure));
+          }
+        }
         break;
     }
   }

@@ -39,13 +39,15 @@ namespace mpsim::scenario {
 // Build-time context shared by all builders of one run.
 struct BuildEnv {
   // Simulated-duration scale (MPSIM_BENCH_SCALE / --scale): applied to
-  // warmup/measure and to scripted schedule times, exactly as the bench
-  // harness applies bench::scaled().
+  // warmup/measure, arrival phases and scripted fault times.
   double time_scale = 1.0;
-  // Scale flow start times too ([run] scale_starts). The figure benches
-  // leave start staggers unscaled (they only de-synchronize flows), but
-  // Fig. 17's timeline positions starts in scaled minutes.
+  // Scale flow start times too ([run] scale_starts). Start staggers stay
+  // unscaled by default (they only de-synchronize flows), but Fig. 17's
+  // timeline positions starts in scaled minutes.
   bool scale_starts = false;
+  // The run seed ([run] seeds): arrival processes, fixed-loss stages and
+  // CBR bursts draw from it, so a seed sweep varies all of them.
+  std::uint64_t seed = 1;
 
   SimTime scaled(SimTime t) const {
     return from_sec(to_sec(t) * time_scale);
@@ -188,9 +190,5 @@ class Registry {
 // The built-in registry (every kind builders.cpp registers). Constructed
 // once, immutable afterwards — safe to share across runner threads.
 const Registry& builtin_registry();
-
-// Push the run seed into a Poisson traffic model (no-op for other kinds):
-// the arrival process is the thing [run] seeds sweeps in §3's experiment.
-void seed_poisson_model(TrafficModel& model, std::uint64_t seed);
 
 }  // namespace mpsim::scenario

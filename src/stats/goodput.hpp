@@ -1,7 +1,6 @@
 // Goodput measurement over a set of connections: snapshot delivered
-// counters at mark(), read per-connection Mb/s later. Shared by the bench
-// harness and the scenario engine so both report identical numbers from
-// identical simulations.
+// counters at mark(), read per-connection Mb/s later. The scenario engine
+// meters every run with it; tests and examples use the same arithmetic.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,5 @@
-// Aligned-text table output for the benchmark harness, so each bench prints
-// the same rows the paper's tables report.
+// Aligned-text table output, so an example can print the same rows the
+// paper's tables report.
 #pragma once
 
 #include <string>

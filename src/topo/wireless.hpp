@@ -8,9 +8,9 @@
 //         paper measured RTTs "well over a second"), negligible random
 //         loss (dedicated channel).
 // Both are VariableRateQueues so mobility traces (Fig. 17) can fade or
-// kill them. Lives in src/topo so the bench harness and the scenario
-// engine build the exact same client (element order, names and loss seed
-// included — byte-identical simulations).
+// kill them. Lives in src/topo so the scenario engine, the examples and
+// the tests build the exact same client (element order, names and loss
+// seed included — byte-identical simulations).
 #pragma once
 
 #include "topo/network.hpp"

@@ -50,7 +50,7 @@ enum class RecordType : std::uint8_t {
   kDataAck,    // MPTCP data-level cumulative ACK advanced
   kRcvBuf,     // receiver shared-buffer occupancy sample
   kReinject,   // data seqs queued for reinjection on sibling subflows
-  kGoodput,    // periodic delivered-goodput sample (bench harness)
+  kGoodput,    // periodic delivered-goodput sample ([output] sample_interval)
   kFault,      // fault-injection action applied to a target
   kSubflowAdd,   // a subflow joined (or re-joined) a live connection
   kSubflowDrop,  // a subflow was dropped from a live connection

@@ -4,7 +4,7 @@
 // format into an in-memory buffer — flushing happens once, at run end, so a
 // sink never does I/O (or anything else nondeterministic) while the
 // simulation is running — and the buffer is then either inspected (tests)
-// or written to a file (runner, bench harness). Two formats plus a null
+// or written to a file (runner). Two formats plus a null
 // sink:
 //
 //   CsvSink    header + one comma-separated row per record; the schema

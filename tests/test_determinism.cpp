@@ -1,6 +1,6 @@
 // Reproducibility: identical configurations produce bit-identical
-// results; different seeds differ. Every experiment in bench/ relies on
-// this property.
+// results; different seeds differ. Every scenario spec relies on this
+// property.
 #include <gtest/gtest.h>
 
 #include <functional>

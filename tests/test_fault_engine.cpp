@@ -269,8 +269,8 @@ Fig17Deliveries run_fig17(InstallMobility install) {
 }
 
 TEST(FaultEngine, Fig17FaultPlanMatchesRateScheduleBitExactly) {
-  // Legacy construction: two RateSchedules, wifi first (as the original
-  // bench ordered them).
+  // Legacy construction: two RateSchedules, wifi first (the order the
+  // original Fig. 17 harness used).
   std::vector<std::unique_ptr<net::RateSchedule>> schedules;
   const auto legacy = run_fig17([&](EventList& events, topo::Network&,
                                     topo::WirelessClient& radio,
@@ -288,7 +288,7 @@ TEST(FaultEngine, Fig17FaultPlanMatchesRateScheduleBitExactly) {
   });
 
   // The same mobility trace as a fault plan (what fig17_mobile.toml's
-  // [faults] section and the converted bench both build).
+  // [faults] section builds).
   std::unique_ptr<fault::FaultInjector> injector;
   const auto engine = run_fig17([&](EventList& events, topo::Network& net,
                                     topo::WirelessClient&, const auto& at) {

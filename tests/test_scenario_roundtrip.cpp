@@ -1,9 +1,9 @@
 // Round-trip byte-identity: a simulation assembled by the scenario engine
 // from a spec file must produce exactly the numbers (bit-for-bit doubles)
 // of the same simulation built directly against the C++ API, and exactly
-// the same results at any thread count. These tests pin the construction
-// orders the builders mirror — a builder that reorders element creation or
-// rng draws breaks here, not silently in a bench figure.
+// the same results at any thread count. With the golden traces, these
+// tests pin what a spec prints: a builder that reorders element creation
+// or rng draws breaks here, not silently in a paper figure.
 #include "scenario/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -66,7 +66,7 @@ measure = "20s"
 metrics = ["flow_mbps", "jain", "queue_loss", "loss_ratio:0:2"]
 )");
 
-  // The same simulation, written the way bench_fig8_torus writes it.
+  // The same simulation, written directly against the C++ API.
   runner::RunContext ctx("direct");
   EventList& events = ctx.events();
   topo::Network net(events);

@@ -200,6 +200,97 @@ TEST(SpecValidation, MutuallyExclusiveStartForms) {
             std::string::npos);
 }
 
+// kBase with `lines` added to one of its sections, right after `anchor`.
+std::string with_lines(const std::string& anchor, const std::string& lines) {
+  std::string text = kBase;
+  const std::size_t pos = text.find(anchor);
+  EXPECT_NE(pos, std::string::npos) << anchor;
+  text.insert(pos + anchor.size(), lines);
+  return text;
+}
+
+std::string with_topology(const std::string& lines) {
+  return with_lines("kind = \"two_link\"\n", lines);
+}
+
+// 1-based line of the first occurrence of `needle` in `text`.
+int line_of(const std::string& text, const std::string& needle) {
+  const std::size_t pos = text.find(needle);
+  EXPECT_NE(pos, std::string::npos) << needle;
+  int line = 1;
+  for (std::size_t i = 0; i < pos; ++i) line += text[i] == '\n' ? 1 : 0;
+  return line;
+}
+
+TEST(SpecValidation, PersistentRejectsPerFlowArraysLongerThanFlows) {
+  // One flow (count = 1): every extra per-flow entry would silently do
+  // nothing, so each array is rejected at its own line.
+  const std::pair<const char*, const char*> cases[] = {
+      {"starts", "starts = [\"0s\", \"1s\", \"2s\"]\n"},
+      {"names", "names = [\"a\", \"b\", \"c\", \"d\"]\n"},
+      {"algos", "algos = [\"mptcp\", \"ewtcp\"]\n"},
+  };
+  for (const auto& [key, line] : cases) {
+    const std::string text = with_lines("count = 1\n", line);
+    const SpecError e = error_of([&] { load(text).validate(); });
+    EXPECT_EQ(e.line(), line_of(text, std::string(key) + " = ")) << key;
+    EXPECT_NE(std::string(e.what()).find("'" + std::string(key) + "' lists"),
+              std::string::npos)
+        << e.what();
+  }
+  // As many entries as flows is fine; fewer take the defaults.
+  EXPECT_NO_THROW(load(with_lines("count = 1\n", "names = [\"a\"]\n"))
+                      .validate());
+}
+
+TEST(SpecValidation, FixedLossOutOfRangeRejected) {
+  for (const char* p : {"1.5", "-0.1", "1"}) {
+    const std::string text =
+        with_topology("link1_loss = " + std::string(p) + "\n");
+    const SpecError e = error_of([&] { load(text).validate(); });
+    EXPECT_NE(std::string(e.what()).find("'link1_loss' must be in [0, 1)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SpecValidation, CbrPeriodsWithoutRateRejected) {
+  // The on/off periods mean nothing without a CBR rate on that link, so
+  // they are left unread and fail as unknown keys.
+  const std::string text = with_topology("link2_cbr_on = \"10ms\"\n");
+  const SpecError e = error_of([&] { load(text).validate(); });
+  EXPECT_NE(std::string(e.what()).find("unknown key 'link2_cbr_on'"),
+            std::string::npos)
+      << e.what();
+  // A CBR source needs all three of rate, mean on and mean off period.
+  EXPECT_THROW(load(with_topology("link1_cbr_rate = \"10Mbps\"\n")).validate(),
+               SpecError);
+  EXPECT_THROW(load(with_topology("link1_cbr_rate = \"0Mbps\"\n"
+                                  "link1_cbr_on = \"0s\"\n"
+                                  "link1_cbr_off = \"0s\"\n"))
+                   .validate(),
+               SpecError);
+}
+
+TEST(SpecValidation, BufferBdpExcludesExplicitBuffersAndMustBePositive) {
+  const std::string both =
+      with_topology("buffer_bdp = 1\nlink2_buf = \"20pkt\"\n");
+  const SpecError e = error_of([&] { load(both).validate(); });
+  EXPECT_NE(std::string(e.what()).find("mutually exclusive"),
+            std::string::npos)
+      << e.what();
+  EXPECT_THROW(load(with_topology("buffer_bdp = 0\n")).validate(), SpecError);
+}
+
+TEST(SpecValidation, MisspelledSubflowMetricRejected) {
+  Scenario s = load(std::string(kBase) +
+                    "\n[output]\nmetrics = [\"subflows_mbps\"]\n");
+  const SpecError e = error_of([&] { s.validate(); });
+  EXPECT_NE(std::string(e.what()).find("unknown metric 'subflows_mbps'"),
+            std::string::npos);
+  EXPECT_NE(std::string(e.what()).find("subflow_mbps)"), std::string::npos);
+}
+
 TEST(SweepExpansion, EmptyAxisRejected) {
   Scenario s =
       load(std::string(kBase) + "\n[sweep]\ntraffic.subflows = []\n");

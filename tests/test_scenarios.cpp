@@ -1,6 +1,11 @@
 // End-to-end reproductions of the §2 design vignettes, scaled down to run
-// in test time. The full paper-scale versions live in bench/.
+// in test time, plus behaviour tests of the scenario builders' inputs. The
+// full paper-scale versions are the specs under examples/scenarios/.
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
+#include <vector>
 
 #include "cc/coupled.hpp"
 #include "cc/ewtcp.hpp"
@@ -8,6 +13,8 @@
 #include "cc/semicoupled.hpp"
 #include "mptcp/connection.hpp"
 #include "model/tcp_model.hpp"
+#include "runner/experiment_runner.hpp"
+#include "scenario/engine.hpp"
 #include "sim_fixtures.hpp"
 #include "stats/monitors.hpp"
 #include "topo/network.hpp"
@@ -27,8 +34,8 @@ using mptcp::MptcpConnection;
 // are exact. The paper's raw 4%/1% values leave NewReno timeout-dominated
 // (windows of ~7 packets cannot raise 3 dupacks); we scale both down 8x,
 // which preserves every ratio the §2.3 argument uses while keeping the
-// dynamics in the AIMD regime the fluid model describes. The bench
-// (bench_fig15_wifi3g_compete) reports the paper-exact settings too.
+// dynamics in the AIMD regime the fluid model describes.
+// examples/scenarios/sec23_rtt_mismatch.toml runs the paper-exact settings.
 inline constexpr double kWifiLoss = 0.005;
 inline constexpr double k3gLoss = 0.001;
 
@@ -272,6 +279,136 @@ TEST(Section24, SemicoupledKeepsTrafficOnBothPaths) {
   // Unlike COUPLED, both paths carry non-trivial traffic.
   EXPECT_GT(mp.subflow(0).packets_acked(), 1000u);
   EXPECT_GT(mp.subflow(1).packets_acked(), 1000u);
+}
+
+// --- scenario builder inputs ---------------------------------------------
+//
+// The two_link inputs the paper rows need (a fixed-loss stage, on/off CBR
+// cross-traffic, buffers in BDPs) and the per-subflow goodput metric, each
+// driven through the scenario engine.
+
+// Every run of `text` through the engine; per run, its recorded metrics by
+// name.
+std::vector<std::map<std::string, double>> run_spec(const std::string& text) {
+  const scenario::Scenario s =
+      scenario::Scenario::from_string(text, "builder_inputs.toml");
+  std::vector<std::map<std::string, double>> out;
+  for (const scenario::ResolvedRun& run : s.expand()) {
+    runner::RunContext ctx(run.name);
+    scenario::execute_run(run, /*time_scale=*/1.0, ctx);
+    out.emplace_back(ctx.values().begin(), ctx.values().end());
+  }
+  return out;
+}
+
+// Two symmetric 20 Mb/s links, 20 ms RTT; `topology` adds keys to
+// [topology], `rest` appends sections.
+std::string two_link_spec(const std::string& topology,
+                          const std::string& traffic,
+                          const std::string& rest) {
+  return R"(
+[topology]
+kind = "two_link"
+link1_rate = "20Mbps"
+link1_delay = "10ms"
+link2_rate = "20Mbps"
+link2_delay = "10ms"
+)" + topology + R"(
+[algorithm]
+kind = "mptcp"
+
+[traffic]
+kind = "persistent"
+)" + traffic + R"(
+[run]
+warmup = "2s"
+measure = "10s"
+)" + rest;
+}
+
+TEST(ScenarioInputs, FixedLossStageThrottlesOnlyItsLink) {
+  // Two single-path TCPs, one per link; only link 1 has random loss.
+  const auto runs = run_spec(two_link_spec(
+      "link1_loss = 0.02\n",
+      "flows = [\"0\", \"1\"]\nalgos = [\"single\", \"single\"]\n",
+      "seeds = [1, 2]\n\n[output]\nmetrics = [\"flow_mbps\", "
+      "\"queue_loss\"]\n"));
+  ASSERT_EQ(runs.size(), 2u);
+  for (const auto& r : runs) {
+    EXPECT_LT(r.at("mbps_flow0"), 0.5 * r.at("mbps_flow1"));
+    // The stage sits in front of the queue: at 2% loss the window stays
+    // far too small to overflow a 1-BDP buffer.
+    EXPECT_LT(r.at("loss_q0"), r.at("loss_q1") + 1e-3);
+  }
+  // The loss draws follow the run seed.
+  EXPECT_NE(runs[0].at("mbps_flow0"), runs[1].at("mbps_flow0"));
+  EXPECT_EQ(runs[0].at("mbps_flow1"), runs[1].at("mbps_flow1"));
+}
+
+TEST(ScenarioInputs, CbrOnLinkOneCostsSubflowZeroGoodput) {
+  const auto runs = run_spec(two_link_spec(
+      "link1_cbr_rate = \"20Mbps\"\nlink1_cbr_on = \"10ms\"\n"
+      "link1_cbr_off = \"100ms\"\n",
+      "names = [\"mp\"]\n",
+      "\n[output]\nmetrics = [\"subflow_mbps\", \"queue_loss\"]\n"));
+  ASSERT_EQ(runs.size(), 1u);
+  const auto& r = runs[0];
+  EXPECT_LT(r.at("mbps_mp_sub0"), 0.9 * r.at("mbps_mp_sub1"));
+  EXPECT_GT(r.at("mbps_mp_sub0"), 0.0);
+  // The bursts overflow link 1's queue, not link 2's.
+  EXPECT_GT(r.at("loss_q0"), r.at("loss_q1"));
+}
+
+TEST(ScenarioInputs, SubflowGoodputSplitsTheFlow) {
+  const auto runs = run_spec(two_link_spec(
+      "", "names = [\"mp\"]\n",
+      "\n[output]\nmetrics = [\"flow_mbps\", \"subflow_mbps\"]\n"));
+  ASSERT_EQ(runs.size(), 1u);
+  const auto& r = runs[0];
+  ASSERT_EQ(r.size(), 3u);  // mbps_mp, mbps_mp_sub0, mbps_mp_sub1
+  EXPECT_GT(r.at("mbps_mp_sub0"), 5.0);
+  EXPECT_GT(r.at("mbps_mp_sub1"), 5.0);
+  // Subflow ACKs and in-order data delivery differ only by what is in
+  // flight at the window edges.
+  EXPECT_NEAR(r.at("mbps_mp_sub0") + r.at("mbps_mp_sub1"), r.at("mbps_mp"),
+              0.02 * r.at("mbps_mp"));
+}
+
+TEST(ScenarioInputs, BufferBdpSizesEachLinkFromItsOwnBdp) {
+  // buffer_bdp = 2 on asymmetric links must build exactly the explicit
+  // per-link buffers of 2 BDPs each.
+  const std::string links = R"(
+[topology]
+kind = "two_link"
+link1_rate = "12Mbps"
+link1_delay = "20ms"
+link2_rate = "4Mbps"
+link2_delay = "60ms"
+)";
+  const std::string rest = R"(
+[algorithm]
+kind = "mptcp"
+
+[traffic]
+kind = "persistent"
+
+[run]
+warmup = "1s"
+measure = "5s"
+
+[output]
+metrics = ["flow_mbps", "queue_loss"]
+)";
+  const std::uint64_t buf1 = topo::bdp_bytes(12e6, from_ms(40), 2.0);
+  const std::uint64_t buf2 = topo::bdp_bytes(4e6, from_ms(120), 2.0);
+  const auto bdp = run_spec(links + "buffer_bdp = 2\n" + rest);
+  const auto bytes =
+      run_spec(links + "link1_buf = \"" + std::to_string(buf1) + "B\"\n" +
+               "link2_buf = \"" + std::to_string(buf2) + "B\"\n" + rest);
+  ASSERT_EQ(bdp.size(), 1u);
+  EXPECT_EQ(bdp, bytes);  // bit-exact doubles
+  // And the deeper buffers matter: the default 50-packet buffers differ.
+  EXPECT_NE(bdp, run_spec(links + rest));
 }
 
 }  // namespace

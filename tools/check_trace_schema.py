@@ -11,8 +11,9 @@ Checks (mirroring src/trace/record.hpp and the CsvSink format):
   * x / y parse as finite floats
   * obj is non-empty and contains no characters that would break the CSV
 
-CI runs this over a short `bench_fig17_mobile --trace` emission so schema
-drift between the C++ sinks and this validator fails the build.
+CI runs this over a scaled `mpsim run --trace=csv fig17_mobile.toml`
+emission so schema drift between the C++ sinks and this validator fails
+the build.
 
 Usage: tools/check_trace_schema.py TRACE.csv [TRACE2.csv ...]
 Exits non-zero on the first malformed file.
