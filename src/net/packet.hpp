@@ -73,7 +73,7 @@ class Route {
 
 // FIFO of packets chained through their intrusive link hooks. O(1)
 // push/pop at both ends, no allocation ever (the hot-path discipline
-// tools/mpsim_lint.py enforces on queues). The caller guarantees a packet
+// tools/mpsim_analyze enforces on queues). The caller guarantees a packet
 // is in at most one PacketFifo at a time; pop_* require a non-empty list.
 class PacketFifo {
  public:

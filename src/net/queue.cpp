@@ -22,6 +22,10 @@ Queue::Queue(EventList& events, std::string name, double rate_bps,
 }
 
 void Queue::receive(Packet& pkt) {
+  if (admit(pkt) && !busy_) start_service();
+}
+
+bool Queue::admit(Packet& pkt) {
   MPSIM_CHECK(h_.queued_bytes <= max_bytes_,
               "queue occupancy exceeds buffer capacity");
   ++h_.arrivals;
@@ -32,7 +36,7 @@ void Queue::receive(Packet& pkt) {
                                   pkt.subflow_id, h_.queued_bytes,
                                   pkt.size_bytes));
     pkt.release();
-    return;
+    return false;
   }
   h_.queued_bytes += pkt.size_bytes;
   // Intrusive PacketFifo: links through the packet's embedded pointers,
@@ -41,7 +45,7 @@ void Queue::receive(Packet& pkt) {
   fifo_.push_back(pkt);
   MPSIM_TRACE(trace_, trace::queue_sample(events_.now(), trace_id_,
                                           h_.queued_bytes, queued_packets()));
-  if (!busy_) start_service();
+  return true;
 }
 
 void Queue::start_service() {
@@ -57,6 +61,12 @@ void Queue::on_event() {
   // Lazy-cancellation guard: VariableRateQueue reschedules completions when
   // the rate changes, which can leave stale wake-ups in the event list.
   if (!busy_ || events_.now() < service_done_at_) return;
+  Packet* pkt = depart();
+  if (!fifo_.empty()) start_service();
+  pkt->advance();
+}
+
+Packet* Queue::depart() {
   Packet* pkt = in_service_;
   MPSIM_CHECK(pkt != nullptr, "busy queue must have a packet in service");
   in_service_ = nullptr;
@@ -68,8 +78,7 @@ void Queue::on_event() {
   h_.bytes_forwarded += pkt->size_bytes;
   MPSIM_TRACE(trace_, trace::queue_sample(events_.now(), trace_id_,
                                           h_.queued_bytes, queued_packets()));
-  if (!fifo_.empty()) start_service();
-  pkt->advance();
+  return pkt;
 }
 
 std::size_t Queue::drop_waiting(std::size_t max_pkts) {

@@ -73,6 +73,13 @@ class Queue : public PacketSink, public EventSource {
     return from_sec(static_cast<double>(pkt.size_bytes) * 8.0 / rate_bps_);
   }
   void start_service();
+  // Admission and departure bookkeeping, shared with VariableRateQueue so
+  // both keep the same checks, counters and trace records. admit() counts
+  // the arrival and either tail-drops the packet (returning false) or
+  // queues it; depart() takes the in-service packet off the server,
+  // accounts for it and returns it for the caller to advance.
+  bool admit(Packet& pkt);
+  Packet* depart();
 
   EventList& events_;
   PacketFifo fifo_;  // waiting packets; head-of-line is in service

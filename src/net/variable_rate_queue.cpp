@@ -12,30 +12,13 @@ VariableRateQueue::VariableRateQueue(EventList& events, std::string name,
     : Queue(events, std::move(name), rate_bps, max_bytes) {}
 
 void VariableRateQueue::receive(Packet& pkt) {
-  MPSIM_CHECK(h_.queued_bytes <= max_bytes_,
-              "queue occupancy exceeds buffer capacity");
-  ++h_.arrivals;
-  if (h_.queued_bytes + pkt.size_bytes > max_bytes_) {
-    ++h_.drops;
-    MPSIM_TRACE(trace_,
-                trace::queue_drop(events_.now(), trace_id_, pkt.flow_id,
-                                  pkt.subflow_id, h_.queued_bytes,
-                                  pkt.size_bytes));
-    pkt.release();
-    return;
-  }
-  h_.queued_bytes += pkt.size_bytes;
-  // Intrusive PacketFifo: links through the packet's embedded pointers,
-  // no heap allocation despite the container-idiom name.
-  // mpsim-analyze: allow(hot-alloc)
-  fifo_.push_back(pkt);
-  MPSIM_TRACE(trace_, trace::queue_sample(events_.now(), trace_id_,
-                                          h_.queued_bytes, queued_packets()));
-  if (!busy_ && rate_bps_ > 0.0) {
-    start_service();
-    fraction_done_ = 0.0;
-    fraction_as_of_ = events_.now();
-  }
+  if (admit(pkt) && !busy_ && rate_bps_ > 0.0) begin_service();
+}
+
+void VariableRateQueue::begin_service() {
+  start_service();
+  fraction_done_ = 0.0;
+  fraction_as_of_ = events_.now();
 }
 
 void VariableRateQueue::set_rate(double rate_bps) {
@@ -65,9 +48,7 @@ void VariableRateQueue::set_rate(double rate_bps) {
   if (busy_) {
     reschedule_head();
   } else if (rate_bps_ > 0.0 && !fifo_.empty()) {
-    start_service();
-    fraction_done_ = 0.0;
-    fraction_as_of_ = now;
+    begin_service();
   }
 }
 
@@ -89,19 +70,8 @@ void VariableRateQueue::reschedule_head() {
 
 void VariableRateQueue::on_event() {
   if (!busy_ || events_.now() < service_done_at_) return;
-  Packet* pkt = in_service_;
-  in_service_ = nullptr;
-  busy_ = false;
-  h_.queued_bytes -= pkt->size_bytes;
-  ++h_.departures;
-  h_.bytes_forwarded += pkt->size_bytes;
-  MPSIM_TRACE(trace_, trace::queue_sample(events_.now(), trace_id_,
-                                          h_.queued_bytes, queued_packets()));
-  if (!fifo_.empty() && rate_bps_ > 0.0) {
-    start_service();
-    fraction_done_ = 0.0;
-    fraction_as_of_ = events_.now();
-  }
+  Packet* pkt = depart();
+  if (!fifo_.empty() && rate_bps_ > 0.0) begin_service();
   pkt->advance();
 }
 

@@ -34,6 +34,8 @@ class VariableRateQueue : public Queue {
   double fraction_done_ = 0.0;
   SimTime fraction_as_of_ = 0;
 
+  // Start serving the head packet from its first bit.
+  void begin_service();
   void reschedule_head();
 };
 

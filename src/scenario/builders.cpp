@@ -1,9 +1,9 @@
 // Every builtin registry entry, in one translation unit.
 //
-// tools/mpsim_lint.py's registry-discipline rule pins all add_topology /
-// add_algorithm / add_traffic calls to this file and checks the keys are
-// lowercase and unique, so `mpsim list` and the spec grammar can never
-// drift apart or collide.
+// tools/mpsim_analyze's registry-discipline rule pins all add_topology /
+// add_algorithm / add_traffic / add_scheduler calls to this file and checks
+// the keys are lowercase and unique per kind, so `mpsim list` and the spec
+// grammar can never drift apart or collide.
 //
 // Construction order is part of a spec's output: element construction order
 // determines names, event ordering and rng draws. test_scenario_roundtrip

@@ -4,7 +4,7 @@
 // traffic model; each name is looked up in a registry of builders that
 // consume the spec section and assemble the corresponding piece of a
 // simulation. New topologies / CC variants / workloads plug in by adding
-// one registration in builders.cpp (tools/mpsim_lint.py's
+// one registration in builders.cpp (tools/mpsim_analyze's
 // registry-discipline rule keeps keys unique, lowercase, and registered in
 // exactly that one translation unit).
 //
@@ -164,7 +164,7 @@ class Registry {
   Names traffic_names() const;
   Names scheduler_names() const;
 
-  // Registration (builders.cpp only — enforced by lint).
+  // Registration (builders.cpp only — enforced by tools/mpsim_analyze).
   void add_topology(const std::string& key, const std::string& help,
                     TopologyBuilder b);
   void add_algorithm(const std::string& key, const std::string& help,

@@ -13,8 +13,8 @@
 //   * Instrumentation sites go through MPSIM_TRACE(rec, builder): with no
 //     recorder installed the site costs one predicted-not-taken branch on a
 //     cached pointer — nothing is constructed, nothing is called.
-//     (tools/mpsim_lint.py's trace-discipline rule enforces that src/ hot
-//     paths never call append_unchecked() directly.)
+//     (tools/mpsim_analyze's trace-discipline rule enforces that src/
+//     never calls append_unchecked() directly outside src/trace/.)
 //   * Nothing is formatted or written during the run; flush(sink) replays
 //     the ring chronologically into a TraceSink (CSV/JSONL/null) at run
 //     end.
@@ -63,7 +63,7 @@ class TraceRecorder final : public EventList::Service {
   std::size_t object_count() const { return names_.size(); }
 
   // Raw ring append. Call via MPSIM_TRACE only — the macro is the null
-  // check and the lint boundary.
+  // check and the trace-discipline boundary.
   void append_unchecked(const Record& r) {
     ring_[write_] = r;
     if (++write_ == ring_.size()) write_ = 0;

@@ -1,7 +1,6 @@
-// Fixture (negative control): allocation, clock reads and I/O in a
-// function no dispatch root can reach. Must produce zero findings — the
-// rules police the hot set, not the whole tree.
-#include <chrono>
+// Fixture (negative control): allocation and I/O in a function no dispatch
+// root can reach. Must produce zero findings — the hot rules police the
+// hot set, not the whole tree.
 #include <iostream>
 #include <vector>
 
@@ -11,8 +10,6 @@ struct TopologyBuilder {
   void construct() {
     nodes.push_back(1);
     nodes.push_back(2);
-    std::cout << "built at "
-              << std::chrono::system_clock::now().time_since_epoch().count()
-              << "\n";
+    std::cout << "built " << nodes.size() << " nodes\n";
   }
 };

@@ -1,4 +1,4 @@
-// Fixture: wall-clock read inside an event handler -> hot-clock.
+// Fixture: wall-clock read inside an event handler -> determinism-clock.
 #include <chrono>
 
 struct LatencyProbe {

@@ -1,4 +1,4 @@
-// Fixture: unseeded randomness inside an event handler -> hot-rand.
+// Fixture: unseeded randomness inside an event handler -> determinism-rand.
 #include <cstdlib>
 
 struct JitterSource {

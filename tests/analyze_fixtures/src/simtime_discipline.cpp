@@ -1,4 +1,4 @@
-// Fixture: hand-scaled SimTime unit factor -> simtime-unit.
+// Fixture: hand-scaled SimTime unit factor -> simtime-discipline.
 using SimTime = long long;
 
 struct Rescheduler {

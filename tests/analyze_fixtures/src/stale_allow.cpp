@@ -1,5 +1,5 @@
 // Fixture: an allow comment in a cold function suppresses nothing ->
-// flagged by --check-stale-allows (and only then; the plain run is clean).
+// stale-allow.
 #include <vector>
 
 struct ColdSetup {

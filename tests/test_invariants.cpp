@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include "cc/coupled.hpp"
@@ -19,6 +20,7 @@
 #include "net/cbr.hpp"
 #include "net/packet.hpp"
 #include "net/queue.hpp"
+#include "net/variable_rate_queue.hpp"
 #include "topo/network.hpp"
 
 namespace mpsim {
@@ -99,19 +101,23 @@ TEST(InvariantPacketPool, LedgerBalancesThroughChurn) {
 
 // --- invariant class: queue occupancy within capacity --------------------
 
-// The arena row reference is protected so a production Queue cannot reach
-// this state; the tamper subclass simulates an accounting bug.
-class TamperQueue : public net::Queue {
+// The arena row reference is protected so a production queue cannot reach
+// this state; the tamper subclass simulates an accounting bug. Every check
+// runs over both queue classes, which share Queue's bookkeeping.
+template <class Base>
+class TamperQueue : public Base {
  public:
-  using net::Queue::Queue;
-  void corrupt_occupancy() { h_.queued_bytes = max_bytes_ + 1; }
-  void corrupt_underflow() { h_.queued_bytes = 0; }
+  using Base::Base;
+  void corrupt_occupancy() { this->h_.queued_bytes = this->max_bytes_ + 1; }
+  void corrupt_underflow() { this->h_.queued_bytes = 0; }
 };
 
-TEST(InvariantQueueOccupancy, OverCapacityEnqueueFires) {
+template <class Base>
+void expect_over_capacity_enqueue_fires() {
+  SCOPED_TRACE(typeid(Base).name());
   ScopedThrowingChecks guard;
   EventList events;
-  TamperQueue q(events, "q", 10e6, 30000);
+  TamperQueue<Base> q(events, "q", 10e6, 30000);
   q.corrupt_occupancy();
   net::Packet& p = net::Packet::alloc(events);
   net::Route route({&q});
@@ -119,15 +125,27 @@ TEST(InvariantQueueOccupancy, OverCapacityEnqueueFires) {
   p.release();
 }
 
-TEST(InvariantQueueOccupancy, ByteAccountingUnderflowFires) {
+TEST(InvariantQueueOccupancy, OverCapacityEnqueueFires) {
+  expect_over_capacity_enqueue_fires<net::Queue>();
+  expect_over_capacity_enqueue_fires<net::VariableRateQueue>();
+}
+
+template <class Base>
+void expect_byte_accounting_underflow_fires() {
+  SCOPED_TRACE(typeid(Base).name());
   ScopedThrowingChecks guard;
   EventList events;
-  TamperQueue q(events, "q", 10e6, 30000);
+  TamperQueue<Base> q(events, "q", 10e6, 30000);
   net::CountingSink sink("sink");
   net::Route route({&q, &sink});
   net::Packet::alloc(events).send_on(route);  // enters service
   q.corrupt_underflow();  // lose the bytes of the in-service packet
   EXPECT_THROW(events.run_all(), CheckFailureError);
+}
+
+TEST(InvariantQueueOccupancy, ByteAccountingUnderflowFires) {
+  expect_byte_accounting_underflow_fires<net::Queue>();
+  expect_byte_accounting_underflow_fires<net::VariableRateQueue>();
 }
 
 TEST(InvariantQueueOccupancy, ZeroRateQueueRejected) {

@@ -1,30 +1,22 @@
 #!/usr/bin/env python3
-"""mpsim_analyze: whole-program call-graph analyzer for the simulator.
+"""mpsim_analyze: the simulator's static checker.
 
-Parses every translation unit named by compile_commands.json (plus all
-headers under src/), builds the project call graph, computes the **hot
-set** — everything reachable from the event-dispatch roots — and runs the
-determinism/ownership rule passes (rules.py) over it. This replaces
-tools/mpsim_lint.py's hard-coded hot-file list with computed reachability:
-a helper called from Subflow::receive cannot escape checking by living in
-an unlisted file.
+Lexes and parses every translation unit named by compile_commands.json
+(plus all headers under src/), builds the project call graph, computes the
+**hot set** — everything reachable from the event-dispatch roots — and
+runs the rule passes (rules.py) on the token stream: determinism, pool,
+SimTime, registry and shared-state rules over every file, allocation, I/O
+and packet-ownership rules over hot function bodies. Allow comments that
+suppress nothing are reported too.
 
 Usage:
-  tools/mpsim_analyze --compile-commands build/compile_commands.json
+  tools/mpsim_analyze --compile-commands build/compile_commands.json --root .
   tools/mpsim_analyze --src-root tests/analyze_fixtures/src
 Options:
-  --dump-hotset          print the hot functions and exit
-  --dump-callgraph       print every function and its resolved callees
-  --dump-hot-files FILE  write the hot file list ('-' = stdout)
-  --emit-hot-ranges FILE write hot body ranges as path:start:end (feeds
-                         mpsim_lint --arena-hot-ranges)
-  --check-stale-allows   also fail on allow comments (both tools') that no
-                         longer suppress anything
-  --with-lint            additionally run mpsim_lint over src/ with its
-                         arena-discipline rule rebased onto the computed
-                         hot ranges (one process, one exit code)
+  --dump-hotset      print the hot functions and exit
+  --dump-callgraph   print every function and its resolved callees
 
-Exit status: 0 clean, 1 findings/stale allows, 2 usage error.
+Exit status: 0 clean, 1 findings or stale allows, 2 usage error.
 """
 
 from __future__ import annotations
@@ -36,11 +28,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-import hotset                              # noqa: E402
-import rules                               # noqa: E402
-import stale                               # noqa: E402
+from callgraph import CallGraph        # noqa: E402
+from cpp_parser import parse_file      # noqa: E402
+from lexer import lex                  # noqa: E402
+import rules                           # noqa: E402
 
-SOURCE_GLOBS = hotset.SOURCE_GLOBS
+SOURCE_GLOBS = ("*.cpp", "*.hpp", "*.h")
 
 
 def discover_files(args, root: Path) -> list:
@@ -90,10 +83,6 @@ def main() -> int:
                     help="repo root (default: parent of tools/)")
     ap.add_argument("--dump-hotset", action="store_true")
     ap.add_argument("--dump-callgraph", action="store_true")
-    ap.add_argument("--dump-hot-files", metavar="FILE")
-    ap.add_argument("--emit-hot-ranges", metavar="FILE")
-    ap.add_argument("--check-stale-allows", action="store_true")
-    ap.add_argument("--with-lint", action="store_true")
     args = ap.parse_args()
 
     root = Path(args.root) if args.root \
@@ -102,7 +91,16 @@ def main() -> int:
     if not files:
         sys.exit("mpsim_analyze: nothing to analyze")
 
-    lexed_files, defs, graph, hot = hotset.analyze_tree(root, files)
+    lexed_files: dict = {}
+    decls: dict = {}
+    defs: list = []
+    for rel in files:
+        lf = lexed_files[rel] = lex(rel, (root / rel).read_text())
+        file_defs, decls[rel] = parse_file(lf)
+        defs.extend(file_defs)
+    graph = CallGraph(defs)
+    hot = graph.hot_set()
+    hot_files = len(graph.hot_files(hot))
 
     if args.dump_callgraph:
         graph.dump(sys.stdout)
@@ -111,53 +109,21 @@ def main() -> int:
         for d in hot:
             print(f"{d.path}:{d.start_line}-{d.end_line} {d.qualname}")
         print(f"# {len(hot)} hot functions of {len(defs)} total, "
-              f"{len(graph.hot_files(hot))} files", file=sys.stderr)
-        return 0
-    if args.dump_hot_files:
-        out = "\n".join(graph.hot_files(hot)) + "\n"
-        if args.dump_hot_files == "-":
-            sys.stdout.write(out)
-        else:
-            Path(args.dump_hot_files).write_text(out)
+              f"{hot_files} files", file=sys.stderr)
         return 0
 
-    hot_ranges = hotset.hot_ranges(hot)
-    if args.emit_hot_ranges:
-        Path(args.emit_hot_ranges).write_text(
-            "".join(f"{p}:{a}:{b}\n" for p, a, b in hot_ranges))
-
-    findings, used_allows = rules.run_rules(lexed_files, hot)
+    findings, stale = rules.run_rules(lexed_files, decls, hot)
     for f in findings:
         print(f)
+    for path, line in stale:
+        print(f"{path}:{line}: [stale-allow] allow comment suppresses "
+              "nothing — delete it")
 
-    failures = len(findings)
-
-    if args.check_stale_allows:
-        for path, line in stale.stale_analyze_allows(lexed_files,
-                                                     used_allows):
-            print(f"{path}:{line}: [stale-allow] mpsim-analyze allow "
-                  "suppresses nothing — delete it")
-            failures += 1
-        for path, line in stale.stale_lint_allows(root, files,
-                                                  arena_hot_ranges=hot_ranges):
-            print(f"{path}:{line}: [stale-allow] mpsim-lint allow "
-                  "suppresses nothing — delete it")
-            failures += 1
-
-    if args.with_lint:
-        lint = stale._import_mpsim_lint()
-        lint_findings: list = []
-        for rel in files:
-            lint.lint_lines(rel, (root / rel).read_text().splitlines(),
-                            lint_findings, arena_hot_ranges=hot_ranges)
-        for lfind in lint_findings:
-            print(lfind)
-        failures += len(lint_findings)
-
+    failures = len(findings) + len(stale)
     if failures:
         print(f"\nmpsim_analyze: {failures} finding(s); hot set "
-              f"{len(hot)}/{len(defs)} functions across "
-              f"{len(graph.hot_files(hot))} files", file=sys.stderr)
+              f"{len(hot)}/{len(defs)} functions across {hot_files} files",
+              file=sys.stderr)
         return 1
     print(f"mpsim_analyze: OK ({len(files)} files, {len(defs)} functions, "
           f"{len(hot)} hot)")

@@ -10,6 +10,10 @@ and treats everything inside the body as a flat token sequence to mine for
 calls. That is exactly the fidelity a name-based call graph needs, and it
 keeps the tool dependency-free.
 
+Alongside the definitions it records where each *declaration* starts: every
+`;`-terminated statement at namespace or class scope, and every `static`
+declaration inside a function body. The mutable-global rule judges those.
+
 Known over-approximations (deliberate — the hot set must err toward
 inclusion, see callgraph.py):
   * Macros are not expanded; a macro invocation at class scope that hides
@@ -58,11 +62,9 @@ class FunctionDef:
     namespace: str     # enclosing namespace path ('mpsim::net')
     path: str          # file that holds the definition
     start_line: int    # line of the name token
-    body_start: int    # line of the opening '{'
     end_line: int      # line of the closing '}'
-    # Which '{' on line body_start opens the body (1-based): the text
-    # before it on that line is signature, not body.
-    body_brace_nth: int = 1
+    body_open: int     # token index of the body's '{'
+    body_close: int    # token index of the body's '}'
     calls: list = field(default_factory=list)  # list[CallSite]
 
     @property
@@ -73,9 +75,13 @@ class FunctionDef:
         return f"{self.qualname}@{self.path}:{self.start_line}"
 
 
-def parse_file(lf: LexedFile) -> list:
-    """All function definitions (with call sites) in one lexed file."""
-    return _Parser(lf).run()
+def parse_file(lf: LexedFile) -> tuple:
+    """(defs, decls) for one lexed file: every function definition (with
+    call sites), and every declaration start as (scope, token index) with
+    scope 'namespace' | 'class' | 'function'."""
+    parser = _Parser(lf)
+    parser.run()
+    return parser.defs, parser.decls
 
 
 class _Parser:
@@ -84,36 +90,36 @@ class _Parser:
         self.toks = lf.tokens
         self.n = len(self.toks)
         self.defs: list = []
+        self.decls: list = []
 
-    def run(self) -> list:
+    def run(self) -> None:
         # Scope stack entries: ('namespace'|'class'|'brace', name).
         stack: list = []
-        i = 0
+        i = stmt = 0  # stmt: first token of the statement being read
         while i < self.n:
             t = self.toks[i]
-            if t.kind == "ident" and t.text == "namespace":
-                i = self._open_scope(stack, i, "namespace")
-                continue
-            if t.kind == "ident" and t.text in ("class", "struct", "union",
-                                                "enum"):
-                i = self._open_scope(stack, i, "class")
+            if t.kind == "ident" and t.text in ("namespace", "class",
+                                                "struct", "union", "enum"):
+                kind = "namespace" if t.text == "namespace" else "class"
+                i = stmt = self._open_scope(stack, i, kind)
                 continue
             if t.kind == "punct" and t.text == "{":
                 stack.append(("brace", ""))
-                i += 1
-                continue
-            if t.kind == "punct" and t.text == "}":
-                if stack:
-                    stack.pop()
-                i += 1
-                continue
-            if t.kind == "ident" or (t.kind == "punct" and t.text == "~"):
+            elif t.kind == "punct" and t.text == "}":
+                if stack and stack.pop()[0] != "brace":
+                    stmt = i + 1
+            elif t.kind == "punct" and t.text == ";" and \
+                    (not stack or stack[-1][0] != "brace"):
+                if stmt < i:
+                    self.decls.append(
+                        (stack[-1][0] if stack else "namespace", stmt))
+                stmt = i + 1
+            elif t.kind == "ident" or (t.kind == "punct" and t.text == "~"):
                 consumed = self._try_function(stack, i)
                 if consumed:
-                    i = consumed
+                    i = stmt = consumed
                     continue
             i += 1
-        return self.defs
 
     # --- scopes -----------------------------------------------------------
 
@@ -238,25 +244,26 @@ class _Parser:
         scope_cls = next((nm for kd, nm in reversed(stack) if kd == "class"),
                          "")
         namespaces = "::".join(nm for kd, nm in stack if kd == "namespace")
-        brace_line = self.toks[k].line
-        b, nth = k, 0
-        while b >= 0 and self.toks[b].line == brace_line:
-            nth += self.toks[b].text == "{"  # string tokens read '""'
-            b -= 1
         fn = FunctionDef(
             name=name,
             cls=explicit_cls or scope_cls,
             namespace=namespaces,
             path=self.lf.path,
             start_line=self.toks[i].line,
-            body_start=brace_line,
             end_line=self.toks[body_end].line,
-            body_brace_nth=nth,
+            body_open=k,
+            body_close=body_end,
         )
         fn.calls = self._extract_calls(k + 1, body_end)
         # Parameter-list defaults can call too (rare; include them).
         fn.calls += self._extract_calls(j + 1, close)
         self.defs.append(fn)
+        for b in range(k + 1, body_end):
+            if self.toks[b].kind == "ident" and self.toks[b].text == "static":
+                # Start at the specifiers in front: `thread_local static`.
+                while self.toks[b - 1].kind == "ident":
+                    b -= 1
+                self.decls.append(("function", b))
         return body_end + 1
 
     def _operator_name(self, j: int):

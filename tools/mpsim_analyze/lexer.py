@@ -8,15 +8,20 @@ punctuators. It does not preprocess: macros are tokenized as identifiers,
 which is what the call-site extractor wants (an `MPSIM_TRACE(rec, b(...))`
 site still exposes the builder call `b(...)` to the parser).
 
-Comments are not emitted as tokens, but `// mpsim-analyze: allow(...)` and
-`// mpsim-lint: allow(...)` markers are collected per line so rule passes
-can honor suppressions.
+Comments and preprocessor lines are not emitted as tokens, but
+`// mpsim-analyze: allow(...)` markers are collected per line so rule
+passes can honor suppressions. `LexedFile.code` is the text every rule
+regex matches: the tokens joined by single spaces, with each string
+literal read as `""` and each char literal as `' '`. A string token keeps
+its source text for the one rule that needs it (registry-discipline's key
+check); no regex ever sees it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 
 IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 IDENT_CONT = IDENT_START | set("0123456789")
@@ -26,13 +31,13 @@ PUNCT3 = ("<<=", ">>=", "...", "->*")
 PUNCT2 = ("::", "->", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
           "++", "--", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=")
 
-ALLOW_RE = re.compile(r"//\s*mpsim-(analyze|lint):\s*allow\(([\w\-,\s]+)\)")
+ALLOW_RE = re.compile(r"//\s*mpsim-analyze:\s*allow\(([\w\-,\s]+)\)")
 
 
 @dataclass(frozen=True)
 class Token:
     kind: str  # 'ident' | 'number' | 'string' | 'char' | 'punct'
-    text: str
+    text: str  # a string literal's full source text; "' '" for a char
     line: int
 
 
@@ -40,24 +45,28 @@ class Token:
 class LexedFile:
     path: str
     tokens: list  # list[Token]
-    lines: list   # raw source lines (1-based access via lines[i-1])
-    # line -> {(tool, rule), ...} for every allow marker on that line
+    # line -> {rule, ...} for every allow marker on that line
     allows: dict
+    code: str = field(init=False)  # tokens joined by single spaces
+    starts: list = field(init=False)  # offset in code of each token
 
+    def __post_init__(self):
+        words = ['""' if t.kind == "string" else t.text for t in self.tokens]
+        self.starts = []
+        pos = 0
+        for w in words:
+            self.starts.append(pos)
+            pos += len(w) + 1
+        self.code = " ".join(words)
 
-def _collect_allows(lines: list) -> dict:
-    allows: dict = {}
-    for i, raw in enumerate(lines, start=1):
-        for m in ALLOW_RE.finditer(raw):
-            tool = m.group(1)
-            for rule in m.group(2).split(","):
-                allows.setdefault(i, set()).add((tool, rule.strip()))
-    return allows
+    def token_at(self, offset: int) -> Token:
+        """The token covering `offset` in `code`."""
+        return self.tokens[bisect_right(self.starts, offset) - 1]
 
 
 def lex(path: str, text: str) -> LexedFile:
     tokens: list = []
-    lines = text.splitlines()
+    allows: dict = {}
     n = len(text)
     i = 0
     line = 1
@@ -78,7 +87,12 @@ def lex(path: str, text: str) -> LexedFile:
         # Comments.
         if c == "/" and peek(1) == "/":
             j = text.find("\n", i)
-            i = n if j == -1 else j
+            j = n if j == -1 else j
+            m = ALLOW_RE.search(text, i, j)
+            if m:
+                allows.setdefault(line, set()).update(
+                    r.strip() for r in m.group(1).split(","))
+            i = j
             continue
         if c == "/" and peek(1) == "*":
             j = text.find("*/", i + 2)
@@ -111,7 +125,7 @@ def lex(path: str, text: str) -> LexedFile:
                     j = n
                 else:
                     j += len(close)
-                tokens.append(Token("string", '""', line))
+                tokens.append(Token("string", text[i:j], line))
                 line += text.count("\n", i, j)
                 i = j
                 continue
@@ -122,8 +136,8 @@ def lex(path: str, text: str) -> LexedFile:
                 if text[j] == "\\":
                     j += 1
                 j += 1
-            tokens.append(Token("string" if quote == '"' else "char",
-                                '""' if quote == '"' else "' '", line))
+            tokens.append(Token("string", text[i:j + 1], line)
+                          if quote == '"' else Token("char", "' '", line))
             line += text.count("\n", i, j)
             i = j + 1
             continue
@@ -153,8 +167,7 @@ def lex(path: str, text: str) -> LexedFile:
             tokens.append(Token("punct", c, line))
             i += 1
 
-    return LexedFile(path=path, tokens=tokens, lines=lines,
-                     allows=_collect_allows(lines))
+    return LexedFile(path=path, tokens=tokens, allows=allows)
 
 
 def _is_digit_separator(tokens: list) -> bool:

@@ -1,41 +1,57 @@
-"""Rule passes over the computed hot set.
+"""Rule passes over the lexer's token stream.
 
-Each rule scans the body lines of every hot function and reports findings
-as `path:line: [rule] qualname: message`. Suppression: append
-`// mpsim-analyze: allow(<rule>)` to the offending line or the line
-directly above it (clang-format keeps many offenders at the column limit).
-For the allocation rule, a legacy `// mpsim-lint: allow(arena-discipline)`
-comment counts too — the two tools police the same discipline and one
-justified comment should satisfy both.
+Every rule matches `LexedFile.code` — the tokens joined by single spaces,
+comments and preprocessor lines gone, every literal read as `""` — so the
+regexes below spell C++ that way (`std :: chrono`, `malloc \\(`) and prose
+or literals can never trip them. Eight rules scan every file; three scan
+only the bodies of hot functions (reachable from event dispatch,
+callgraph.py). Findings print as `path:line: [rule] message`, with the
+function's qualname in front of the message for hot rules.
 
-Rules
------
-hot-alloc         No heap allocation on event-dispatch-reachable paths:
-                  `new`, make_unique/make_shared, malloc/calloc/realloc,
-                  and growing STL container calls (push_back, emplace*,
-                  resize, insert, append, to_string, reserve). Hot state
-                  lives in the SimArena SoA columns, packets in the pool,
-                  pending events in reserved scheduler storage.
-hot-clock         No wall-clock reads: a hot function reading host time
-                  makes the run a function of the machine, not the seed.
-hot-rand          No rand()/srand()/std::random_device/<random> engines:
-                  all randomness flows through the seeded mpsim::Rng.
-hot-io            No blocking I/O (stdio, iostreams on std::cout/cerr,
-                  file streams, system()): dispatch must never stall on
-                  the host OS, and output ordering would leak thread
-                  interleaving into results.
-hot-static        No function-local `static` mutable state: concurrent
-                  simulations on worker threads would race on it (and
-                  C++ magic-statics serialize on first use).
-packet-ownership  A function that takes packets from the pool
-                  (Packet::alloc / PacketPool::alloc) must also hand each
-                  one on (send_on/advance/push_back) or return it
-                  (release); an alloc with no downstream
-                  transfer leaks the packet out of the conservation
-                  ledger.
-simtime-unit      SimTime values are built with from_ns/us/ms/sec(), not
-                  hand-scaled 1e3/1e6/1e9 factors (ns/us confusions breed
-                  in hand-scaling; core/time.hpp owns the only factors).
+Rules over every file [exempt paths]
+-----------------------------------
+pool-discipline     Packets come from the pool: no `new Packet`, `delete`,
+                    malloc or free. [net/packet.cpp]
+determinism-clock   No wall-clock reads (std::chrono, gettimeofday, time(),
+                    clock()): results are a pure function of (spec, seed).
+                    [runner/, which times runs and never feeds the time
+                    back into a simulation]
+determinism-rand    No rand()/srand(), std::random_device or <random>
+                    engines: randomness flows through the seeded
+                    mpsim::Rng.
+no-bare-assert      MPSIM_CHECK, not assert(): a bare assert vanishes in
+                    RelWithDebInfo, the tier-1 configuration.
+trace-discipline    Record through MPSIM_TRACE, never append_unchecked():
+                    the macro carries the null-recorder guard. [trace/]
+simtime-discipline  SimTime is built with from_ns/us/ms/sec(), not
+                    hand-scaled 1e3/1e6/1e9 factors. [core/time.hpp]
+registry-discipline add_topology/algorithm/traffic/scheduler calls live in
+                    scenario/builders.cpp only, and each key there is
+                    lowercase [a-z0-9_]+ and unique per kind.
+                    [scenario/registry.*, which declares them]
+mutable-global      No mutable state shared by simulations running on
+                    worker threads: namespace-scope variables, static data
+                    members and function-local statics. const, constexpr,
+                    std::atomic and thread_local are race-free.
+
+Rules over hot function bodies
+------------------------------
+hot-alloc           No heap allocation: `new`, make_unique/make_shared,
+                    malloc/calloc/realloc, growing container calls
+                    (push_back, emplace*, resize, insert, append, reserve)
+                    and std::to_string. Hot state lives in the SimArena
+                    columns, packets in the pool, pending events in the
+                    scheduler's reserved storage.
+hot-io              No blocking I/O (stdio, std::cout/cerr/clog, file
+                    streams, system()): dispatch never stalls on the host.
+packet-ownership    A body that takes a packet from the pool must hand it
+                    on (send_on/advance/push_back) or return it (release,
+                    return); otherwise it leaks out of the conservation
+                    ledger.
+
+Suppression: `// mpsim-analyze: allow(<rule>)` on the offending line or
+the line above it. An allow that no finding consumed is reported as
+stale: it would pre-approve the next violation there.
 """
 
 from __future__ import annotations
@@ -43,40 +59,79 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-RULE_NAMES = (
-    "hot-alloc", "hot-clock", "hot-rand", "hot-io", "hot-static",
-    "packet-ownership", "simtime-unit",
+
+@dataclass(frozen=True)
+class Rule:
+    name: str
+    regex: re.Pattern
+    message: str
+    exempt: tuple = ()  # path fragments the rule does not check
+
+
+TREE_RULES = (
+    # `delete` needs an operand, so `= delete;` declarations never match.
+    Rule("pool-discipline", re.compile(
+        r"\bnew Packet\b|\bdelete (?:\[ \] )?[\w(*&]|\b(?:malloc|free) \("),
+        "packets are pool-allocated; use Packet::alloc() / release()",
+        ("net/packet.cpp",)),
+    Rule("determinism-clock", re.compile(
+        r"std :: chrono\b|\b(?:steady|system|high_resolution)_clock\b"
+        r"|\bgettimeofday \(|\btime \( (?:(?:NULL|nullptr|0) )?\)"
+        r"|\bclock \( \)"),
+        "no wall-clock reads in simulation code; results must be a pure "
+        "function of (spec, seed)", ("runner/",)),
+    Rule("determinism-rand", re.compile(
+        r"\bs?rand \(|std :: (?:random_device|mt19937|minstd_rand"
+        r"|default_random_engine|uniform_int_distribution"
+        r"|uniform_real_distribution)"),
+        "all randomness must flow through the seeded mpsim::Rng"),
+    Rule("no-bare-assert", re.compile(r"\bassert \("),
+         "use MPSIM_CHECK (active in RelWithDebInfo) instead of assert()"),
+    Rule("trace-discipline", re.compile(r"\bappend_unchecked \("),
+         "record through MPSIM_TRACE(recorder, builder); a direct "
+         "append_unchecked() skips the null-recorder guard", ("trace/",)),
+    Rule("simtime-discipline", re.compile(
+        r"(?:static_cast < SimTime >|\bSimTime \()[^;]*\b1e[369]\b"),
+        "build SimTime with from_ns/us/ms/sec(), not raw 1e3/1e6/1e9 unit "
+        "factors", ("core/time.hpp",)),
+    # A call, not registry.cpp's `void Registry::add_*(` definitions.
+    Rule("registry-discipline", re.compile(
+        r"(?<!void )(?<!:: )\badd_(?:topology|algorithm|traffic|scheduler)"
+        r" \("),
+        "topology/algorithm/traffic/scheduler registrations live in "
+        "src/scenario/builders.cpp only",
+        ("scenario/registry.", "scenario/builders.cpp")),
 )
 
-# Strings/comments never trigger rules (mirrors tools/mpsim_lint.py).
-STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
-LINE_COMMENT_RE = re.compile(r"//.*$")
+HOT_RULES = (
+    Rule("hot-alloc", re.compile(
+        r"(?<!operator )\bnew [\w:(]|std :: make_(?:unique|shared)\b"
+        r"|\b(?:malloc|calloc|realloc) \(|std :: to_string \("
+        r"|\. (?:push_back|emplace_back|emplace|resize|insert|append"
+        r"|reserve) \("),
+        "heap allocation on an event-dispatch path; use the SimArena "
+        "columns, the packet pool, or reserved storage"),
+    Rule("hot-io", re.compile(
+        r"std :: (?:cout|cerr|clog|getline|[io]?fstream)\b"
+        r"|\b(?:printf|fprintf|fopen|fwrite|fread|fflush|system) \("),
+        "blocking I/O on an event-dispatch path; buffer into the flight "
+        "recorder and flush after the run"),
+)
 
-ALLOC_RE = re.compile(
-    r"\bnew\s+[A-Za-z_:(]|std::make_unique|std::make_shared"
-    r"|\bmalloc\s*\(|\bcalloc\s*\(|\brealloc\s*\("
-    r"|\.\s*(?:push_back|emplace_back|emplace|resize|insert|append"
-    r"|reserve)\s*\(|std::to_string\s*\(")
-CLOCK_RE = re.compile(
-    r"std::chrono|steady_clock|system_clock|high_resolution_clock"
-    r"|\bgettimeofday\s*\(|\btime\s*\(\s*(?:NULL|nullptr|0)?\s*\)"
-    r"|\bclock\s*\(\s*\)")
-RAND_RE = re.compile(
-    r"\brand\s*\(|\bsrand\s*\(|std::random_device|std::mt19937"
-    r"|std::minstd_rand|std::default_random_engine"
-    r"|std::uniform_int_distribution|std::uniform_real_distribution")
-IO_RE = re.compile(
-    r"std::cout|std::cerr|std::clog|\bprintf\s*\(|\bfprintf\s*\("
-    r"|\bfopen\s*\(|\bfwrite\s*\(|\bfread\s*\(|\bfflush\s*\("
-    r"|std::(?:i|o)?fstream|std::getline|\bsystem\s*\(")
-STATIC_LOCAL_RE = re.compile(r"^\s*static\s+(?!const\b|constexpr\b)\w")
-SIMTIME_CAST_RE = re.compile(
-    r"(?:static_cast<\s*SimTime\s*>|\bSimTime\s*\()[^;]*\b1e[369]\b")
+REGISTRY_KEY_RE = re.compile(
+    r"(?<!void )(?<!:: )\badd_(topology|algorithm|traffic|scheduler) \( \"\"")
 
-PKT_SOURCE_RE = re.compile(r"\bPacket::alloc\s*\(|\bpool\b[\w.]*\.alloc\s*\(")
+PKT_SOURCE_RE = re.compile(
+    r"\bPacket :: alloc \(|\bpool (?:\. \w+ )*\. alloc \(")
 PKT_TRANSFER_RE = re.compile(
-    r"\.\s*(?:send_on|advance|release)\s*\(|\bpush_back\s*\("
-    r"|\breturn\b[^;]*\balloc\s*\(|\breturn\s+(?:\*?\s*)?p\b")
+    r"(?:\.|->) (?:send_on|advance|release) \(|\bpush_back \("
+    r"|\breturn\b[^;]*\balloc \(|\breturn (?:\* )?p\b")
+
+# A declaration whose head holds one of these is not a variable.
+NOT_A_VARIABLE = {"using", "typedef", "template", "friend", "extern",
+                  "static_assert", "operator"}
+# ... and one holding these is not mutable shared state.
+RACE_FREE = {"const", "constexpr", "consteval", "thread_local"}
 
 
 @dataclass
@@ -88,112 +143,127 @@ class Finding:
     message: str
 
     def __str__(self) -> str:
-        return (f"{self.path}:{self.line}: [{self.rule}] "
-                f"{self.func}: {self.message}")
+        func = f"{self.func}: " if self.func else ""
+        return f"{self.path}:{self.line}: [{self.rule}] {func}{self.message}"
 
 
-def code_of(line: str) -> str:
-    return LINE_COMMENT_RE.sub("", STRING_RE.sub('""', line))
+def _exempt(path: str, fragments: tuple) -> bool:
+    return any("/" + f in "/" + path for f in fragments)
 
 
-def _allow_site(lexed, line: int, rule: str):
-    """Line number of an allow comment covering `line` for `rule`
-    (same line or the one above), else None. hot-alloc additionally
-    honors the legacy lint spelling arena-discipline."""
-    accepted = {("analyze", rule)}
-    if rule == "hot-alloc":
-        accepted.add(("lint", "arena-discipline"))
-    for cand in (line, line - 1):
-        marks = lexed.allows.get(cand, ())
-        if any(m in accepted for m in marks):
-            return cand
-    return None
+class _Report:
+    """Findings, minus those an allow comment suppresses; remembers which
+    allows were consumed."""
+
+    def __init__(self):
+        self.findings: dict = {}  # (path, line, rule) -> Finding
+        self.used_allows: set = set()
+
+    def add(self, lf, line: int, rule: str, message: str, func: str = ""):
+        for site in (line, line - 1):
+            if rule in lf.allows.get(site, ()):
+                self.used_allows.add((lf.path, site))
+                return
+        self.findings.setdefault((lf.path, line, rule),
+                                 Finding(lf.path, line, rule, func, message))
+
+    def scan(self, lf, rule: Rule, span: tuple, func: str = ""):
+        for m in rule.regex.finditer(lf.code, *span):
+            self.add(lf, lf.token_at(m.start()).line, rule.name,
+                     rule.message, func)
 
 
-def _body(lexed, fn):
-    """(line, code) for every line of fn's body. The line holding the
-    body's opening brace yields only the text after that brace, so a
-    signature sharing it (`static int f(int v) { ... }`) is not body."""
-    lines = lexed.lines
-    for ln in range(fn.body_start, min(fn.end_line, len(lines)) + 1):
-        code = code_of(lines[ln - 1])
-        if ln == fn.body_start:
-            parts = code.split("{", fn.body_brace_nth)
-            code = parts[-1] if len(parts) > fn.body_brace_nth else code
-        yield ln, code
+def run_rules(lexed_files: dict, decls: dict, hot: list):
+    """(findings, stale_allows).
 
-
-def _scan(lexed, fn, rule, regex, message, findings, used_allows):
-    for ln, code in _body(lexed, fn):
-        if not regex.search(code):
-            continue
-        site = _allow_site(lexed, ln, rule)
-        if site is not None:
-            used_allows.add((lexed.path, site))
-            continue
-        findings.append(Finding(lexed.path, ln, rule, fn.qualname, message))
-
-
-def run_rules(lexed_files: dict, hot: list):
-    """(findings, used_allows) over every hot function.
-
-    lexed_files maps path -> LexedFile; hot is the list of FunctionDef in
-    the hot set. used_allows collects (path, line) of every allow comment
-    that actually suppressed something — the complement feeds
-    --check-stale-allows.
+    lexed_files maps path -> LexedFile, decls maps path -> the parser's
+    declaration starts, hot is the list of FunctionDef in the hot set.
+    stale_allows lists (path, line) of every allow no finding consumed.
     """
-    findings: list = []
-    used_allows: set = set()
+    report = _Report()
+    for path, lf in lexed_files.items():
+        for rule in TREE_RULES:
+            if not _exempt(path, rule.exempt):
+                report.scan(lf, rule, (0, len(lf.code)))
+        if _exempt(path, ("scenario/builders.cpp",)):
+            _check_registry_keys(report, lf)
+        for scope, first in decls[path]:
+            _check_mutable_global(report, lf, scope, first)
     for fn in hot:
-        lexed = lexed_files[fn.path]
-        _scan(lexed, fn, "hot-alloc", ALLOC_RE,
-              "heap allocation on an event-dispatch path; use the SimArena "
-              "columns, the packet pool, or reserved storage", findings,
-              used_allows)
-        _scan(lexed, fn, "hot-clock", CLOCK_RE,
-              "wall-clock read on an event-dispatch path; results must be "
-              "a pure function of (spec, seed)", findings, used_allows)
-        _scan(lexed, fn, "hot-rand", RAND_RE,
-              "unseeded randomness on an event-dispatch path; use the "
-              "seeded mpsim::Rng", findings, used_allows)
-        _scan(lexed, fn, "hot-io", IO_RE,
-              "blocking I/O on an event-dispatch path; buffer into the "
-              "flight recorder and flush after the run", findings,
-              used_allows)
-        _scan(lexed, fn, "hot-static", STATIC_LOCAL_RE,
-              "function-local static mutable state races across parallel "
-              "simulations; use per-EventList services", findings,
-              used_allows)
-        if not lexed.path.replace("\\", "/").endswith("core/time.hpp"):
-            # time.hpp owns the unit factors; everyone else goes through it.
-            _scan(lexed, fn, "simtime-unit", SIMTIME_CAST_RE,
-                  "build SimTime with from_ns/us/ms/sec(), not raw "
-                  "1e3/1e6/1e9 unit factors", findings, used_allows)
-        _check_packet_ownership(lexed, fn, findings, used_allows)
-    findings.sort(key=lambda f: (f.path, f.line, f.rule))
-    return findings, used_allows
+        lf = lexed_files[fn.path]
+        body = (lf.starts[fn.body_open + 1], lf.starts[fn.body_close])
+        for rule in HOT_RULES:
+            report.scan(lf, rule, body, fn.qualname)
+        _check_packet_ownership(report, lf, fn, body)
+    findings = sorted(report.findings.values(),
+                      key=lambda f: (f.path, f.line, f.rule))
+    stale = sorted((path, line) for path, lf in lexed_files.items()
+                   for line in lf.allows
+                   if (path, line) not in report.used_allows)
+    return findings, stale
 
 
-def _check_packet_ownership(lexed, fn, findings, used_allows):
-    """Local-flow pairing: every Packet::alloc in a body needs a matching
-    transfer (send_on/advance/release/fifo push/return) somewhere in the
-    same body. Function-level, not path-sensitive: a transfer on any path
-    satisfies the rule (MPSIM_CHECK + the pool's conservation ledger cover
-    the dynamic cases)."""
-    body = list(_body(lexed, fn))
-    sources = [ln for ln, code in body if PKT_SOURCE_RE.search(code)]
-    if not sources:
+def _check_registry_keys(report, lf):
+    """Inside builders.cpp: every literal key is lowercase and unique per
+    registry kind. The one place a rule reads a string token's text."""
+    seen: dict = {}
+    for m in REGISTRY_KEY_RE.finditer(lf.code):
+        kind = m.group(1)
+        tok = lf.token_at(m.end() - 2)
+        key = tok.text[1:-1]
+        if not re.fullmatch(r"[a-z0-9_]+", key):
+            report.add(lf, tok.line, "registry-discipline",
+                       f"registry key '{key}' must be lowercase [a-z0-9_]+")
+        if (kind, key) in seen:
+            report.add(lf, tok.line, "registry-discipline",
+                       f"duplicate {kind} key '{key}' (first registered on "
+                       f"line {seen[(kind, key)]})")
+        else:
+            seen[(kind, key)] = tok.line
+
+
+def _check_mutable_global(report, lf, scope: str, first: int):
+    """Judge the declaration starting at token `first`: its head (the
+    tokens before the initializer) decides whether it declares a variable
+    and whether that variable is mutable state shared across threads."""
+    toks = lf.tokens
+    while first + 1 < len(toks) and toks[first + 1].text == ":" and \
+            toks[first].text in ("public", "private", "protected"):
+        first += 2
+    head: list = []
+    depth = 0  # template angle brackets
+    for t in toks[first:]:
+        if t.text in ("<", ">", ">>"):
+            depth += 1 if t.text == "<" else -len(t.text)
+        elif t.kind == "punct" and depth <= 0 and \
+                t.text in ("=", "{", "(", ";"):
+            if t.text == "(":
+                return  # a function declaration
+            break
+        head.append(t.text)
+    words = set(head)
+    if len(head) < 2 or words & NOT_A_VARIABLE or words & RACE_FREE or \
+            any(w.startswith("atomic") for w in head):
         return
-    has_transfer = any(PKT_TRANSFER_RE.search(code) for _, code in body)
-    if has_transfer:
+    if scope == "class" and "static" not in words:
+        return  # a per-object data member
+    where = {"namespace": "namespace-scope variable",
+             "class": "static data member",
+             "function": "function-local static"}[scope]
+    report.add(lf, toks[first].line, "mutable-global",
+               f"mutable {where} races across parallel simulations; use "
+               "per-EventList services, std::atomic, or thread_local")
+
+
+def _check_packet_ownership(report, lf, fn, body: tuple):
+    """Local-flow pairing: every pool alloc in a body needs a transfer
+    (send_on/advance/release/fifo push/return) somewhere in the same body.
+    Function-level, not path-sensitive: MPSIM_CHECK and the pool's
+    conservation ledger cover the dynamic cases."""
+    if PKT_TRANSFER_RE.search(lf.code, *body):
         return
-    for ln in sources:
-        site = _allow_site(lexed, ln, "packet-ownership")
-        if site is not None:
-            used_allows.add((lexed.path, site))
-            continue
-        findings.append(Finding(
-            lexed.path, ln, "packet-ownership", fn.qualname,
-            "packet taken from the pool but never sent, advanced, "
-            "released or returned in this function — it leaks out of the "
-            "conservation ledger"))
+    for m in PKT_SOURCE_RE.finditer(lf.code, *body):
+        report.add(lf, lf.token_at(m.start()).line, "packet-ownership",
+                   "packet taken from the pool but never sent, advanced, "
+                   "released or returned in this function — it leaks out of "
+                   "the conservation ledger", fn.qualname)
