@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "cc/mptcp_lia.hpp"
-#include "core/env.hpp"
 #include "core/event_list.hpp"
 #include "core/rng.hpp"
 #include "mptcp/connection.hpp"
@@ -197,7 +196,8 @@ stats::Json json_side(const runner::RunResult& r) {
 }
 
 void scheduler_report_json() {
-  const double scale = env::env_double("MPSIM_BENCH_SCALE", 1.0, 0.0);
+  // The scale bench/baselines/BENCH_micro_core.json was recorded at.
+  const double scale = 0.1;
   const auto dispatch_events =
       static_cast<std::uint64_t>(4'000'000 * scale);
   // Pending-set size of a large datacenter sweep: a 1024-host FatTree at 8

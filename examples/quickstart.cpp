@@ -12,9 +12,7 @@
 #include <cstdio>
 
 #include "cc/mptcp_lia.hpp"
-#include "example_trace.hpp"
 #include "mptcp/connection.hpp"
-#include "stats/monitors.hpp"
 #include "topo/network.hpp"
 #include "topo/two_link.hpp"
 
@@ -22,7 +20,6 @@ int main() {
   using namespace mpsim;
 
   EventList events;
-  examples::ExampleTrace et(events, "quickstart");
   topo::Network net(events);
 
   // Two 10 Mb/s links, 20 ms RTT each, one bandwidth-delay product of

@@ -1,14 +1,23 @@
 // SoA arena for per-simulation hot state.
 //
-// The per-ACK and per-dequeue hot paths used to chase Subflow/Queue object
-// pointers scattered across the heap: the coupled congestion controller
-// reads every sibling subflow's window and smoothed RTT on each ACK
-// (eq. (1) of the paper iterates all r in the increase term), and the
-// runner's aggregate metrics sweep every queue. SimArena packs exactly that
-// state into dense, cache-line-sized rows indexed by small ids, allocated
-// per EventList (so parallel runner jobs share nothing). Objects keep their
+// The per-subflow congestion state, the rate-mode pacing state and the
+// per-queue counters live in dense, cache-line-sized rows allocated per
+// EventList (so parallel runner jobs share nothing). Objects keep their
 // interfaces and hold a reference to their row; cold state stays on the
-// object.
+// object. No code walks a column: every row is reached through its
+// owner's reference, or through the pointers an MPTCP connection caches to
+// its subflows' rows for the congestion controller's per-ACK sibling
+// sweep.
+//
+// Why it stays: a prototype that deleted SimArena, moving SubflowHot into
+// Subflow, QueueHot into Queue and RateHot (rate mode only) into Subflow,
+// passed every test and every perfbench pin but ran slower. Over 10
+// alternating `perfbench --workload fattree_tp1 --seconds 5` pairs at
+// seed 1 on a 4-core x86-64 host, run_s went from 0.708 to 0.777 s (1.10x;
+// the arena was faster in 8 of 10 pairs) and setup_s from 1.86 to 2.13 ms
+// (1.15x; 10 of 10). The cause is not yet isolated. The candidates are row
+// adjacency, which LIA's sweep over a connection's 8 subflows may exploit,
+// and chunked construction versus 64-byte-aligned heap objects.
 //
 // Storage is chunked (fixed-size arrays of rows) rather than one
 // std::vector so rows never move: components cache `SubflowHot&` at
@@ -89,7 +98,6 @@ class SimArena final : public EventList::Service {
   std::uint32_t add_subflow() { return subflows_.add(); }
   SubflowHot& subflow(std::uint32_t id) { return subflows_[id]; }
   const SubflowHot& subflow(std::uint32_t id) const { return subflows_[id]; }
-  std::uint32_t num_subflows() const { return subflows_.size(); }
 
   // Returns a subflow row to the column's free list; the next add_subflow()
   // reuses it (value-reinitialised). Called from tcp::Subflow's destructor
@@ -102,7 +110,6 @@ class SimArena final : public EventList::Service {
   std::uint32_t add_queue() { return queues_.add(); }
   QueueHot& queue(std::uint32_t id) { return queues_[id]; }
   const QueueHot& queue(std::uint32_t id) const { return queues_[id]; }
-  std::uint32_t num_queues() const { return queues_.size(); }
 
   // Rate-control rows, allocated per subflow only when the connection's
   // congestion controller is rate-based; same stable-address/free-list
@@ -110,17 +117,15 @@ class SimArena final : public EventList::Service {
   std::uint32_t add_rate() { return rates_.add(); }
   RateHot& rate(std::uint32_t id) { return rates_[id]; }
   const RateHot& rate(std::uint32_t id) const { return rates_[id]; }
-  std::uint32_t num_rates() const { return rates_.size(); }
   void release_rate(std::uint32_t id) { rates_.release(id); }
-  std::uint32_t free_rate_rows() const { return rates_.free_rows(); }
 
  private:
   // A growable column of rows with stable addresses: chunks are allocated
   // once and never moved or freed until the arena dies. 64 rows x 64 bytes
   // = one 4 KiB page per chunk. Released rows go on a LIFO free list and
-  // are handed back (value-reinitialised) before the column grows, so
-  // size() is a high-water mark of *concurrently live* rows, not a count
-  // of every row ever created.
+  // are handed back (value-reinitialised) before the column grows, so its
+  // footprint is the high-water mark of *concurrently live* rows, not a
+  // count of every row ever created.
   template <typename T>
   class Column {
    public:
@@ -146,7 +151,6 @@ class SimArena final : public EventList::Service {
     const T& operator[](std::uint32_t id) const {
       return (*chunks_[id >> kShift])[id & kMask];
     }
-    std::uint32_t size() const { return count_; }
     std::uint32_t free_rows() const {
       return static_cast<std::uint32_t>(free_.size());
     }

@@ -2,8 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
-
-#include "core/env.hpp"
+#include <cstring>
 
 namespace mpsim {
 
@@ -32,8 +31,20 @@ namespace detail {
 std::atomic<int> g_checks_state{0};
 
 bool checks_enabled_slow() {
-  const bool enabled =
-      env::env_choice("MPSIM_CHECKS", "on", {"on", "off"}) != "off";
+  // The simulator's one environment read (the analyzer's determinism-env
+  // rule rejects any other): MPSIM_CHECKS=off turns checks off for
+  // profiling, unset or "on" leaves them on, anything else is a typo that
+  // would silently run the wrong configuration, so it stops the process.
+  // mpsim-analyze: allow(determinism-env)
+  const char* raw = std::getenv("MPSIM_CHECKS");
+  if (raw != nullptr && std::strcmp(raw, "on") != 0 &&
+      std::strcmp(raw, "off") != 0) {
+    std::fprintf(stderr,
+                 "mpsim: MPSIM_CHECKS='%s' is invalid: expected on or off\n",
+                 raw);
+    std::exit(2);
+  }
+  const bool enabled = raw == nullptr || std::strcmp(raw, "off") != 0;
   g_checks_state.store(enabled ? 1 : 2, std::memory_order_relaxed);
   return enabled;
 }

@@ -6,11 +6,9 @@
 // queue occupancy, the cwnd bounds implied by eq. (1) — are enforced during
 // every test and benchmark run, not only in debug builds.
 //
-// Control knobs:
-//   * MPSIM_CHECKS=off (environment, read once) disables all checks at
-//     runtime for perf measurements; any other value (or unset) enables them.
-//   * -DMPSIM_DISABLE_CHECKS compiles the macro to nothing for builds where
-//     even the predicted-not-taken branch is unwanted.
+// MPSIM_CHECKS=off (environment, read once) disables all checks at runtime
+// for perf measurements; unset or "on" enables them, and any other value
+// stops the process with a diagnostic.
 //
 // Failure behaviour: by default a failed check prints file:line, the
 // expression, and the message to stderr and aborts. Tests that deliberately
@@ -81,13 +79,9 @@ class ScopedThrowingChecks : public ScopedCheckHandler {
 
 }  // namespace mpsim
 
-#if defined(MPSIM_DISABLE_CHECKS)
-#define MPSIM_CHECK(cond, msg) ((void)0)
-#else
 #define MPSIM_CHECK(cond, msg)                                   \
   do {                                                           \
     if (::mpsim::checks_enabled() && !(cond)) [[unlikely]] {     \
       ::mpsim::check_failed(__FILE__, __LINE__, #cond, (msg));   \
     }                                                            \
   } while (0)
-#endif

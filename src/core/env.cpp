@@ -1,10 +1,9 @@
 #include "core/env.hpp"
 
+#include <cctype>
 #include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 namespace mpsim::env {
 
@@ -16,13 +15,6 @@ std::string trimmed(const std::string& text) {
   while (b < e && std::isspace(static_cast<unsigned char>(text[b]))) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(text[e - 1]))) --e;
   return text.substr(b, e - b);
-}
-
-[[noreturn]] void die(const char* name, const char* value,
-                      const std::string& expected) {
-  std::fprintf(stderr, "mpsim: %s='%s' is invalid: expected %s\n", name,
-               value, expected.c_str());
-  std::exit(2);
 }
 
 }  // namespace
@@ -52,49 +44,6 @@ bool parse_int(const std::string& text, std::int64_t& out) {
   if (end != t.c_str() + t.size() || errno == ERANGE) return false;
   out = v;
   return true;
-}
-
-double env_double(const char* name, double fallback, double min_exclusive) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return fallback;
-  double v = 0.0;
-  if (!parse_double(raw, v) || v <= min_exclusive) {
-    char expected[64];
-    std::snprintf(expected, sizeof expected, "a number > %g", min_exclusive);
-    die(name, raw, expected);
-  }
-  return v;
-}
-
-std::int64_t env_int(const char* name, std::int64_t fallback,
-                     std::int64_t min, std::int64_t max) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return fallback;
-  std::int64_t v = 0;
-  if (!parse_int(raw, v) || v < min || v > max) {
-    char expected[80];
-    std::snprintf(expected, sizeof expected,
-                  "an integer in [%lld, %lld]", static_cast<long long>(min),
-                  static_cast<long long>(max));
-    die(name, raw, expected);
-  }
-  return v;
-}
-
-std::string env_choice(const char* name, const std::string& fallback,
-                       const std::vector<std::string>& allowed) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return fallback;
-  for (const std::string& a : allowed) {
-    if (a == raw) return a;
-  }
-  std::string expected = "one of {";
-  for (std::size_t i = 0; i < allowed.size(); ++i) {
-    if (i > 0) expected += ", ";
-    expected += allowed[i].empty() ? std::string("\"\"") : allowed[i];
-  }
-  expected += "}";
-  die(name, raw, expected);
 }
 
 }  // namespace mpsim::env

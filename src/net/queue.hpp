@@ -49,9 +49,6 @@ class Queue : public PacketSink, public EventSource {
   std::size_t queued_packets() const { return fifo_.size() + (busy_ ? 1 : 0); }
   double rate_bps() const { return rate_bps_; }
   std::uint64_t capacity_bytes() const { return max_bytes_; }
-  // This queue's SoA row (core/arena.hpp).
-  const QueueHot& hot() const { return h_; }
-  std::uint32_t hot_id() const { return hot_id_; }
 
  protected:
   // Serialization delay of `pkt` at the current rate. Nearly all packets are

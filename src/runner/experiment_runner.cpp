@@ -1,9 +1,8 @@
 #include "runner/experiment_runner.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <deque>
-#include <mutex>
 #include <thread>
 
 #include "mptcp/reorder_window.hpp"
@@ -12,14 +11,6 @@
 namespace mpsim::runner {
 
 namespace {
-
-// One worker's job queue. The owner pops from the front; thieves steal from
-// the back, so an owner working through its own assignments and a thief
-// never contend for the same end when more than one job remains.
-struct WorkDeque {
-  std::deque<std::size_t> jobs;
-  std::mutex mu;
-};
 
 // Run names ("fig8/lia seed=3") become file names; anything the filesystem
 // might object to collapses to '_'. Distinct names can collide after
@@ -105,46 +96,22 @@ std::vector<RunResult> ExperimentRunner::run_all() {
     return results;
   }
 
-  // Round-robin initial assignment, then work stealing: a worker drains its
-  // own deque front-first and, when empty, steals from the back of the
-  // other deques. All jobs are enqueued before any worker starts and jobs
-  // never enqueue more work, so "every deque empty" means done.
-  std::vector<WorkDeque> deques(nthreads);
-  for (std::size_t i = 0; i < n; ++i) {
-    deques[i % nthreads].jobs.push_back(i);
-  }
-
-  auto worker = [&](unsigned self) {
-    for (;;) {
-      std::size_t idx = 0;
-      bool got = false;
-      {
-        WorkDeque& own = deques[self];
-        std::lock_guard<std::mutex> lock(own.mu);
-        if (!own.jobs.empty()) {
-          idx = own.jobs.front();
-          own.jobs.pop_front();
-          got = true;
-        }
-      }
-      for (unsigned k = 1; k < nthreads && !got; ++k) {
-        WorkDeque& victim = deques[(self + k) % nthreads];
-        std::lock_guard<std::mutex> lock(victim.mu);
-        if (!victim.jobs.empty()) {
-          idx = victim.jobs.back();
-          victim.jobs.pop_back();
-          got = true;
-        }
-      }
-      if (!got) return;
+  // Every job is added before run_all() starts and no job adds another, so
+  // the job set is fixed: each worker claims the next unrun index from one
+  // shared cursor until it runs past the end. Results are index-addressed,
+  // so which worker ran a job never shows in the output.
+  std::atomic<std::size_t> next{0};
+  auto worker = [&] {
+    for (std::size_t idx = next.fetch_add(1, std::memory_order_relaxed);
+         idx < n; idx = next.fetch_add(1, std::memory_order_relaxed)) {
       exec(idx);
     }
   };
 
   std::vector<std::thread> pool;
   pool.reserve(nthreads - 1);
-  for (unsigned w = 1; w < nthreads; ++w) pool.emplace_back(worker, w);
-  worker(0);
+  for (unsigned w = 1; w < nthreads; ++w) pool.emplace_back(worker);
+  worker();
   for (std::thread& t : pool) t.join();
   return results;
 }

@@ -1,12 +1,12 @@
 // Parallel multi-experiment runner.
 //
 // An ExperimentRunner executes N fully independent simulations (seed sweeps,
-// parameter grids, algorithm comparisons) across a work-stealing thread
-// pool. Each job gets its own RunContext owning a private EventList — and
-// therefore a private packet pool and clock — so runs are exactly as
-// deterministic in parallel as they are sequentially: the result set is
-// byte-identical whatever the thread count or steal order (tests assert
-// this). Per-run wall-clock, events/second and peak-pool counters are
+// parameter grids, algorithm comparisons) on a pool of worker threads that
+// claim jobs in submission order from one atomic cursor. Each job gets its
+// own RunContext owning a private EventList — and therefore a private
+// packet pool and clock — so runs are exactly as deterministic in parallel
+// as they are sequentially: the result set is byte-identical whatever the
+// thread count or which worker ran which job (tests assert this). Per-run wall-clock, events/second and peak-pool counters are
 // captured into a structured RunResult for harness reporting.
 //
 // Jobs must not share mutable state with each other; anything a job returns

@@ -380,18 +380,15 @@ mptcp::PathManagerConfig parse_path_manager(const Section& s) {
     s.fail("unknown path manager strategy '" + strategy +
            "' (known: fullmesh, ndiffports, threshold)");
   }
-  cfg.ndiffports = static_cast<std::size_t>(s.get_int(
-      "ndiffports", static_cast<std::int64_t>(cfg.ndiffports)));
+  cfg.ndiffports = s.get_count("ndiffports", cfg.ndiffports);
   if (cfg.ndiffports < 1) s.fail("'ndiffports' must be >= 1");
   cfg.add_threshold_bytes =
       s.get_bytes("add_threshold", cfg.add_threshold_bytes);
-  cfg.max_subflows = static_cast<std::size_t>(s.get_int(
-      "max_subflows", static_cast<std::int64_t>(cfg.max_subflows)));
+  cfg.max_subflows = s.get_count("max_subflows", cfg.max_subflows);
   if (cfg.max_subflows < 1) s.fail("'max_subflows' must be >= 1");
   cfg.scan_period = s.get_time("scan_period", cfg.scan_period);
   cfg.reprobe_backoff = s.get_time("reprobe_backoff", cfg.reprobe_backoff);
-  cfg.dead_after_rtos = static_cast<std::uint32_t>(s.get_int(
-      "dead_after_rtos", static_cast<std::int64_t>(cfg.dead_after_rtos)));
+  cfg.dead_after_rtos = s.get_count("dead_after_rtos", cfg.dead_after_rtos);
   if (cfg.dead_after_rtos < 1) s.fail("'dead_after_rtos' must be >= 1");
   return cfg;
 }
@@ -421,7 +418,10 @@ std::vector<int> parse_path_set(const std::string& text, const Section& s) {
       s.fail("flow path set '" + text +
              "' must be '+'-joined path indices like \"0+1\"");
     }
-    idxs.push_back(std::stoi(part));
+    idxs.push_back(static_cast<int>(
+        parse_count(part, count_max<int>(),
+                    "flow path set '" + text + "': path index", s.file(),
+                    s.line())));
     if (plus == std::string::npos) break;
     pos = plus + 1;
   }
@@ -450,8 +450,8 @@ class PersistentTraffic final : public TrafficModel {
       }
       if (flows_.empty()) s.fail("'flows' must not be empty");
     } else {
-      count_ = static_cast<int>(s.get_int("count", -1));
-      subflows_ = static_cast<int>(s.get_int("subflows", 2));
+      count_ = s.get_count("count", -1);
+      subflows_ = s.get_count("subflows", 2);
       if (subflows_ < 1) s.fail("'subflows' must be >= 1");
     }
     const bool has_starts = s.has("starts");
@@ -467,11 +467,9 @@ class PersistentTraffic final : public TrafficModel {
     }
     if (s.has("names")) names_ = s.get_string_array("names");
     if (s.has("algos")) algos_ = s.get_string_array("algos");
-    recv_buffer_pkts_ = static_cast<std::uint64_t>(s.get_int(
-        "recv_buffer_pkts",
-        static_cast<std::int64_t>(mptcp::ConnectionConfig{}.recv_buffer_pkts)));
-    app_limit_pkts_ =
-        static_cast<std::uint64_t>(s.get_int("app_limit_pkts", 0));
+    recv_buffer_pkts_ = s.get_count(
+        "recv_buffer_pkts", mptcp::ConnectionConfig{}.recv_buffer_pkts);
+    app_limit_pkts_ = s.get_count<std::uint64_t>("app_limit_pkts", 0);
     min_rto_ = s.get_time("min_rto", tcp::SubflowConfig{}.min_rto);
     section_copy_ = &s;  // diagnostics only; outlives the model (Scenario)
   }
@@ -616,18 +614,17 @@ class MatrixTraffic final : public TrafficModel {
 
   MatrixTraffic(Kind kind, const Section& s) : kind_(kind) {
     if (kind_ != Kind::kNeighbors) {
-      tm_seed_ = static_cast<std::uint64_t>(s.get_int("tm_seed"));
+      tm_seed_ = s.get_count<std::uint64_t>("tm_seed");
     }
     if (kind_ == Kind::kOneToMany) {
-      flows_per_host_ = static_cast<int>(s.get_int("flows_per_host", 12));
+      flows_per_host_ = s.get_count("flows_per_host", 12);
     }
     if (kind_ == Kind::kSparse) {
       fraction_ = s.get_number("fraction", 0.3);
     }
-    subflows_ = static_cast<int>(s.get_int("subflows", 8));
+    subflows_ = s.get_count("subflows", 8);
     min_rto_ = s.get_time("min_rto", from_ms(10));
-    recv_buffer_pkts_ =
-        static_cast<std::uint64_t>(s.get_int("recv_buffer_pkts", 4096));
+    recv_buffer_pkts_ = s.get_count<std::uint64_t>("recv_buffer_pkts", 4096);
     section_ = &s;
   }
 
@@ -828,16 +825,12 @@ class ChurnTraffic final : public TrafficModel {
     phase_ = s.get_time("phase", from_sec(10));
     pcfg_.pareto_shape = s.get_number("pareto_shape", 2.0);
     pcfg_.mean_flow_bytes = s.get_number("mean_flow_bytes", 200e3);
-    tcp_link1_ = static_cast<int>(s.get_int("tcp_link1", 1));
-    tcp_link2_ = static_cast<int>(s.get_int("tcp_link2", 1));
-    mp_count_ = static_cast<int>(s.get_int("mp_count", 2));
-    if (tcp_link1_ < 0 || tcp_link2_ < 0 || mp_count_ < 0) {
-      s.fail("background flow counts must be >= 0");
-    }
+    tcp_link1_ = s.get_count("tcp_link1", 1);
+    tcp_link2_ = s.get_count("tcp_link2", 1);
+    mp_count_ = s.get_count("mp_count", 2);
     min_rto_ = s.get_time("min_rto", tcp::SubflowConfig{}.min_rto);
-    recv_buffer_pkts_ = static_cast<std::uint64_t>(s.get_int(
-        "recv_buffer_pkts",
-        static_cast<std::int64_t>(mptcp::ConnectionConfig{}.recv_buffer_pkts)));
+    recv_buffer_pkts_ = s.get_count(
+        "recv_buffer_pkts", mptcp::ConnectionConfig{}.recv_buffer_pkts);
     section_ = &s;
   }
 
@@ -1065,7 +1058,7 @@ Registry make_builtin_registry() {
   r.add_topology(
       "fat_tree", "§4: k-ary FatTree (k=8 -> 128 hosts, 100 Mb/s links)",
       [](topo::Network& net, const Section& s, const BuildEnv&) {
-        const int k = static_cast<int>(s.get_int("k", 8));
+        const int k = s.get_count("k", 8);
         if (k < 2 || k % 2 != 0) s.fail("'k' must be even and >= 2");
         const double rate = s.get_rate_bps("link_rate", 100e6);
         const SimTime delay = s.get_time("per_hop_delay", from_us(20));
@@ -1077,9 +1070,9 @@ Registry make_builtin_registry() {
   r.add_topology(
       "bcube", "§4: BCube(n,k) server-centric fabric (5,2 -> 125 hosts)",
       [](topo::Network& net, const Section& s, const BuildEnv&) {
-        const int n = static_cast<int>(s.get_int("n", 5));
-        const int k = static_cast<int>(s.get_int("k", 2));
-        if (n < 2 || k < 0) s.fail("need n >= 2 and k >= 0");
+        const int n = s.get_count("n", 5);
+        const int k = s.get_count("k", 2);
+        if (n < 2) s.fail("need n >= 2");
         const double rate = s.get_rate_bps("link_rate", 100e6);
         const SimTime delay = s.get_time("per_hop_delay", from_us(20));
         const std::uint64_t buf =

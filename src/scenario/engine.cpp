@@ -1,5 +1,6 @@
 #include "scenario/engine.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <memory>
 
@@ -117,9 +118,10 @@ std::vector<ResolvedRun> Scenario::expand() const {
     if (run_sec->has("seeds")) {
       seeds.clear();
       for (double s : run_sec->get_number_array("seeds")) {
-        if (s < 0 || s != static_cast<double>(
-                              static_cast<std::uint64_t>(s))) {
-          run_sec->fail("'seeds' must be non-negative integers");
+        if (!(s >= 0.0 && s == std::floor(s) &&
+              s <= static_cast<double>(count_max<std::uint64_t>()))) {
+          run_sec->fail("'seeds' must be integers in [0, " +
+                        std::to_string(count_max<std::uint64_t>()) + "]");
         }
         seeds.push_back(static_cast<std::uint64_t>(s));
       }
@@ -208,9 +210,7 @@ trace::SinkKind Scenario::spec_trace_sink() const {
 std::size_t Scenario::spec_trace_capacity() const {
   const Section* out = spec_.find_section("output");
   if (out == nullptr) return 0;
-  const std::int64_t cap = out->get_int("trace_capacity", 0);
-  if (cap < 0) out->fail("'trace_capacity' must be >= 0");
-  return static_cast<std::size_t>(cap);
+  return out->get_count<std::size_t>("trace_capacity", 0);
 }
 
 namespace {
@@ -298,8 +298,12 @@ std::vector<MetricPlan> parse_metrics(const std::vector<std::string>& names,
         ok = a.find_first_not_of("0123456789") == std::string::npos &&
              b.find_first_not_of("0123456789") == std::string::npos;
         if (ok) {
-          p.a = std::stoi(a);
-          p.b = std::stoi(b);
+          // Only an [output] metrics list names loss_ratio, so out is set.
+          const std::string what = "metric '" + m + "': queue index";
+          p.a = static_cast<int>(parse_count(a, count_max<int>(), what,
+                                             out->file(), out->line()));
+          p.b = static_cast<int>(parse_count(b, count_max<int>(), what,
+                                             out->file(), out->line()));
         }
       }
       if (!ok && out != nullptr) {

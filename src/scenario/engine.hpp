@@ -63,7 +63,7 @@ class Scenario {
 
   // Trace sink requested by [output] trace ("csv"/"jsonl"/"null"/"off"),
   // and the ring capacity ([output] trace_capacity, 0 = default). The CLI
-  // lets --trace / MPSIM_TRACE override the spec.
+  // lets --trace override the spec's sink.
   trace::SinkKind spec_trace_sink() const;
   std::size_t spec_trace_capacity() const;
 

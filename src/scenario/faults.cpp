@@ -38,16 +38,14 @@ double parse_number_token(const Section& sec, int line,
   return v;
 }
 
-int parse_int_token(const Section& sec, int line, const std::string& token,
+// A count token (step count, packet count, subflow index, seed), checked
+// against T's range before narrowing (spec.hpp's count_max).
+template <std::integral T>
+T parse_count_token(const Section& sec, int line, const std::string& token,
                     const char* what) {
-  const char* begin = token.c_str();
-  char* end = nullptr;
-  const long v = std::strtol(begin, &end, 10);
-  if (end == begin || *end != '\0') {
-    sec.fail_at(line, std::string("fault ") + what +
-                          " is not an integer: '" + token + "'");
-  }
-  return static_cast<int>(v);
+  return static_cast<T>(parse_count(token, count_max<T>(),
+                                    std::string("fault ") + what, sec.file(),
+                                    line));
 }
 
 // One-element arrays and bare scalars are interchangeable, matching the
@@ -198,7 +196,7 @@ ParsedFaults parse_fault_plan(const Section& sec,
       if (ev.duration <= 0) {
         sec.fail_at(line, "ramp duration must be positive");
       }
-      ev.count = parse_int_token(sec, line, tok[4], "ramp step count");
+      ev.count = parse_count_token<int>(sec, line, tok[4], "ramp step count");
       if (ev.count < 1) sec.fail_at(line, "ramp needs at least one step");
     } else if (action == "loss") {
       want_args(1, "<time> loss <probability> <target>");
@@ -232,7 +230,8 @@ ParsedFaults parse_fault_plan(const Section& sec,
       require_kind(sec, line, target, action, target.queue != nullptr,
                    "queue");
       ev.action = fault::Action::kCorrupt;
-      ev.count = parse_int_token(sec, line, tok[2], "corrupt packet count");
+      ev.count = parse_count_token<int>(sec, line, tok[2],
+                                        "corrupt packet count");
       if (ev.count < 1) {
         sec.fail_at(line, "corrupt needs a packet count >= 1");
       }
@@ -241,9 +240,9 @@ ParsedFaults parse_fault_plan(const Section& sec,
       require_kind(sec, line, target, action, target.conn != nullptr,
                    "connection");
       ev.action = fault::Action::kReset;
-      ev.count = parse_int_token(sec, line, tok[2], "reset subflow index");
-      if (ev.count < 0 ||
-          static_cast<std::size_t>(ev.count) >= target.conn->num_subflows()) {
+      ev.count = parse_count_token<int>(sec, line, tok[2],
+                                        "reset subflow index");
+      if (static_cast<std::size_t>(ev.count) >= target.conn->num_subflows()) {
         sec.fail_at(line, "subflow index " + std::to_string(ev.count) +
                               " out of range for connection '" + target_name +
                               "' (has " +
@@ -292,7 +291,7 @@ ParsedFaults parse_fault_plan(const Section& sec,
         down = env.scaled(parse_time(val, sec.file(), line));
         saw_down = true;
       } else if (key == "count") {
-        count = parse_int_token(sec, line, val, "flap count");
+        count = parse_count_token<int>(sec, line, val, "flap count");
         saw_count = true;
       } else {
         sec.fail_at(line, "unknown flap parameter '" + key +
@@ -354,8 +353,8 @@ ParsedFaults parse_fault_plan(const Section& sec,
       } else if (key == "until") {
         ro.until = env.scaled(parse_time(val, sec.file(), line));
       } else if (key == "seed") {
-        ro.salt = static_cast<std::uint64_t>(
-            parse_int_token(sec, line, val, "random_outage seed"));
+        ro.salt = parse_count_token<std::uint64_t>(sec, line, val,
+                                                   "random_outage seed");
       } else {
         sec.fail_at(line,
                     "unknown random_outage parameter '" + key +

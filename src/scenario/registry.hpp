@@ -38,7 +38,7 @@ namespace mpsim::scenario {
 
 // Build-time context shared by all builders of one run.
 struct BuildEnv {
-  // Simulated-duration scale (MPSIM_BENCH_SCALE / --scale): applied to
+  // Simulated-duration scale (`mpsim run --scale`): applied to
   // warmup/measure, arrival phases and scripted fault times.
   double time_scale = 1.0;
   // Scale flow start times too ([run] scale_starts). Start staggers stay

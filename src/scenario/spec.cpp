@@ -3,10 +3,12 @@
 #include <cctype>
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 
+#include "core/env.hpp"
 #include "net/packet.hpp"
 
 namespace mpsim::scenario {
@@ -243,6 +245,18 @@ std::uint64_t parse_bytes(const std::string& text, const std::string& file,
   return static_cast<std::uint64_t>(bytes);
 }
 
+std::int64_t parse_count(const std::string& text, std::int64_t max,
+                         const std::string& what, const std::string& file,
+                         int line) {
+  std::int64_t v = 0;
+  if (!env::parse_int(text, v) || v < 0 || v > max) {
+    throw SpecError(file, line,
+                    what + " must be an integer in [0, " +
+                        std::to_string(max) + "], got '" + text + "'");
+  }
+  return v;
+}
+
 // --- Section ---------------------------------------------------------------
 
 bool Section::has(const std::string& key) const {
@@ -288,17 +302,20 @@ double Section::get_number(const std::string& key, double fallback) const {
   return has(key) ? get_number(key) : fallback;
 }
 
-std::int64_t Section::get_int(const std::string& key) const {
+std::int64_t Section::get_count_upto(const std::string& key,
+                                     std::int64_t max) const {
   const Value& v = require(key);
   if (v.kind != Value::Kind::kNumber || v.num != std::floor(v.num)) {
     type_error(key, v, "an integer");
   }
+  if (!(v.num >= 0.0 && v.num <= static_cast<double>(max))) {
+    char got[32];
+    std::snprintf(got, sizeof got, "%.15g", v.num);
+    throw SpecError(file_, v.line,
+                    "[" + name_ + "] " + key + ": expected an integer in [0, " +
+                        std::to_string(max) + "], got " + got);
+  }
   return static_cast<std::int64_t>(v.num);
-}
-
-std::int64_t Section::get_int(const std::string& key,
-                              std::int64_t fallback) const {
-  return has(key) ? get_int(key) : fallback;
 }
 
 std::string Section::get_string(const std::string& key) const {

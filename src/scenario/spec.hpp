@@ -25,7 +25,10 @@
 // silently ignored either.
 #pragma once
 
+#include <algorithm>
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -77,6 +80,24 @@ double parse_rate_bps(const std::string& text, const std::string& file,
 std::uint64_t parse_bytes(const std::string& text, const std::string& file,
                           int line);
 
+// Every integer in a spec counts, sizes, indexes or seeds something, so
+// integers are read as counts: whole numbers in [0, count_max<T>()] for
+// the type T they are stored in, checked before any narrowing so that no
+// value wraps. Spec numbers are doubles, which hold integers exactly only
+// up to 2^53.
+template <std::integral T>
+constexpr std::int64_t count_max() {
+  return static_cast<std::int64_t>(std::min<std::uint64_t>(
+      std::numeric_limits<T>::max(), std::uint64_t{1} << 53));
+}
+
+// `text` (a decimal integer token: a flow path index, a fault count) as a
+// count in [0, max]; otherwise a SpecError at `file`:`line` naming `what`
+// and the token.
+std::int64_t parse_count(const std::string& text, std::int64_t max,
+                         const std::string& what, const std::string& file,
+                         int line);
+
 class Section {
  public:
   Section(std::string name, int line, std::string file)
@@ -94,8 +115,15 @@ class Section {
   // malformed unit is always an error.
   double get_number(const std::string& key) const;
   double get_number(const std::string& key, double fallback) const;
-  std::int64_t get_int(const std::string& key) const;
-  std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  // Integer keys, read as counts of type T (see count_max()).
+  template <std::integral T>
+  T get_count(const std::string& key) const {
+    return static_cast<T>(get_count_upto(key, count_max<T>()));
+  }
+  template <std::integral T>
+  T get_count(const std::string& key, T fallback) const {
+    return has(key) ? get_count<T>(key) : fallback;
+  }
   std::string get_string(const std::string& key) const;
   std::string get_string(const std::string& key,
                          const std::string& fallback) const;
@@ -135,6 +163,7 @@ class Section {
 
  private:
   const Value& require(const std::string& key) const;
+  std::int64_t get_count_upto(const std::string& key, std::int64_t max) const;
   [[noreturn]] void type_error(const std::string& key, const Value& v,
                                const char* expected) const;
 

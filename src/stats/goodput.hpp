@@ -1,6 +1,6 @@
 // Goodput measurement over a set of connections: snapshot delivered
 // counters at mark(), read per-connection Mb/s later. The scenario engine
-// meters every run with it; tests and examples use the same arithmetic.
+// meters every run with it; the tests use the same arithmetic.
 #pragma once
 
 #include <cstdint>

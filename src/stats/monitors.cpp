@@ -1,6 +1,7 @@
 #include "stats/monitors.hpp"
 
 #include "core/check.hpp"
+#include "net/packet.hpp"
 
 namespace mpsim::stats {
 
@@ -32,33 +33,6 @@ void PeriodicSampler::on_event() {
   fn_(events_.now());
   // fn_ may have called stop(); rescheduling would silently restart it.
   if (running_) events_.schedule_in(*this, interval_);
-}
-
-CounterSeries::CounterSeries(EventList& events, std::string name,
-                             SimTime interval,
-                             std::function<std::uint64_t()> counter)
-    : interval_(interval),
-      counter_(std::move(counter)),
-      sampler_(events, std::move(name), interval, [this](SimTime t) {
-        const std::uint64_t v = counter_();
-        if (primed_) points_.push_back({t, v - last_});
-        primed_ = true;
-        last_ = v;
-      }) {}
-
-void CounterSeries::start(SimTime at) { sampler_.start(at); }
-
-double CounterSeries::mean_rate() const {
-  if (points_.empty()) return 0.0;
-  std::uint64_t total = 0;
-  for (const auto& p : points_) total += p.delta;
-  // Each point covers the span since the previous sample, so the series
-  // spans (first.t - interval_, last.t]. Deriving elapsed from the recorded
-  // timestamps — instead of interval_ * count — keeps the rate correct when
-  // the sampler was stopped and restarted (the first post-restart delta
-  // covers the gap) and cannot overflow SimTime on long runs.
-  const SimTime elapsed = points_.back().t - points_.front().t + interval_;
-  return static_cast<double>(total) / to_sec(elapsed);
 }
 
 double pkts_to_mbps(std::uint64_t pkts, SimTime elapsed) {

@@ -1,15 +1,13 @@
-// Measurement instruments: periodic samplers that turn monotone counters
-// (packets delivered, queue drops, ...) into time series and interval rates.
+// Measurement instruments: a periodic sampler that polls counters in
+// simulated time (goodput samples, timelines), and the packets-to-Mb/s
+// conversion every goodput metric uses.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "core/event_list.hpp"
-#include "net/packet.hpp"
 
 namespace mpsim::stats {
 
@@ -35,43 +33,6 @@ class PeriodicSampler : public EventSource {
   SimTime interval_;
   std::function<void(SimTime)> fn_;
   bool running_ = false;
-};
-
-// Samples a monotone counter periodically; records per-interval deltas.
-// Rates can be asked for in any unit via the scale factor.
-class CounterSeries {
- public:
-  // `counter` returns a monotone value (e.g. packets delivered so far).
-  CounterSeries(EventList& events, std::string name, SimTime interval,
-                std::function<std::uint64_t()> counter);
-
-  void start(SimTime at);
-  void stop() { sampler_.stop(); }
-
-  struct Point {
-    SimTime t;            // end of interval
-    std::uint64_t delta;  // counter increase over the interval
-  };
-  const std::vector<Point>& points() const { return points_; }
-  SimTime interval() const { return interval_; }
-
-  // Mean rate over the recorded points, in counts/second. Computed from the
-  // first/last sample timestamps (not interval * count), so it stays correct
-  // across stop()/start() gaps and cannot overflow SimTime for long runs.
-  double mean_rate() const;
-
-  // Convenience for data-packet counters: Mb/s assuming kDataPacketBytes.
-  double mean_mbps() const {
-    return mean_rate() * net::kDataPacketBytes * 8.0 / 1e6;
-  }
-
- private:
-  SimTime interval_;
-  std::function<std::uint64_t()> counter_;
-  std::uint64_t last_ = 0;
-  bool primed_ = false;
-  std::vector<Point> points_;
-  PeriodicSampler sampler_;
 };
 
 // Mb/s represented by `pkts` data packets over `elapsed`.

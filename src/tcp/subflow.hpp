@@ -183,7 +183,6 @@ class Subflow : public net::PacketSink, public EventSource {
   // This subflow's RateHot row (valid only in rate mode).
   RateHot& rate_hot() { return *rate_; }
   const RateHot& rate_hot() const { return *rate_; }
-  std::uint32_t rate_id() const { return rate_id_; }
   const DeliveryRateEstimator& delivery_estimator() const { return rate_est_; }
 
   // OLIA's inter-loss interval l_r, in packets: the larger of the packets

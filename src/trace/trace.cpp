@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/check.hpp"
-#include "core/env.hpp"
 
 namespace mpsim::trace {
 
@@ -52,23 +51,6 @@ void TraceRecorder::flush(TraceSink& sink) const {
     if (++i == ring_.size()) i = 0;
   }
   sink.finish();
-}
-
-SinkKind sink_from_env() {
-  const std::string s = env::env_choice(
-      "MPSIM_TRACE", "off", {"csv", "jsonl", "null", "off", "1", "on"});
-  if (s == "csv" || s == "1" || s == "on") return SinkKind::kCsv;
-  if (s == "jsonl") return SinkKind::kJsonl;
-  if (s == "null") return SinkKind::kNull;
-  return SinkKind::kNone;
-}
-
-TraceRecorder::Config config_from_env() {
-  TraceRecorder::Config cfg;
-  const std::int64_t n = env::env_int("MPSIM_TRACE_CAPACITY", 0, 0,
-                                      std::int64_t{1} << 32);
-  if (n > 0) cfg.capacity = static_cast<std::size_t>(n);
-  return cfg;
 }
 
 }  // namespace mpsim::trace

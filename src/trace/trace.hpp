@@ -40,8 +40,8 @@ class TraceRecorder final : public EventList::Service {
  public:
   struct Config {
     // Ring capacity in records (56 B each; the default holds the last
-    // ~256k records in ~14 MB). MPSIM_TRACE_CAPACITY overrides via
-    // config_from_env().
+    // ~256k records in ~14 MB). A spec's [output] trace_capacity sets it
+    // for `mpsim run`.
     std::size_t capacity = std::size_t{1} << 18;
   };
 
@@ -91,13 +91,6 @@ class TraceRecorder final : public EventList::Service {
   std::uint64_t overwritten_ = 0;
   std::vector<std::string> names_;
 };
-
-// --- environment knobs ----------------------------------------------------
-// MPSIM_TRACE selects the sink: "csv", "jsonl", "null" (record, discard at
-// flush), anything else / unset = kNone (tracing off).
-SinkKind sink_from_env();
-// Config with MPSIM_TRACE_CAPACITY applied when set and positive.
-TraceRecorder::Config config_from_env();
 
 }  // namespace mpsim::trace
 

@@ -31,6 +31,7 @@ EXPECTED = Counter([
     ("pool_discipline.cpp", "pool-discipline"),
     ("determinism_clock.cpp", "determinism-clock"),
     ("determinism_rand.cpp", "determinism-rand"),
+    ("determinism_env.cpp", "determinism-env"),
     ("no_bare_assert.cpp", "no-bare-assert"),
     ("trace_discipline.cpp", "trace-discipline"),
     ("simtime_discipline.cpp", "simtime-discipline"),

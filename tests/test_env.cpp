@@ -1,9 +1,7 @@
-// Accept/reject behaviour of the strict env-knob parsers (core/env.hpp).
-//
-// The env_* wrappers exit(2) on malformed input, so the testable surface
-// is the pure parse_* layer: full-consumption parsing, whitespace
-// trimming, and the explicit hex rejection. A value these tests reject is
-// one MPSIM_THREADS / MPSIM_BENCH_SCALE would refuse to run with.
+// Accept/reject behaviour of the strict numeric parsers (core/env.hpp):
+// full-consumption parsing, whitespace trimming, and the explicit hex and
+// overflow rejection. A value these tests reject is one `mpsim --threads`
+// / `--scale`, or a spec's integer token, refuses.
 #include "core/env.hpp"
 
 #include <gtest/gtest.h>
@@ -86,14 +84,6 @@ TEST(ParseInt, RejectsOverflow) {
   EXPECT_FALSE(parse_int("99999999999999999999", v));
   EXPECT_TRUE(parse_int("9223372036854775807", v));
   EXPECT_EQ(v, INT64_MAX);
-}
-
-TEST(EnvFallbacks, UnsetVariableYieldsFallback) {
-  // An unset variable must never be an error — it is the normal case.
-  EXPECT_DOUBLE_EQ(env_double("MPSIM_TEST_UNSET_D", 1.5, 0.0), 1.5);
-  EXPECT_EQ(env_int("MPSIM_TEST_UNSET_I", 7, 0, 100), 7);
-  EXPECT_EQ(env_choice("MPSIM_TEST_UNSET_C", "wheel", {"wheel", "heap"}),
-            "wheel");
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Runner stress for the ThreadSanitizer lane: many concurrent multipath
 // simulations on >= 4 worker threads, exercising every shared-looking code
 // path the parallel runner touches — packet pools, flow-id allocation,
-// coupled congestion control singletons, the check layer, work stealing —
+// coupled congestion control singletons, the check layer, the job cursor —
 // while TSan watches for races. The test also re-asserts the determinism
 // guarantee under contention: a 4-thread and an 8-thread sweep of the same
 // jobs must be byte-identical.
@@ -73,8 +73,8 @@ std::vector<RunResult> sweep(unsigned threads, int njobs) {
 }
 
 TEST(RunnerStress, FourPlusThreadsManyMultipathJobs) {
-  // 24 jobs over 6 threads: every worker both drains its own deque and
-  // steals, and simulations overlap heavily in time.
+  // 24 jobs over 6 threads: every worker claims several jobs from the
+  // shared cursor, and simulations overlap heavily in time.
   const auto results = sweep(/*threads=*/6, /*njobs=*/24);
   ASSERT_EQ(results.size(), 24u);
   for (const auto& r : results) {

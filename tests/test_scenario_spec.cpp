@@ -291,6 +291,83 @@ TEST(SpecValidation, MisspelledSubflowMetricRejected) {
   EXPECT_NE(std::string(e.what()).find("subflow_mbps)"), std::string::npos);
 }
 
+// Integer keys and tokens are range-checked against the type they land in
+// before any narrowing: an out-of-range value fails validation at its own
+// line, naming the key or token. Narrowed unchecked, k = 2^32 + 4 would
+// build a k = 4 FatTree, and an index past INT_MAX would escape as
+// std::out_of_range.
+void expect_range_error(const std::string& text, const std::string& at,
+                        const std::string& names) {
+  const SpecError e = error_of([&] { load(text).validate(); });
+  EXPECT_EQ(e.line(), line_of(text, at)) << e.what();
+  const std::string what = e.what();
+  EXPECT_NE(what.find(names), std::string::npos) << what;
+  EXPECT_NE(what.find("an integer in [0, "), std::string::npos) << what;
+}
+
+TEST(SpecValidation, FatTreeArityThatWrapsIntRejected) {
+  std::string text = kBase;
+  text.replace(text.find("kind = \"two_link\""), 17,
+               "kind = \"fat_tree\"\nk = 4294967300");
+  const std::size_t tr = text.find("kind = \"persistent\"\ncount = 1");
+  text.replace(tr, 29, "kind = \"permutation\"\ntm_seed = 1");
+  for (const char* key : {"link1_rate", "link1_delay", "link2_rate",
+                          "link2_delay"}) {
+    const std::size_t pos = text.find(key);
+    text.erase(pos, text.find('\n', pos) + 1 - pos);
+  }
+  expect_range_error(text, "k = ", "[topology] k:");
+}
+
+TEST(SpecValidation, SubflowCountThatWrapsIntRejected) {
+  std::string text = kBase;
+  text.replace(text.find("subflows = 2"), 12, "subflows = 4294967298");
+  expect_range_error(text, "subflows = ", "[traffic] subflows:");
+}
+
+TEST(SpecValidation, NegativeReceiveBufferRejected) {
+  const std::string text =
+      with_lines("subflows = 2\n", "recv_buffer_pkts = -1\n");
+  expect_range_error(text, "recv_buffer_pkts", "recv_buffer_pkts:");
+}
+
+TEST(SpecValidation, NegativeAppLimitRejected) {
+  const std::string text =
+      with_lines("subflows = 2\n", "app_limit_pkts = -5\n");
+  expect_range_error(text, "app_limit_pkts", "app_limit_pkts:");
+}
+
+TEST(SpecValidation, NegativeNdiffportsRejected) {
+  const std::string text =
+      std::string(kBase) +
+      "\n[path_manager]\nstrategy = \"ndiffports\"\nndiffports = -1\n";
+  expect_range_error(text, "ndiffports = ", "[path_manager] ndiffports:");
+}
+
+TEST(SpecValidation, ResetSubflowIndexThatWrapsIntRejected) {
+  std::string text = kBase;
+  text.replace(text.find("count = 1\nsubflows = 2"), 22,
+               "flows = [\"0+1\"]\nnames = [\"mp\"]");
+  text += "\n[faults]\nscript = [\"1s reset 4294967296 mp\"]\n";
+  expect_range_error(text, "script = ", "'4294967296'");
+}
+
+TEST(SpecValidation, FlowPathIndexOutOfIntRangeRejected) {
+  std::string text = kBase;
+  text.replace(text.find("count = 1\nsubflows = 2"), 22,
+               "flows = [\"0+99999999999\"]");
+  // Path-set errors point at the [traffic] section.
+  expect_range_error(text, "[traffic]", "'99999999999'");
+}
+
+TEST(SpecValidation, LossRatioQueueIndexOutOfIntRangeRejected) {
+  const std::string text =
+      std::string(kBase) +
+      "\n[output]\nmetrics = [\"loss_ratio:0:99999999999\"]\n";
+  // Metric errors point at the [output] section.
+  expect_range_error(text, "[output]", "'99999999999'");
+}
+
 TEST(SweepExpansion, EmptyAxisRejected) {
   Scenario s =
       load(std::string(kBase) + "\n[sweep]\ntraffic.subflows = []\n");
@@ -354,7 +431,8 @@ TEST(SweepExpansion, GridOrderAndNames) {
   // Substitution actually landed in the copied spec.
   EXPECT_EQ(runs[4].spec.require_section("algorithm").get_string("kind"),
             "ewtcp");
-  EXPECT_EQ(runs[4].spec.require_section("traffic").get_int("subflows"), 1);
+  EXPECT_EQ(
+      runs[4].spec.require_section("traffic").get_count<int>("subflows"), 1);
 
   // Every grid point still dry-builds.
   EXPECT_NO_THROW(s.validate());

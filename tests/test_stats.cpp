@@ -6,7 +6,6 @@
 #include "core/event_list.hpp"
 #include "stats/monitors.hpp"
 #include "stats/summary.hpp"
-#include "stats/table.hpp"
 
 namespace mpsim::stats {
 namespace {
@@ -29,50 +28,6 @@ TEST(Summary, JainPaperTorusValue) {
 TEST(Summary, JainEdgeCases) {
   EXPECT_DOUBLE_EQ(jain_index({}), 1.0);
   EXPECT_DOUBLE_EQ(jain_index({0, 0}), 1.0);
-}
-
-TEST(Summary, BasicAggregates) {
-  const std::vector<double> xs = {4, 1, 3, 2};
-  EXPECT_DOUBLE_EQ(mean(xs), 2.5);
-  EXPECT_DOUBLE_EQ(minimum(xs), 1.0);
-  EXPECT_DOUBLE_EQ(maximum(xs), 4.0);
-  EXPECT_NEAR(stddev(xs), 1.2909944, 1e-6);
-}
-
-TEST(Summary, PercentileNearestRank) {
-  std::vector<double> xs;
-  for (int i = 1; i <= 100; ++i) xs.push_back(i);
-  EXPECT_DOUBLE_EQ(percentile(xs, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 1.0), 100.0);
-  EXPECT_NEAR(percentile(xs, 0.5), 50.0, 1.0);
-}
-
-TEST(Summary, RankSortedAscending) {
-  auto r = rank_sorted({3, 1, 2});
-  EXPECT_EQ(r, (std::vector<double>{1, 2, 3}));
-}
-
-TEST(Monitors, CounterSeriesComputesDeltas) {
-  EventList events;
-  std::uint64_t counter = 0;
-  CounterSeries series(events, "s", from_ms(100), [&] { return counter; });
-  series.start(0);
-  // Counter grows by 10 per 100 ms via a driver event.
-  struct Driver : EventSource {
-    Driver(EventList& e, std::uint64_t& c) : EventSource(e, "d"), ev(e), c(c) {}
-    void on_event() override {
-      c += 10;
-      if (++n < 20) ev.schedule_in(*this, from_ms(100));
-    }
-    EventList& ev;
-    std::uint64_t& c;
-    int n = 0;
-  } driver(events, counter);
-  events.schedule_at(driver, from_ms(50));
-  events.run_until(from_sec(2));
-  ASSERT_GE(series.points().size(), 15u);
-  for (const auto& p : series.points()) EXPECT_EQ(p.delta, 10u);
-  EXPECT_NEAR(series.mean_rate(), 100.0, 1.0);  // 10 per 0.1 s
 }
 
 TEST(Monitors, PktsToMbps) {
@@ -145,57 +100,6 @@ TEST(Monitors, SamplerStopFromCallbackDoesNotReschedule) {
   EXPECT_FALSE(s->running());
   events.run_all();
   EXPECT_EQ(calls, 3);
-}
-
-// Regression: mean_rate() used interval * point-count for elapsed time,
-// which is wrong across a stop()/start() gap (the first post-restart delta
-// spans the gap but the formula only credits one interval for it).
-TEST(Monitors, CounterSeriesMeanRateAcrossStopRestart) {
-  EventList events;
-  std::uint64_t counter = 0;
-  CounterSeries series(events, "s", from_ms(100), [&] { return counter; });
-  // Counter grows by 10 every 100 ms for the whole run, sampled or not.
-  struct Driver : EventSource {
-    Driver(EventList& e, std::uint64_t& c) : EventSource(e, "d"), ev(e), c(c) {}
-    void on_event() override {
-      c += 10;
-      if (++n < 60) ev.schedule_in(*this, from_ms(100));
-    }
-    EventList& ev;
-    std::uint64_t& c;
-    int n = 0;
-  } driver(events, counter);
-  events.schedule_at(driver, from_ms(50));
-
-  series.start(0);
-  events.run_until(from_ms(550));
-  series.stop();              // sampled [0, 500 ms]
-  events.run_until(from_sec(5));
-  series.start(from_sec(5));  // 4.5 s gap, then sample [5 s, 5.5 s]
-  events.run_until(from_ms(5550));
-  series.stop();
-
-  // True rate is 100/s throughout. The pre-fix formula divides by
-  // (#points * 100 ms) ~ 1.1 s while the deltas span 5.5 s, reporting
-  // ~500/s.
-  EXPECT_NEAR(series.mean_rate(), 100.0, 5.0);
-}
-
-TEST(Table, AlignedOutputContainsCells) {
-  Table t({"algo", "tp1", "tp2"});
-  t.add_row("MPTCP", {95.0, 97.0});
-  t.add_row({"SINGLE", "51", "94"});
-  const std::string s = t.to_string();
-  EXPECT_NE(s.find("MPTCP"), std::string::npos);
-  EXPECT_NE(s.find("95.0"), std::string::npos);
-  EXPECT_NE(s.find("SINGLE"), std::string::npos);
-  EXPECT_NE(s.find("tp2"), std::string::npos);
-  EXPECT_NE(s.find("---"), std::string::npos);
-}
-
-TEST(Table, FmtDoublePrecision) {
-  EXPECT_EQ(fmt_double(3.14159, 2), "3.14");
-  EXPECT_EQ(fmt_double(2.0, 0), "2");
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -200,21 +199,6 @@ TEST(TraceRecorder, SecondInstallIsRejected) {
   EventList events;
   TraceRecorder::install(events);
   EXPECT_THROW(TraceRecorder::install(events), CheckFailureError);
-}
-
-TEST(TraceEnv, SinkFromEnvParses) {
-  // Not set in the test environment: off.
-  unsetenv("MPSIM_TRACE");
-  EXPECT_EQ(sink_from_env(), SinkKind::kNone);
-  setenv("MPSIM_TRACE", "csv", 1);
-  EXPECT_EQ(sink_from_env(), SinkKind::kCsv);
-  setenv("MPSIM_TRACE", "jsonl", 1);
-  EXPECT_EQ(sink_from_env(), SinkKind::kJsonl);
-  setenv("MPSIM_TRACE", "null", 1);
-  EXPECT_EQ(sink_from_env(), SinkKind::kNull);
-  setenv("MPSIM_TRACE", "off", 1);
-  EXPECT_EQ(sink_from_env(), SinkKind::kNone);
-  unsetenv("MPSIM_TRACE");
 }
 
 // The tentpole determinism property: per-run trace files depend only on the

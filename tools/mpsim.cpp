@@ -36,12 +36,11 @@ int usage() {
                "data-scheduler kinds\n"
                "\n"
                "options:\n"
-               "  --threads=N     worker threads (default MPSIM_THREADS, "
-               "else hardware)\n"
-               "  --scale=X       simulated-duration scale (default "
-               "MPSIM_BENCH_SCALE, else 1)\n"
-               "  --trace=KIND    csv|jsonl|null|off; overrides MPSIM_TRACE "
-               "and [output] trace\n"
+               "  --threads=N     worker threads (default: hardware "
+               "threads)\n"
+               "  --scale=X       simulated-duration scale (default 1)\n"
+               "  --trace=KIND    csv|jsonl|null|off; overrides [output] "
+               "trace\n"
                "  --trace-dir=D   directory for trace_<run>.* files "
                "(default \".\")\n"
                "\n"
@@ -63,9 +62,6 @@ struct Options {
 };
 
 bool parse_args(int argc, char** argv, Options& opts) {
-  opts.threads = static_cast<unsigned>(
-      env::env_int("MPSIM_THREADS", 0, 0, 1 << 20));
-  opts.scale = env::env_double("MPSIM_BENCH_SCALE", 1.0, 0.0);
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value_of = [&](const char* flag, std::string& out) {
@@ -77,9 +73,9 @@ bool parse_args(int argc, char** argv, Options& opts) {
     std::string v;
     if (value_of("--threads=", v)) {
       std::int64_t n = 0;
-      if (!env::parse_int(v, n) || n < 0) {
-        std::fprintf(stderr, "mpsim: --threads wants a non-negative "
-                             "integer, got \"%s\"\n", v.c_str());
+      if (!env::parse_int(v, n) || n < 0 || n > (1 << 20)) {
+        std::fprintf(stderr, "mpsim: --threads wants an integer in "
+                             "[0, 1048576], got \"%s\"\n", v.c_str());
         return false;
       }
       opts.threads = static_cast<unsigned>(n);
@@ -117,13 +113,10 @@ trace::SinkKind sink_from_name(const std::string& name) {
   return trace::SinkKind::kNone;
 }
 
-// Priority: --trace flag, then MPSIM_TRACE, then the spec's [output] trace.
+// The --trace flag, else the spec's [output] trace.
 trace::SinkKind resolve_sink(const Options& opts,
                              const scenario::Scenario& scn) {
   if (!opts.trace.empty()) return sink_from_name(opts.trace);
-  if (trace::sink_from_env() != trace::SinkKind::kNone) {
-    return trace::sink_from_env();
-  }
   return scn.spec_trace_sink();
 }
 
@@ -170,10 +163,7 @@ int cmd_run(const Options& opts) {
       eng.time_scale = opts.scale;
       eng.trace_sink = resolve_sink(opts, scn);
       eng.trace_dir = opts.trace_dir;
-      eng.trace_capacity = static_cast<std::size_t>(env::env_int(
-          "MPSIM_TRACE_CAPACITY",
-          static_cast<std::int64_t>(scn.spec_trace_capacity()), 0,
-          std::int64_t{1} << 32));
+      eng.trace_capacity = scn.spec_trace_capacity();
 
       const std::vector<runner::RunResult> results = scn.run(eng);
 

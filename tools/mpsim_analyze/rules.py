@@ -3,7 +3,7 @@
 Every rule matches `LexedFile.code` — the tokens joined by single spaces,
 comments and preprocessor lines gone, every literal read as `""` — so the
 regexes below spell C++ that way (`std :: chrono`, `malloc \\(`) and prose
-or literals can never trip them. Eight rules scan every file; three scan
+or literals can never trip them. Nine rules scan every file; three scan
 only the bodies of hot functions (reachable from event dispatch,
 callgraph.py). Findings print as `path:line: [rule] message`, with the
 function's qualname in front of the message for hot rules.
@@ -19,6 +19,10 @@ determinism-clock   No wall-clock reads (std::chrono, gettimeofday, time(),
 determinism-rand    No rand()/srand(), std::random_device or <random>
                     engines: randomness flows through the seeded
                     mpsim::Rng.
+determinism-env     No environment reads (getenv, secure_getenv, environ):
+                    a run is configured by its spec and mpsim's flags. The
+                    one sanctioned read, MPSIM_CHECKS in core/check.cpp,
+                    carries an allow comment.
 no-bare-assert      MPSIM_CHECK, not assert(): a bare assert vanishes in
                     RelWithDebInfo, the tier-1 configuration.
 trace-discipline    Record through MPSIM_TRACE, never append_unchecked():
@@ -85,6 +89,10 @@ TREE_RULES = (
         r"|default_random_engine|uniform_int_distribution"
         r"|uniform_real_distribution)"),
         "all randomness must flow through the seeded mpsim::Rng"),
+    Rule("determinism-env", re.compile(
+        r"\b(?:secure_)?getenv \(|\benviron\b"),
+        "no environment reads in simulation code; results must be a pure "
+        "function of (spec, seed, flags)"),
     Rule("no-bare-assert", re.compile(r"\bassert \("),
          "use MPSIM_CHECK (active in RelWithDebInfo) instead of assert()"),
     Rule("trace-discipline", re.compile(r"\bappend_unchecked \("),
