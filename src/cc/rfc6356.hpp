@@ -10,7 +10,7 @@
 // two-path algorithm box generalised with S = R only. For the minimising
 // set equal to the full set the two coincide; they differ transiently when
 // some strict subset is the binding bottleneck constraint. The ablation
-// bench compares the two across heterogeneous-RTT scenarios.
+// spec (ablation_lia.toml) compares the two on Fig. 14's mismatched RTTs.
 #pragma once
 
 #include "cc/congestion_control.hpp"

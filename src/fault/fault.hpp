@@ -81,7 +81,7 @@ struct Target {
 
 // Name -> element map. topo::Network registers queues, variable-rate
 // queues and loss elements as it constructs them; connections are added by
-// whoever owns them (the scenario engine, a bench, a test).
+// whoever owns them (the scenario engine, a test).
 class TargetRegistry {
  public:
   void add_queue(const std::string& name, net::Queue& q);

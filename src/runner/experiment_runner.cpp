@@ -10,24 +10,6 @@
 
 namespace mpsim::runner {
 
-namespace {
-
-// Run names ("fig8/lia seed=3") become file names; anything the filesystem
-// might object to collapses to '_'. Distinct names can collide after
-// sanitising — callers name runs, so they own uniqueness.
-std::string sanitize_for_filename(const std::string& name) {
-  std::string out = name;
-  for (char& c : out) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '.' || c == '-' ||
-                    c == '_';
-    if (!ok) c = '_';
-  }
-  return out;
-}
-
-}  // namespace
-
 unsigned ExperimentRunner::hardware_threads() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
@@ -74,11 +56,6 @@ std::vector<RunResult> ExperimentRunner::run_all() {
     }
     r.metrics.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
     r.metrics.events_processed = ctx.events().events_processed();
-    r.metrics.events_per_sec =
-        r.metrics.wall_seconds > 0.0
-            ? static_cast<double>(r.metrics.events_processed) /
-                  r.metrics.wall_seconds
-            : 0.0;
     if (const net::PacketPool* pool = net::PacketPool::find(ctx.events())) {
       r.metrics.peak_pool_packets = pool->peak_outstanding();
       r.metrics.pool_slabs = pool->slabs();
@@ -122,10 +99,15 @@ double total_wall_seconds(const std::vector<RunResult>& results) {
   return total;
 }
 
-std::uint64_t total_events(const std::vector<RunResult>& results) {
-  std::uint64_t total = 0;
-  for (const RunResult& r : results) total += r.metrics.events_processed;
-  return total;
+std::string sanitize_for_filename(const std::string& name) {
+  std::string out = name;
+  for (char& c : out) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '.' || c == '-' ||
+                    c == '_';
+    if (!ok) c = '_';
+  }
+  return out;
 }
 
 }  // namespace mpsim::runner

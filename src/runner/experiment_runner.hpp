@@ -6,8 +6,9 @@
 // own RunContext owning a private EventList — and therefore a private
 // packet pool and clock — so runs are exactly as deterministic in parallel
 // as they are sequentially: the result set is byte-identical whatever the
-// thread count or which worker ran which job (tests assert this). Per-run wall-clock, events/second and peak-pool counters are
-// captured into a structured RunResult for harness reporting.
+// thread count or which worker ran which job (tests assert this). Per-run
+// wall-clock time and the deterministic event, pool, scheduler and memory
+// counters are captured into a structured RunResult for harness reporting.
 //
 // Jobs must not share mutable state with each other; anything a job returns
 // goes through RunContext::record() (scalars) or captured per-job output
@@ -28,12 +29,13 @@ namespace mpsim::runner {
 
 // Measured cost of one run, filled in by the runner.
 struct RunMetrics {
+  // The one nondeterministic field: `mpsim run` prints the total on
+  // stderr, and it stays out of the JSON report.
   double wall_seconds = 0.0;
   std::uint64_t events_processed = 0;
-  double events_per_sec = 0.0;
   std::size_t peak_pool_packets = 0;  // high-water mark of the run's pool
   // The event scheduler's work counters for this run — deterministic, so
-  // bench numbers stay attributable without depending on thread count.
+  // report numbers stay attributable without depending on thread count.
   TimingWheel::Stats scheduler;
   // Deterministic memory counters: the packet slabs the pool carved, and
   // the most bytes the run's reorder windows held at once (reclaimed
@@ -150,6 +152,10 @@ class ExperimentRunner {
 
 // Aggregates over a result set.
 double total_wall_seconds(const std::vector<RunResult>& results);
-std::uint64_t total_events(const std::vector<RunResult>& results);
+
+// Run names ("fig8/lia seed=3") become file names: anything the
+// filesystem might object to collapses to '_'. Distinct names can collide
+// after sanitising — callers name runs, so they own uniqueness.
+std::string sanitize_for_filename(const std::string& name);
 
 }  // namespace mpsim::runner

@@ -1,10 +1,12 @@
 // Machine-readable run reports.
 //
 // Converts ExperimentRunner results into stats::Json trees and writes the
-// BENCH_<name>.json files tracked across PRs. String annotations recorded
-// via RunContext::annotate() — the resolved-spec echo (seed, sweep-point
-// parameters, algorithm) — land in a "spec" object per run so downstream
-// tooling never has to re-parse run names.
+// BENCH_<name>.json files. A report holds no wall-clock time, so it is a
+// pure function of spec, seed and scale, like stdout and the traces: the
+// report goldens under tests/golden/ compare it byte for byte. String
+// annotations recorded via RunContext::annotate() — the resolved-spec echo
+// (seed, sweep-point parameters, algorithm) — land in a "spec" object per
+// run so downstream tooling never has to re-parse run names.
 #pragma once
 
 #include <cstdio>
@@ -14,6 +16,7 @@
 
 #include "runner/experiment_runner.hpp"
 #include "stats/json.hpp"
+#include "trace/sinks.hpp"
 
 namespace mpsim::runner {
 
@@ -29,9 +32,7 @@ inline stats::Json json_from_result(const RunResult& r) {
   }
   for (const auto& [k, v] : r.values) o.set(k, v);
   stats::Json m = stats::Json::object();
-  m.set("wall_seconds", r.metrics.wall_seconds);
   m.set("events_processed", static_cast<double>(r.metrics.events_processed));
-  m.set("events_per_sec", r.metrics.events_per_sec);
   m.set("peak_pool_packets",
         static_cast<double>(r.metrics.peak_pool_packets));
   r.metrics.scheduler.for_each([&m](const char* k, std::uint64_t v) {
@@ -51,20 +52,15 @@ inline stats::Json json_from_results(const std::vector<RunResult>& rs) {
   return a;
 }
 
-// Write BENCH_<name>.json in the working directory and report the path.
-inline void write_json_file(const std::string& name,
+// Write BENCH_<name>.json in the working directory, `name` sanitised as
+// trace file names are, and report the path; false (with the path on
+// stderr) when the file cannot be written.
+inline bool write_json_file(const std::string& name,
                             const stats::Json& root) {
-  const std::string path = "BENCH_" + name + ".json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return;
-  }
-  const std::string body = root.dump();
-  std::fwrite(body.data(), 1, body.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
+  const std::string path = "BENCH_" + sanitize_for_filename(name) + ".json";
+  if (!trace::write_text_file(path, root.dump() + "\n")) return false;
   std::printf("\n[json] wrote %s\n", path.c_str());
+  return true;
 }
 
 }  // namespace mpsim::runner

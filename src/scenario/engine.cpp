@@ -215,41 +215,6 @@ std::size_t Scenario::spec_trace_capacity() const {
 
 namespace {
 
-// Periodic goodput samples of one connection into the flight recorder —
-// the Fig. 17 timeline as kGoodput trace records.
-class GoodputSampler final : public EventSource {
- public:
-  GoodputSampler(EventList& events, trace::TraceRecorder& rec,
-                 const mptcp::MptcpConnection& conn, SimTime interval)
-      : EventSource(events, "scenario/sampler"),
-        events_(events),
-        rec_(rec),
-        conn_(conn),
-        interval_(interval),
-        sid_(rec.register_object("goodput/" + conn.name())),
-        base_(conn.delivered_pkts()) {
-    events_.schedule_in(*this, interval_);
-  }
-
-  void on_event() override {
-    trace::TraceRecorder* rec = &rec_;
-    const std::uint64_t now_pkts = conn_.delivered_pkts();
-    const double mbps = stats::pkts_to_mbps(now_pkts - base_, interval_);
-    MPSIM_TRACE(rec, trace::goodput_sample(events_.now(), sid_,
-                                           conn_.flow_id(), 0, mbps));
-    base_ = now_pkts;
-    events_.schedule_in(*this, interval_);
-  }
-
- private:
-  EventList& events_;
-  trace::TraceRecorder& rec_;
-  const mptcp::MptcpConnection& conn_;
-  SimTime interval_;
-  std::uint16_t sid_;
-  std::uint64_t base_;
-};
-
 // A requested output metric, parsed from [output] metrics.
 struct MetricPlan {
   enum class Kind {
@@ -429,14 +394,27 @@ void execute_run(const ResolvedRun& run, double time_scale,
     }
   }
 
-  // One sampler per connection, as every committed trace and run report
-  // was recorded with (a single sampler would change the event count).
-  std::vector<std::unique_ptr<GoodputSampler>> samplers;
+  // Periodic goodput of each connection into the flight recorder: the
+  // Fig. 17 timeline as kGoodput trace records. One sampler per
+  // connection, as every committed trace and run report was recorded with
+  // (a single sampler would change the event count).
+  std::vector<std::unique_ptr<stats::PeriodicSampler>> samplers;
   if (sample_interval > 0) {
     if (trace::TraceRecorder* rec = trace::TraceRecorder::find(ctx.events())) {
       for (const auto* c : conns) {
-        samplers.push_back(std::make_unique<GoodputSampler>(
-            ctx.events(), *rec, *c, sample_interval));
+        const std::uint16_t sid = rec->register_object("goodput/" + c->name());
+        auto sample = [rec, c, sid, sample_interval,
+                       base = c->delivered_pkts()](SimTime now) mutable {
+          const std::uint64_t pkts = c->delivered_pkts();
+          MPSIM_TRACE(rec, trace::goodput_sample(
+                               now, sid, c->flow_id(), 0,
+                               stats::pkts_to_mbps(pkts - base,
+                                                   sample_interval)));
+          base = pkts;
+        };
+        samplers.push_back(std::make_unique<stats::PeriodicSampler>(
+            ctx.events(), "scenario/sampler", sample_interval, sample));
+        samplers.back()->start(ctx.events().now() + sample_interval);
       }
     }
   }

@@ -1,7 +1,7 @@
 // A deliberately tiny ordered JSON value — numbers, strings, objects,
-// arrays — with no external dependency. Used for machine-readable bench
-// and scenario reports; insertion order is preserved so output is stable
-// across runs and thread counts.
+// arrays — with no external dependency. Used for the machine-readable
+// run reports; insertion order is preserved so output is stable across
+// runs and thread counts.
 #pragma once
 
 #include <cmath>

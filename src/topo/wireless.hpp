@@ -23,7 +23,7 @@ struct WirelessClient {
 
   // Default wifi loss models good reception (the paper's static test was
   // run "in the same room as the WiFi basestation"); the Fig. 15 compete
-  // bench passes a higher rate to model the interference they saw. Note
+  // spec passes a higher rate to model the interference they saw. Note
   // that at loss p the TCP-sustainable window is sqrt(2/p); 0.05% keeps
   // the sawtooth above the 24-packet BDP so the 14.4 Mb/s link fills.
   explicit WirelessClient(Network& net, double wifi_loss = 0.0005)

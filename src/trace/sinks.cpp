@@ -139,13 +139,11 @@ const char* sink_extension(SinkKind kind) {
 
 bool write_text_file(const std::string& path, const std::string& body) {
   std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  return true;
+  bool ok = f != nullptr &&
+            std::fwrite(body.data(), 1, body.size(), f) == body.size();
+  if (f != nullptr) ok = std::fclose(f) == 0 && ok;
+  if (!ok) std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+  return ok;
 }
 
 }  // namespace mpsim::trace

@@ -65,7 +65,8 @@ enum class SinkKind : std::uint8_t { kNone = 0, kCsv, kJsonl, kNull };
 std::unique_ptr<TraceSink> make_sink(SinkKind kind);  // not kNone
 const char* sink_extension(SinkKind kind);            // ".csv" / ".jsonl"
 
-// Write `body` to `path` (truncating); false + stderr warning on failure.
+// Write `body` to `path` (truncating); false, with the path on stderr,
+// when the file cannot be written in full.
 bool write_text_file(const std::string& path, const std::string& body);
 
 }  // namespace mpsim::trace

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
+
+#include "core/rng.hpp"
+#include "mptcp/connection.hpp"
+#include "topo/network.hpp"
 
 namespace mpsim {
 namespace {
@@ -177,6 +182,62 @@ TEST_F(EventListTest, FarFutureEventsFire) {
   EXPECT_EQ(r.fired[1], from_sec(10));
   EXPECT_EQ(r.fired[2], from_sec(100));
   EXPECT_EQ(events.now(), from_sec(100));
+}
+
+// Self-rescheduling source with a fixed period: the minimal dispatch load.
+class NopSource : public EventSource {
+ public:
+  NopSource(EventList& events, SimTime period)
+      : EventSource(events, "nop"), events_(events), period_(period) {}
+  void on_event() override { events_.schedule_in(*this, period_); }
+
+ private:
+  EventList& events_;
+  SimTime period_;
+};
+
+// The scheduler's work counters are a pure function of the schedule and
+// dispatch sequence, so they are pinned exactly on two fixed loads: a dense
+// one (32,768 sources with periods from 1 us to about 20 ms, the spread of
+// queue drains, pipe hops, ACKs and RTO timers in a large sweep) and a
+// sparse one (a complete single-flow TCP simulation). A change to the
+// wheel's geometry or cascade policy moves these numbers; re-pin them only
+// for an intended change.
+TEST(SchedulerCounters, PinnedOnDenseDispatchAndOneTcpFlow) {
+  {
+    EventList events;
+    std::vector<std::unique_ptr<NopSource>> sources;
+    Rng rng(12345);
+    for (int i = 0; i < 32768; ++i) {
+      const SimTime period =
+          from_us(1) + static_cast<SimTime>(rng.next_double() * from_ms(20));
+      sources.push_back(std::make_unique<NopSource>(events, period));
+      events.schedule_at(*sources.back(), i);
+    }
+    for (int i = 0; i < 400'000; ++i) ASSERT_TRUE(events.run_one());
+    const TimingWheel::Stats& s = events.scheduler_stats();
+    EXPECT_EQ(s.cascaded, 447'003u);
+    EXPECT_EQ(s.ticks_opened, 396'786u);
+    EXPECT_EQ(s.runs_merged, 1'688u);
+    EXPECT_EQ(s.peak_pending, 32'768u);
+  }
+  {
+    EventList events;
+    topo::Network net(events);
+    auto link = net.add_link("l", 10e6, from_ms(10),
+                             topo::bdp_bytes(10e6, from_ms(20)));
+    auto& ack = net.add_pipe("a", from_ms(10));
+    auto tcp = mptcp::make_single_path_tcp(events, "t",
+                                           topo::path_of({&link}), {&ack});
+    tcp->start(0);
+    events.run_until(from_sec(2));
+    EXPECT_EQ(events.events_processed(), 4'049u);
+    const TimingWheel::Stats& s = events.scheduler_stats();
+    EXPECT_EQ(s.cascaded, 1'698u);
+    EXPECT_EQ(s.ticks_opened, 263u);
+    EXPECT_EQ(s.runs_merged, 20u);
+    EXPECT_EQ(s.peak_pending, 6u);
+  }
 }
 
 TEST(TimeConversions, RoundTrip) {

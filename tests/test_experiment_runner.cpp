@@ -93,7 +93,6 @@ TEST(ExperimentRunner, MetricsArePopulated) {
   const RunMetrics& m = results[0].metrics;
   EXPECT_GT(m.events_processed, 1000u);
   EXPECT_GT(m.wall_seconds, 0.0);
-  EXPECT_GT(m.events_per_sec, 0.0);
   EXPECT_GT(m.peak_pool_packets, 0u) << "TCP must have allocated packets";
   EXPECT_GT(results[0].value("delivered_pkts"), 0.0);
 }

@@ -201,6 +201,9 @@ TEST(TimingWheel, InterleavedRunsMergeAfterCascade) {
 }
 
 TEST(TimingWheel, ScheduleBeforeCurrentTickFires) {
+  if (!checks_enabled()) {
+    GTEST_SKIP() << "requires MPSIM_CHECK (MPSIM_CHECKS=off lane)";
+  }
   ScopedThrowingChecks guard;
   TimingWheel w;
   w.schedule(100, 1, tag(1));

@@ -6,9 +6,10 @@
 //
 // `run` prints one deterministic block per run (name + recorded metrics,
 // fixed formatting) to stdout and writes BENCH_scenario_<name>.json; wall
-// timings go to stderr, so stdout and the trace files are byte-identical
-// across thread counts — CI diffs them. A malformed spec
-// exits 2 with a file:line diagnostic.
+// timings go to stderr only, so stdout, the report and the trace files are
+// byte-identical across thread counts — CI diffs them. A malformed spec
+// exits 2 with a file:line diagnostic; a report or trace file that cannot
+// be written exits 1 after naming it.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -198,8 +199,15 @@ int cmd_run(const Options& opts) {
                        ? runner::ExperimentRunner::hardware_threads()
                        : eng.threads);
 
-      runner::write_json_file("scenario_" + scn.name(),
-                              runner::json_from_results(results));
+      bool written = runner::write_json_file(
+          "scenario_" + scn.name(), runner::json_from_results(results));
+      // The runner leaves trace_path empty for a trace it could not write.
+      for (const runner::RunResult& r : results) {
+        if (eng.trace_sink != trace::SinkKind::kNone && r.trace_path.empty()) {
+          written = false;
+        }
+      }
+      if (!written) return 1;
     } catch (const scenario::SpecError& e) {
       std::fprintf(stderr, "%s\n", e.what());
       return 2;

@@ -61,7 +61,7 @@ def discover_files(args, root: Path) -> list:
                 found.add(
                     (Path("src") / f.resolve().relative_to(src)).as_posix())
             except ValueError:
-                continue  # tests/bench/examples TU — out of scope
+                continue  # tests/examples TU — out of scope
         # Headers never appear as TUs; inline hot-path code lives there.
         for g in ("*.hpp", "*.h"):
             found.update(p.relative_to(root).as_posix()
