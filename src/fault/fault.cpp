@@ -14,23 +14,6 @@
 
 namespace mpsim::fault {
 
-const char* action_name(Action a) {
-  switch (a) {
-    case Action::kDown: return "down";
-    case Action::kUp: return "up";
-    case Action::kRate: return "rate";
-    case Action::kRamp: return "ramp";
-    case Action::kLoss: return "loss";
-    case Action::kLossBurst: return "loss_burst";
-    case Action::kDrain: return "drain";
-    case Action::kCorrupt: return "corrupt";
-    case Action::kReset: return "reset";
-    case Action::kLossRestore: return "loss_restore";
-    case Action::kRampStep: return "ramp_step";
-  }
-  return "unknown";
-}
-
 const char* target_kind_name(TargetKind k) {
   switch (k) {
     case TargetKind::kQueue: return "queue";

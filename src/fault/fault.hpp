@@ -59,7 +59,6 @@ enum class Action : std::uint8_t {
   kLossRestore,  // internal: end of a loss burst
   kRampStep,     // internal: one step of a ramp
 };
-const char* action_name(Action a);
 
 // What kind of element a registered target is.
 enum class TargetKind : std::uint8_t {

@@ -1,6 +1,5 @@
 #include "scenario/engine.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <memory>
 
@@ -51,24 +50,123 @@ struct Axis {
   int line = 0;
 };
 
+using enum KeyType;
+
+// The declaration of section `name`; nullptr for an unknown section.
+const SpecSection* declared(const std::string& name) {
+  for (const SpecSection& s : spec_sections()) {
+    if (s.name == name) return &s;
+  }
+  return nullptr;
+}
+
+const KeyTable& keys_of(const std::string& section) {
+  return declared(section)->keys;
+}
+
+// Section `name` read against its table; an absent section reads as an
+// empty one, all defaults.
+Args read_section(const Spec& spec, const std::string& name) {
+  const Section* s = spec.find_section(name);
+  return read_args(s != nullptr ? *s : Section(name, 1, spec.file()),
+                   {&keys_of(name)});
+}
+
+// The kind section `name` names, and the section read against its own
+// table plus the kind's.
+template <typename B>
+std::pair<const Kind<B>*, Args> read_kind(const Section& s,
+                                          const KindSet<B>& kinds) {
+  const KeyTable& own = keys_of(s.name());
+  const Kind<B>& kind =
+      kinds.find(read_args(s, {&own}, /*partial=*/true).get_string("kind"), s);
+  return {&kind, read_args(s, {&own, &kind.keys})};
+}
+
+std::string scenario_name(const Spec& spec, const std::string& file) {
+  const Args s = read_section(spec, "scenario");
+  return s.has("name") ? s.get_string("name") : file_stem(file);
+}
+
 }  // namespace
+
+const std::vector<SpecSection>& spec_sections() {
+  static const std::vector<SpecSection> sections = {
+      {"scenario", "names the runs",
+       {{"name", kString, "",
+         "run-name prefix and report name (default: the spec's file "
+         "stem)"}}},
+      {"topology", "the network",
+       {{"kind", kString, kRequired, "a topology kind (below)"}}},
+      {"algorithm", "the congestion control of every multipath flow",
+       {{"kind", kString, kRequired, "an algorithm kind (below)"}}},
+      {"scheduler", "which subflow carries the next segment",
+       {{"kind", kString, "stripe", "a data-scheduler kind (below)"}}},
+      {"traffic", "the flows",
+       {{"kind", kString, kRequired, "a traffic kind (below)"}}},
+      {"path_manager",
+       "a PathManager on every multipath flow of a traffic kind that takes "
+       "one",
+       {{"strategy", kString, "threshold", "which candidate paths open",
+         {}, {"fullmesh", "ndiffports", "threshold"}},
+        {"ndiffports", kCount, "2", "ndiffports: candidates to open",
+         at_least(1)},
+        {"add_threshold", kBytes, "1048576B",
+         "threshold: bytes delivered per added subflow; 0 = never add"},
+        {"max_subflows", kCount, "8", "cap on live subflows", at_least(1)},
+        {"scan_period", kTime, "100ms", "dead-path detection interval"},
+        {"reprobe_backoff", kTime, "1s", "wait before re-probing a path"},
+        {"dead_after_rtos", kCount, "3",
+         "consecutive RTOs that declare a path dead", at_least(1)}}},
+      {"faults", "a fault schedule (entry grammar: README)",
+       {{"script", kStrings, "", "\"<time> <action> [args...] <target>\""},
+        {"flap", kStrings, "",
+         "\"<target> start=<t> period=<t> down=<t> count=<n>\""},
+        {"random_outage", kStrings, "",
+         "\"<target> mean_up=<t> mean_down=<t> until=<t> [seed=<n>]\""},
+        {"recovery_poll", kTime, "1ms",
+         "recovery-detection interval (scaled)"}}},
+      {"run", "the measured window and the seeds",
+       {{"warmup", kTime, kRequired, "time before measuring (scaled)"},
+        {"measure", kTime, kRequired, "the measured window (scaled)"},
+        {"seeds", kCounts, "[1]", "one run per seed per grid point",
+         at_least(1)},
+        {"scale_starts", kBool, "false", "scale flow starts by --scale too"}}},
+      {"output", "metrics and the flight recorder",
+       {{"metrics", kStrings, R"(["flow_mbps", "total_mbps"])",
+         "flow_mbps, total_mbps, jain, queue_loss, loss_ratio:<a>:<b>, "
+         "per_host_mbps, per_flow_mean_mbps, subflow_mbps"},
+        {"sample_interval", kTime, "0s",
+         "period of goodput trace records (scaled); 0s = none"},
+        {"trace", kString, "off", "trace sink; --trace overrides", {},
+         {"csv", "jsonl", "null", "off"}},
+        {"trace_capacity", kCount64, "0",
+         "trace ring size, records; 0 = the recorder's default"}}},
+      {"sweep",
+       "axes \"section.key\" = [values]: one run per point of their cross "
+       "product",
+       {}},
+  };
+  return sections;
+}
+
+trace::SinkKind sink_kind(const std::string& name) {
+  if (name == "csv") return trace::SinkKind::kCsv;
+  if (name == "jsonl") return trace::SinkKind::kJsonl;
+  if (name == "null") return trace::SinkKind::kNull;
+  return trace::SinkKind::kNone;
+}
 
 Scenario Scenario::load(const std::string& path) {
   Spec spec = Spec::parse_file(path);
-  std::string name = file_stem(path);
-  if (const Section* s = spec.find_section("scenario")) {
-    name = s->get_string("name", name);
-  }
+  std::string name = scenario_name(spec, path);
   return Scenario(std::move(spec), std::move(name));
 }
 
 Scenario Scenario::from_string(const std::string& text,
                                const std::string& file) {
   Spec spec = Spec::parse_string(text, file);
-  std::string name = file_stem(file);
-  if (const Section* s = spec.find_section("scenario")) {
-    name = s->get_string("name", name);
-  }
+  std::string name = scenario_name(spec, file);
   return Scenario(std::move(spec), std::move(name));
 }
 
@@ -76,7 +174,6 @@ std::vector<ResolvedRun> Scenario::expand() const {
   std::vector<Axis> axes;
   if (const Section* sweep = spec_.find_section("sweep")) {
     for (const auto& [key, value] : sweep->entries()) {
-      sweep->find(key);  // consume: expansion is this key's reader
       const std::size_t dot = key.find('.');
       if (dot == std::string::npos || dot == 0 || dot + 1 == key.size()) {
         sweep->fail_at(value.line,
@@ -113,21 +210,9 @@ std::vector<ResolvedRun> Scenario::expand() const {
     }
   }
 
-  std::vector<std::uint64_t> seeds{1};
-  if (const Section* run_sec = spec_.find_section("run")) {
-    if (run_sec->has("seeds")) {
-      seeds.clear();
-      for (double s : run_sec->get_number_array("seeds")) {
-        if (!(s >= 0.0 && s == std::floor(s) &&
-              s <= static_cast<double>(count_max<std::uint64_t>()))) {
-          run_sec->fail("'seeds' must be integers in [0, " +
-                        std::to_string(count_max<std::uint64_t>()) + "]");
-        }
-        seeds.push_back(static_cast<std::uint64_t>(s));
-      }
-      if (seeds.empty()) run_sec->fail("'seeds' must not be empty");
-    }
-  }
+  const std::vector<std::uint64_t> seeds =
+      read_args(spec_.require_section("run"), {&keys_of("run")})
+          .get_count_array("seeds");
 
   // Odometer over the axes (declaration order, first axis slowest), seeds
   // innermost.
@@ -197,20 +282,12 @@ std::vector<runner::RunResult> Scenario::run(const EngineOptions& opts) const {
 }
 
 trace::SinkKind Scenario::spec_trace_sink() const {
-  const Section* out = spec_.find_section("output");
-  if (out == nullptr || !out->has("trace")) return trace::SinkKind::kNone;
-  const std::string kind = out->get_string("trace");
-  if (kind == "csv") return trace::SinkKind::kCsv;
-  if (kind == "jsonl") return trace::SinkKind::kJsonl;
-  if (kind == "null") return trace::SinkKind::kNull;
-  if (kind == "off") return trace::SinkKind::kNone;
-  out->fail("'trace' must be one of \"csv\", \"jsonl\", \"null\", \"off\"");
+  return sink_kind(read_section(spec_, "output").get_string("trace"));
 }
 
 std::size_t Scenario::spec_trace_capacity() const {
-  const Section* out = spec_.find_section("output");
-  if (out == nullptr) return 0;
-  return out->get_count<std::size_t>("trace_capacity", 0);
+  return read_section(spec_, "output").get_count<std::size_t>(
+      "trace_capacity");
 }
 
 namespace {
@@ -232,10 +309,9 @@ struct MetricPlan {
   int b = 0;  // loss_ratio denominator queue index
 };
 
-std::vector<MetricPlan> parse_metrics(const std::vector<std::string>& names,
-                                      const Section* out) {
+std::vector<MetricPlan> parse_metrics(const Args& out) {
   std::vector<MetricPlan> plan;
-  for (const std::string& m : names) {
+  for (const std::string& m : out.get_string_array("metrics")) {
     MetricPlan p{};
     if (m == "flow_mbps") {
       p.kind = MetricPlan::Kind::kFlowMbps;
@@ -263,20 +339,18 @@ std::vector<MetricPlan> parse_metrics(const std::vector<std::string>& names,
         ok = a.find_first_not_of("0123456789") == std::string::npos &&
              b.find_first_not_of("0123456789") == std::string::npos;
         if (ok) {
-          // Only an [output] metrics list names loss_ratio, so out is set.
           const std::string what = "metric '" + m + "': queue index";
           p.a = static_cast<int>(parse_count(a, count_max<int>(), what,
-                                             out->file(), out->line()));
+                                             out.file(), out.line()));
           p.b = static_cast<int>(parse_count(b, count_max<int>(), what,
-                                             out->file(), out->line()));
+                                             out.file(), out.line()));
         }
       }
-      if (!ok && out != nullptr) {
-        out->fail("metric '" + m +
-                  "' must be 'loss_ratio:<queue>:<queue>'");
+      if (!ok) {
+        out.fail("metric '" + m + "' must be 'loss_ratio:<queue>:<queue>'");
       }
-    } else if (out != nullptr) {
-      out->fail("unknown metric '" + m +
+    } else {
+      out.fail("unknown metric '" + m +
                 "' (known: flow_mbps, total_mbps, jain, queue_loss, "
                 "loss_ratio:<a>:<b>, per_host_mbps, per_flow_mean_mbps, "
                 "subflow_mbps)");
@@ -286,88 +360,108 @@ std::vector<MetricPlan> parse_metrics(const std::vector<std::string>& names,
   return plan;
 }
 
+// Every section is one spec_sections() declares.
+void check_sections(const Spec& spec) {
+  for (const Section& s : spec.sections()) {
+    if (declared(s.name()) != nullptr) continue;
+    std::string known;
+    for (const SpecSection& d : spec_sections()) {
+      known += (known.empty() ? "" : ", ") + d.name;
+    }
+    throw SpecError(spec.file(), s.line(),
+                    "unknown section [" + s.name() + "] (known: " + known +
+                        ")");
+  }
+}
+
+mptcp::PathManagerConfig path_manager_config(const Args& a) {
+  mptcp::PathManagerConfig cfg;
+  const std::string strategy = a.get_string("strategy");
+  cfg.strategy = strategy == "fullmesh"     ? mptcp::PathStrategy::kFullMesh
+                 : strategy == "ndiffports" ? mptcp::PathStrategy::kNDiffPorts
+                                            : mptcp::PathStrategy::kThreshold;
+  cfg.ndiffports = a.get_count<std::size_t>("ndiffports");
+  cfg.add_threshold_bytes = a.get_bytes("add_threshold");
+  cfg.max_subflows = a.get_count<std::size_t>("max_subflows");
+  cfg.scan_period = a.get_time("scan_period");
+  cfg.reprobe_backoff = a.get_time("reprobe_backoff");
+  cfg.dead_after_rtos = a.get_count<std::uint32_t>("dead_after_rtos");
+  return cfg;
+}
+
 }  // namespace
 
 void execute_run(const ResolvedRun& run, double time_scale,
                  runner::RunContext& ctx, bool dry_run) {
   const Spec& spec = run.spec;
-  spec.mark_all_unused();
+  check_sections(spec);
 
-  if (const Section* scn = spec.find_section("scenario")) {
-    scn->get_string("name", "");
-  }
-  if (const Section* sweep = spec.find_section("sweep")) {
-    for (const auto& [key, value] : sweep->entries()) {
-      (void)value;
-      sweep->find(key);  // consumed by expand()
-    }
-  }
-
-  const Section& run_sec = spec.require_section("run");
+  const Args run_args =
+      read_args(spec.require_section("run"), {&keys_of("run")});
   BuildEnv env;
   env.time_scale = time_scale;
   env.seed = run.seed;
-  env.scale_starts = run_sec.get_bool("scale_starts", false);
-  // Traffic models that support path management consume this section; on
-  // models that ignore it, its keys stay unread and check_all_used() below
-  // rejects the spec rather than silently skipping path management.
-  env.path_manager = spec.find_section("path_manager");
-  // Same consumption contract for the data-placement policy section.
-  env.scheduler = spec.find_section("scheduler");
-  const SimTime warmup = env.scaled(run_sec.get_time("warmup"));
-  const SimTime measure = env.scaled(run_sec.get_time("measure"));
-  run_sec.find("seeds");  // consumed by expand()
+  env.scale_starts = run_args.get_bool("scale_starts");
+  const SimTime warmup = env.scaled(run_args.get_time("warmup"));
+  const SimTime measure = env.scaled(run_args.get_time("measure"));
 
-  std::vector<std::string> metric_names = {"flow_mbps", "total_mbps"};
-  SimTime sample_interval = 0;
-  const Section* out = spec.find_section("output");
-  if (out != nullptr) {
-    if (out->has("metrics")) metric_names = out->get_string_array("metrics");
-    sample_interval = env.scaled(out->get_time("sample_interval", 0));
-    out->find("trace");           // consumed by the CLI / spec_trace_sink()
-    out->find("trace_capacity");  // consumed by spec_trace_capacity()
-  }
-  const std::vector<MetricPlan> plan = parse_metrics(metric_names, out);
+  const Args out = read_section(spec, "output");
+  const SimTime sample_interval = env.scaled(out.get_time("sample_interval"));
+  const std::vector<MetricPlan> plan = parse_metrics(out);
 
+  // The data scheduler and the path manager reach the traffic model
+  // through env.
   const Registry& reg = builtin_registry();
+  std::string data_scheduler;  // the [scheduler] kind, if the spec has one
+  if (const Section* s = spec.find_section("scheduler")) {
+    const Kind<SchedulerBuilder>& kind = *read_kind(*s, reg.schedulers).first;
+    env.scheduler = kind.build;
+    data_scheduler = kind.key;
+  }
+  const Section* pm_sec = spec.find_section("path_manager");
+  if (pm_sec != nullptr) {
+    env.path_manager =
+        path_manager_config(read_args(*pm_sec, {&keys_of("path_manager")}));
+  }
 
   // Construction order: recorder (installed by the runner before this
   // function), then Network, topology, meter, then connections in flow
   // order. The round-trip tests and the goldens pin it.
   topo::Network net(ctx.events());
-  const Section& topo_sec = spec.require_section("topology");
-  auto topology =
-      reg.topology(topo_sec.get_string("kind"), topo_sec)(net, topo_sec, env);
+  const auto [topo_kind, topo_args] =
+      read_kind(spec.require_section("topology"), reg.topologies);
+  auto topology = topo_kind->build(net, topo_args, env);
 
   stats::GoodputMeter meter(ctx.events());
 
-  const Section& algo_sec = spec.require_section("algorithm");
-  AlgorithmInstance algo =
-      reg.algorithm(algo_sec.get_string("kind"), algo_sec)(algo_sec);
+  const auto [algo_kind, algo_args] =
+      read_kind(spec.require_section("algorithm"), reg.algorithms);
+  AlgorithmInstance algo = algo_kind->build(algo_args);
+  algo.name = algo_kind->key;
 
-  const Section& traffic_sec = spec.require_section("traffic");
-  auto traffic =
-      reg.traffic(traffic_sec.get_string("kind"), traffic_sec)(traffic_sec);
+  const auto [traffic_kind, traffic_args] =
+      read_kind(spec.require_section("traffic"), reg.traffic_models);
+  if (pm_sec != nullptr && !traffic_kind->build.path_manager) {
+    pm_sec->fail("traffic kind '" + traffic_kind->key +
+                 "' takes no path manager");
+  }
+  auto traffic = traffic_kind->build.make(traffic_args);
 
   Rng rng(run.seed);
   traffic->build(ctx.events(), *topology, algo, rng, env);
-  const auto conns = traffic->connections();
-  for (const auto* c : conns) meter.track(*c);
+  const auto& conns = traffic->connections();
+  for (const auto& c : conns) meter.track(*c);
 
   // Connections join the fault-target registry under their flow names, so
   // a [faults] script can reset their subflows.
-  for (auto* c : traffic->mutable_connections()) {
+  for (const auto& c : conns) {
     net.fault_targets().add_connection(c->name(), *c);
   }
   ParsedFaults faults;
-  const Section* faults_sec = spec.find_section("faults");
-  if (faults_sec != nullptr) {
-    faults = parse_fault_plan(*faults_sec, net.fault_targets(), env);
+  if (const Section* f = spec.find_section("faults")) {
+    faults = parse_fault_plan(read_args(*f, {&keys_of("faults")}),
+                              net.fault_targets(), env);
   }
-
-  // Every key must have been read by now — a typo dies here, in dry runs
-  // and real ones alike.
-  spec.check_all_used();
   if (dry_run) return;
 
   std::unique_ptr<fault::RecoveryMonitor> recovery;
@@ -375,7 +469,7 @@ void execute_run(const ResolvedRun& run, double time_scale,
   if (!faults.plan.empty()) {
     recovery = std::make_unique<fault::RecoveryMonitor>(
         ctx.events(), faults.recovery_poll);
-    for (const auto* c : conns) recovery->track(*c);
+    for (const auto& c : conns) recovery->track(*c);
     injector = std::make_unique<fault::FaultInjector>(
         ctx.events(), net.fault_targets(), faults.plan, run.seed,
         recovery.get());
@@ -387,7 +481,7 @@ void execute_run(const ResolvedRun& run, double time_scale,
   // Subflow-level goodput: packets each subflow got acked in the window.
   // Subflows opened later start from zero.
   std::vector<std::vector<std::uint64_t>> subflow_base;
-  for (const auto* c : conns) {
+  for (const auto& c : conns) {
     auto& base = subflow_base.emplace_back();
     for (std::size_t r = 0; r < c->num_subflows(); ++r) {
       base.push_back(c->subflow(r).packets_acked());
@@ -401,7 +495,8 @@ void execute_run(const ResolvedRun& run, double time_scale,
   std::vector<std::unique_ptr<stats::PeriodicSampler>> samplers;
   if (sample_interval > 0) {
     if (trace::TraceRecorder* rec = trace::TraceRecorder::find(ctx.events())) {
-      for (const auto* c : conns) {
+      for (const auto& conn : conns) {
+        const mptcp::MptcpConnection* c = conn.get();
         const std::uint16_t sid = rec->register_object("goodput/" + c->name());
         auto sample = [rec, c, sid, sample_interval,
                        base = c->delivered_pkts()](SimTime now) mutable {
@@ -447,11 +542,8 @@ void execute_run(const ResolvedRun& run, double time_scale,
         if (p.a < 0 || p.b < 0 ||
             static_cast<std::size_t>(p.a) >= queues.size() ||
             static_cast<std::size_t>(p.b) >= queues.size()) {
-          if (out != nullptr) {
-            out->fail("loss_ratio queue index out of range (topology has " +
-                      std::to_string(queues.size()) + " queues)");
-          }
-          break;
+          out.fail("loss_ratio queue index out of range (topology has " +
+                   std::to_string(queues.size()) + " queues)");
         }
         const double pa = queues[static_cast<std::size_t>(p.a)]->loss_rate();
         const double pb = queues[static_cast<std::size_t>(p.b)]->loss_rate();
@@ -463,10 +555,7 @@ void execute_run(const ResolvedRun& run, double time_scale,
       case MetricPlan::Kind::kPerHostMbps: {
         const int hosts = traffic->host_count();
         if (hosts <= 0) {
-          if (out != nullptr) {
-            out->fail("per_host_mbps needs host-addressable traffic");
-          }
-          break;
+          out.fail("per_host_mbps needs host-addressable traffic");
         }
         ctx.record("per_host_mbps", total / static_cast<double>(hosts));
         break;
@@ -496,7 +585,7 @@ void execute_run(const ResolvedRun& run, double time_scale,
   if (injector != nullptr) {
     recovery->finalize();
     std::uint64_t reinjections = 0;
-    for (const auto* c : conns) {
+    for (const auto& c : conns) {
       reinjections += c->scheduler().reinjected_total();
     }
     ctx.record("fault_events_applied",
@@ -514,10 +603,9 @@ void execute_run(const ResolvedRun& run, double time_scale,
 
   // The machine-readable echo of this run's resolved parameters.
   ctx.annotate("algorithm", algo.name);
-  if (env.scheduler != nullptr) {
+  if (!data_scheduler.empty()) {
     // "scheduler" names the event scheduler's counters in the report.
-    ctx.annotate("data_scheduler",
-                 env.scheduler->get_string("kind", "stripe"));
+    ctx.annotate("data_scheduler", data_scheduler);
   }
   for (const auto& [k, v] : run.point) ctx.annotate(k, v);
 }

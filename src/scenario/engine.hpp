@@ -7,8 +7,8 @@
 // run() executes the grid on an ExperimentRunner — runs are byte-identical
 // to building the same simulation directly in C++ (the round-trip tests
 // pin this) and to any other thread count. validate() dry-builds every
-// grid point: topology, algorithm and traffic are constructed and every
-// spec key type-checked, but no simulated time elapses.
+// grid point: every section is read against its key table, topology,
+// algorithm and traffic are constructed, but no simulated time elapses.
 #pragma once
 
 #include <cstdint>
@@ -74,6 +74,20 @@ class Scenario {
   Spec spec_;
   std::string name_;
 };
+
+// A spec section and its key table, in `mpsim list` order. A section that
+// names a registered kind declares only `kind`; the kind's table holds the
+// rest. [sweep] declares none: its keys are "section.key" axes.
+struct SpecSection {
+  std::string name;
+  std::string doc;
+  KeyTable keys;
+};
+const std::vector<SpecSection>& spec_sections();
+
+// The flight-recorder sink a trace name ("csv", "jsonl", "null", "off")
+// selects.
+trace::SinkKind sink_kind(const std::string& name);
 
 // Build and execute one resolved run on `ctx`, recording metrics and the
 // spec echo. `dry_run` stops after construction (validate()). Exposed so

@@ -48,26 +48,12 @@ T parse_count_token(const Section& sec, int line, const std::string& token,
                                     line));
 }
 
-// One-element arrays and bare scalars are interchangeable, matching the
-// typed array accessors.
-std::vector<const Value*> collect_items(const Section& sec,
-                                        const std::string& key) {
+// The string entries of `key` (its table declares an array of strings;
+// a bare string is a one-entry array).
+std::vector<Value> entries_of(const Section& sec, const std::string& key) {
   const Value* v = sec.find(key);
-  std::vector<const Value*> items;
-  if (v == nullptr) return items;
-  if (v->kind == Value::Kind::kArray) {
-    for (const Value& item : v->items) items.push_back(&item);
-  } else {
-    items.push_back(v);
-  }
-  for (const Value* item : items) {
-    if (item->kind != Value::Kind::kString) {
-      sec.fail_at(item->line, "[faults] " + key +
-                                  " entries must be strings, got " +
-                                  item->kind_name());
-    }
-  }
-  return items;
+  if (v == nullptr) return {};
+  return v->kind == Value::Kind::kArray ? v->items : std::vector<Value>{*v};
 }
 
 const fault::Target& resolve_target(const Section& sec, int line,
@@ -123,25 +109,24 @@ void check_edges(const Section& sec, std::vector<Edge>& edges) {
 
 }  // namespace
 
-ParsedFaults parse_fault_plan(const Section& sec,
+ParsedFaults parse_fault_plan(const Args& sec,
                               const fault::TargetRegistry& targets,
                               const BuildEnv& env) {
   ParsedFaults out;
-  out.recovery_poll =
-      env.scaled(sec.get_time("recovery_poll", from_ms(1)));
+  out.recovery_poll = env.scaled(sec.get_time("recovery_poll"));
   if (out.recovery_poll <= 0) {
     sec.fail("recovery_poll must be positive");
   }
 
   std::vector<Edge> edges;
 
-  for (const Value* item : collect_items(sec, "script")) {
-    const int line = item->line;
-    const std::vector<std::string> tok = split_tokens(item->str);
+  for (const Value& item : entries_of(sec, "script")) {
+    const int line = item.line;
+    const std::vector<std::string> tok = split_tokens(item.str);
     if (tok.size() < 3) {
       sec.fail_at(line,
                   "fault script entry needs '<time> <action> [args...] "
-                  "<target>', got '" + item->str + "'");
+                  "<target>', got '" + item.str + "'");
     }
     const SimTime at = env.scaled(parse_time(tok[0], sec.file(), line));
     if (at < 0) sec.fail_at(line, "fault time must be non-negative");
@@ -158,7 +143,7 @@ ParsedFaults parse_fault_plan(const Section& sec,
     auto want_args = [&](std::size_t n, const char* usage) {
       if (args != n) {
         sec.fail_at(line, "'" + action + "' needs '" + usage + "', got '" +
-                              item->str + "'");
+                              item.str + "'");
       }
     };
 
@@ -171,7 +156,7 @@ ParsedFaults parse_fault_plan(const Section& sec,
     } else if (action == "up") {
       if (args > 1) {
         sec.fail_at(line, "'up' needs '<time> up [rate] <target>', got '" +
-                              item->str + "'");
+                              item.str + "'");
       }
       require_kind(sec, line, target, action, target.vqueue != nullptr,
                    "variable-rate queue");
@@ -256,9 +241,9 @@ ParsedFaults parse_fault_plan(const Section& sec,
     out.plan.events.push_back(std::move(ev));
   }
 
-  for (const Value* item : collect_items(sec, "flap")) {
-    const int line = item->line;
-    const std::vector<std::string> tok = split_tokens(item->str);
+  for (const Value& item : entries_of(sec, "flap")) {
+    const int line = item.line;
+    const std::vector<std::string> tok = split_tokens(item.str);
     if (tok.empty()) {
       sec.fail_at(line,
                   "flap entry needs '<target> start=<t> period=<t> "
@@ -315,9 +300,9 @@ ParsedFaults parse_fault_plan(const Section& sec,
   }
 
   std::size_t outage_index = 0;
-  for (const Value* item : collect_items(sec, "random_outage")) {
-    const int line = item->line;
-    const std::vector<std::string> tok = split_tokens(item->str);
+  for (const Value& item : entries_of(sec, "random_outage")) {
+    const int line = item.line;
+    const std::vector<std::string> tok = split_tokens(item.str);
     if (tok.empty()) {
       sec.fail_at(line,
                   "random_outage entry needs '<target> mean_up=<t> "

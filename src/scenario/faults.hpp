@@ -31,9 +31,9 @@ struct ParsedFaults {
   SimTime recovery_poll = from_ms(1);
 };
 
-// Compile `sec` (a [faults] section) against the registered targets.
-// Consumes the section's keys; throws SpecError on any malformed entry.
-ParsedFaults parse_fault_plan(const Section& sec,
+// Compile `sec` (a [faults] section read against its table) against the
+// registered targets; throws SpecError on any malformed entry.
+ParsedFaults parse_fault_plan(const Args& sec,
                               const fault::TargetRegistry& targets,
                               const BuildEnv& env);
 

@@ -1,35 +1,35 @@
 // Extension points of the scenario engine.
 //
-// A spec names a topology kind, a congestion-control algorithm and a
-// traffic model; each name is looked up in a registry of builders that
-// consume the spec section and assemble the corresponding piece of a
-// simulation. New topologies / CC variants / workloads plug in by adding
-// one registration in builders.cpp (tools/mpsim_analyze's
-// registry-discipline rule keeps keys unique, lowercase, and registered in
-// exactly that one translation unit).
+// A spec names a topology kind, a congestion-control algorithm, a traffic
+// model and a data scheduler; each name is looked up in one KindSet of the
+// registry. A kind is one registration in builders.cpp: its key, one line
+// of help, the key table of its section (spec.hpp) and its builder, which
+// gets that section already read against the table. tools/mpsim_analyze's
+// registry-discipline rule keeps every registration in that one
+// translation unit, its key lowercase and unique per kind, its table free
+// of duplicate rows, and every literal key its builder reads declared in
+// its table.
 //
 // The shapes:
-//   BuiltTopology   owns every network element of a constructed topology
-//                   and exposes a uniform path-addressing surface: `flow
-//                   slots` (the scenario's natural flow set — 5 ring flows
-//                   on the torus, 1 client on a two-link) each with an
-//                   ordered list of candidate paths, plus host addressing
-//                   for datacenter fabrics and a queue inventory for loss
-//                   metrics.
-//   TrafficModel    builds and owns connections/generators over a
-//                   BuiltTopology; exposes the connection list the engine
-//                   meters.
+//   topo::Topology  (topo/network.hpp) what a topology builder returns:
+//                   flow slots with candidate paths, host addressing for
+//                   datacenter fabrics, and a queue inventory.
+//   TrafficModel    builds and owns connections/generators over it, and
+//                   holds the connection list the engine meters.
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "cc/congestion_control.hpp"
+#include "core/check.hpp"
 #include "core/event_list.hpp"
 #include "core/rng.hpp"
 #include "mptcp/connection.hpp"
+#include "mptcp/path_manager.hpp"
 #include "runner/experiment_runner.hpp"
 #include "scenario/spec.hpp"
 #include "topo/network.hpp"
@@ -56,53 +56,19 @@ struct BuildEnv {
     return scale_starts ? scaled(t) : t;
   }
 
-  // The spec's [path_manager] section, or nullptr when absent. Traffic
-  // models that support path management parse it into a PathManagerConfig
-  // and attach a PathManager per connection; models that ignore it leave
-  // its keys unconsumed, which check_all_used() turns into a validation
-  // error (the user asked for path management a model cannot provide).
-  const Section* path_manager = nullptr;
-  // The spec's [scheduler] section, or nullptr when absent (stripe). Same
-  // consumption contract as path_manager: unconsumed keys fail validation.
-  const Section* scheduler = nullptr;
-};
-
-class BuiltTopology {
- public:
-  virtual ~BuiltTopology() = default;
-
-  // Natural flow slots for persistent traffic (torus: 5, parking lot: 3,
-  // two-link/wireless: 1, ...).
-  virtual int flow_slots() const = 0;
-
-  // Up to `nsubflows` (fwd, rev) path pairs for flow slot `slot`, in the
-  // topology's canonical path order (so "path 0"/"path 1" in a spec mean
-  // the same thing the paper's figures mean). `rng` is only drawn from by
-  // topologies that sample paths (FatTree, BCube).
-  virtual std::vector<topo::PathPair> flow_paths(int slot, int nsubflows,
-                                                 Rng& rng) = 0;
-
-  // Host-addressable fabrics (FatTree, BCube) for traffic matrices;
-  // 0 hosts = not addressable.
-  virtual int num_hosts() const { return 0; }
-  virtual std::vector<topo::PathPair> host_paths(int src, int dst, int n,
-                                                 Rng& rng);
-
-  // BCube TP2-style neighbour traffic matrix; empty = unsupported.
-  virtual std::vector<std::pair<int, int>> neighbor_pairs() const {
-    return {};
-  }
-
-  // Bottleneck queues in a stable order, for loss metrics and stat resets.
-  virtual std::vector<net::Queue*> queues() = 0;
+  // The spec's [path_manager], read against its table; only traffic kinds
+  // that declare TrafficBuilder::path_manager are built with one.
+  std::optional<mptcp::PathManagerConfig> path_manager;
+  // The spec's [scheduler] kind (stripe without the section).
+  mptcp::DataSchedulerKind scheduler = mptcp::DataSchedulerKind::kStripe;
 };
 
 // A per-run congestion-control instance. `single_path` marks the paper's
 // SINGLE-PATH baseline: UNCOUPLED restricted to one subflow per flow.
 struct AlgorithmInstance {
-  std::string name;
   std::unique_ptr<const cc::CongestionControl> cc;
   bool single_path = false;
+  std::string name = {};  // the algorithm kind
 };
 
 class TrafficModel {
@@ -112,18 +78,15 @@ class TrafficModel {
   // Create (and own) connections/generators. Called once per run, after
   // the topology is built. `rng` is the run's seeded generator (path
   // sampling, arrival processes).
-  virtual void build(EventList& events, BuiltTopology& topo,
+  virtual void build(EventList& events, topo::Topology& topo,
                      const AlgorithmInstance& algo, Rng& rng,
                      const BuildEnv& env) = 0;
 
-  // Connections to meter, in flow order.
-  virtual std::vector<const mptcp::MptcpConnection*> connections() const = 0;
-
-  // Same connections, mutably, for fault-target registration (subflow
-  // resets act on the connection). Models that cannot support faults may
-  // keep the default empty list.
-  virtual std::vector<mptcp::MptcpConnection*> mutable_connections() {
-    return {};
+  // Connections to meter, in flow order; each also joins the fault-target
+  // registry under its name.
+  const std::vector<std::unique_ptr<mptcp::MptcpConnection>>& connections()
+      const {
+    return conns_;
   }
 
   // Denominator for per-host throughput metrics (0 = not applicable).
@@ -131,64 +94,82 @@ class TrafficModel {
 
   // Model-specific extra outputs (e.g. Poisson arrival counts).
   virtual void record_metrics(runner::RunContext& ctx) const { (void)ctx; }
+
+ protected:
+  std::vector<std::unique_ptr<mptcp::MptcpConnection>> conns_;
 };
 
-using TopologyBuilder = std::function<std::unique_ptr<BuiltTopology>(
-    topo::Network&, const Section&, const BuildEnv&)>;
-using AlgorithmBuilder = std::function<AlgorithmInstance(const Section&)>;
-using TrafficBuilder =
-    std::function<std::unique_ptr<TrafficModel>(const Section&)>;
-// Data-placement policies are an enum, not an object: the builder merely
-// maps the registry key (and any policy keys in the section) to a kind the
-// ConnectionConfig carries.
-using SchedulerBuilder =
-    std::function<mptcp::DataSchedulerKind(const Section&)>;
+using TopologyBuilder = std::function<std::unique_ptr<topo::Topology>(
+    topo::Network&, const Args&, const BuildEnv&)>;
+using AlgorithmBuilder = std::function<AlgorithmInstance(const Args&)>;
+struct TrafficBuilder {
+  bool path_manager = false;  // builds with the spec's [path_manager]
+  std::function<std::unique_ptr<TrafficModel>(const Args&)> make;
+};
+// Data-placement policies are an enum, not an object: a scheduler kind's
+// builder is the DataSchedulerKind the ConnectionConfig carries.
+using SchedulerBuilder = mptcp::DataSchedulerKind;
 
-class Registry {
+template <typename Builder>
+struct Kind {
+  std::string key;
+  std::string help;
+  KeyTable keys;
+  Builder build;
+};
+
+// The registered kinds of one spec section, in registration order.
+template <typename Builder>
+class KindSet {
  public:
-  struct Names {
-    std::vector<std::pair<std::string, std::string>> entries;  // key, help
-  };
+  explicit KindSet(std::string section) : section_(std::move(section)) {}
 
-  const TopologyBuilder& topology(const std::string& key,
-                                  const Section& at) const;
-  const AlgorithmBuilder& algorithm(const std::string& key,
-                                    const Section& at) const;
-  const TrafficBuilder& traffic(const std::string& key,
-                                const Section& at) const;
-  const SchedulerBuilder& scheduler(const std::string& key,
-                                    const Section& at) const;
+  const std::vector<Kind<Builder>>& kinds() const { return kinds_; }
 
-  Names topology_names() const;
-  Names algorithm_names() const;
-  Names traffic_names() const;
-  Names scheduler_names() const;
+  // The kind named `key`; an unknown one fails at `at`, listing the known.
+  const Kind<Builder>& find(const std::string& key, const Section& at) const {
+    std::string known;
+    for (const Kind<Builder>& k : kinds_) {
+      if (k.key == key) return k;
+      known += (known.empty() ? "" : ", ") + k.key;
+    }
+    at.fail("unknown " + section_ + " kind '" + key + "' (known: " + known +
+            ")");
+  }
 
   // Registration (builders.cpp only — enforced by tools/mpsim_analyze).
-  void add_topology(const std::string& key, const std::string& help,
-                    TopologyBuilder b);
-  void add_algorithm(const std::string& key, const std::string& help,
-                     AlgorithmBuilder b);
-  void add_traffic(const std::string& key, const std::string& help,
-                   TrafficBuilder b);
-  void add_scheduler(const std::string& key, const std::string& help,
-                     SchedulerBuilder b);
+  void add(std::string key, std::string help, KeyTable keys, Builder build) {
+    for (const Kind<Builder>& k : kinds_) {
+      MPSIM_CHECK(k.key != key, "duplicate registration");
+    }
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      for (std::size_t j = 0; j < i; ++j) {
+        MPSIM_CHECK(keys[i].name != keys[j].name, "duplicate key-table row");
+      }
+    }
+    kinds_.push_back(
+        {std::move(key), std::move(help), std::move(keys), std::move(build)});
+  }
 
  private:
-  template <typename T>
-  struct Entry {
-    std::string key;
-    std::string help;
-    T builder;
-  };
-  std::vector<Entry<TopologyBuilder>> topologies_;
-  std::vector<Entry<AlgorithmBuilder>> algorithms_;
-  std::vector<Entry<TrafficBuilder>> traffics_;
-  std::vector<Entry<SchedulerBuilder>> schedulers_;
+  std::string section_;
+  std::vector<Kind<Builder>> kinds_;
+};
+
+struct Registry {
+  KindSet<TopologyBuilder> topologies{"topology"};
+  KindSet<AlgorithmBuilder> algorithms{"algorithm"};
+  KindSet<TrafficBuilder> traffic_models{"traffic"};
+  KindSet<SchedulerBuilder> schedulers{"scheduler"};
 };
 
 // The built-in registry (every kind builders.cpp registers). Constructed
 // once, immutable afterwards — safe to share across runner threads.
 const Registry& builtin_registry();
+
+// Algorithm kind `kind` at its table's defaults, for per-flow `algos` and
+// poisson `companions`; an unknown kind fails at `at`.
+AlgorithmInstance algorithm_at_defaults(const std::string& kind,
+                                        const Section& at);
 
 }  // namespace mpsim::scenario

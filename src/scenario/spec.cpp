@@ -1,5 +1,6 @@
 #include "scenario/spec.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -267,11 +268,8 @@ bool Section::has(const std::string& key) const {
 }
 
 const Value* Section::find(const std::string& key) const {
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].first == key) {
-      used_[i] = true;
-      return &entries_[i].second;
-    }
+  for (const auto& [k, v] : entries_) {
+    if (k == key) return &v;
   }
   return nullptr;
 }
@@ -298,13 +296,8 @@ double Section::get_number(const std::string& key) const {
   return v.num;
 }
 
-double Section::get_number(const std::string& key, double fallback) const {
-  return has(key) ? get_number(key) : fallback;
-}
-
-std::int64_t Section::get_count_upto(const std::string& key,
-                                     std::int64_t max) const {
-  const Value& v = require(key);
+std::int64_t Section::count_of(const std::string& key, const Value& v,
+                               std::int64_t max) const {
   if (v.kind != Value::Kind::kNumber || v.num != std::floor(v.num)) {
     type_error(key, v, "an integer");
   }
@@ -324,13 +317,7 @@ std::string Section::get_string(const std::string& key) const {
   return v.str;
 }
 
-std::string Section::get_string(const std::string& key,
-                                const std::string& fallback) const {
-  return has(key) ? get_string(key) : fallback;
-}
-
-bool Section::get_bool(const std::string& key, bool fallback) const {
-  if (!has(key)) return fallback;
+bool Section::get_bool(const std::string& key) const {
   const Value& v = require(key);
   if (v.kind != Value::Kind::kBool) type_error(key, v, "true or false");
   return v.boolean;
@@ -344,10 +331,6 @@ SimTime Section::get_time(const std::string& key) const {
   return parse_time(v.str, file_, v.line);
 }
 
-SimTime Section::get_time(const std::string& key, SimTime fallback) const {
-  return has(key) ? get_time(key) : fallback;
-}
-
 double Section::get_rate_bps(const std::string& key) const {
   const Value& v = require(key);
   if (v.kind != Value::Kind::kString) {
@@ -356,13 +339,7 @@ double Section::get_rate_bps(const std::string& key) const {
   return parse_rate_bps(v.str, file_, v.line);
 }
 
-double Section::get_rate_bps(const std::string& key, double fallback) const {
-  return has(key) ? get_rate_bps(key) : fallback;
-}
-
-std::uint64_t Section::get_bytes(const std::string& key,
-                                 std::uint64_t fallback) const {
-  if (!has(key)) return fallback;
+std::uint64_t Section::get_bytes(const std::string& key) const {
   const Value& v = require(key);
   if (v.kind != Value::Kind::kString) {
     type_error(key, v, "a size string like \"25pkt\"");
@@ -383,6 +360,18 @@ std::vector<double> Section::get_number_array(const std::string& key) const {
       type_error(key, item, "an array of numbers");
     }
     out.push_back(item.num);
+  }
+  return out;
+}
+
+std::vector<std::uint64_t> Section::get_count_array(
+    const std::string& key) const {
+  const Value& v = require(key);
+  std::vector<std::uint64_t> out;
+  for (const Value& item :
+       v.kind == Value::Kind::kArray ? v.items : std::vector<Value>{v}) {
+    out.push_back(static_cast<std::uint64_t>(
+        count_of(key, item, count_max<std::uint64_t>())));
   }
   return out;
 }
@@ -414,12 +403,6 @@ std::vector<SimTime> Section::get_time_array(const std::string& key) const {
   return out;
 }
 
-void Section::reject(const std::string& key, const std::string& why) const {
-  const Value* v = find(key);
-  throw SpecError(file_, v != nullptr ? v->line : line_,
-                  "[" + name_ + "] " + key + ": " + why);
-}
-
 void Section::fail(const std::string& message) const {
   throw SpecError(file_, line_, "[" + name_ + "] " + message);
 }
@@ -434,7 +417,6 @@ void Section::append(const std::string& key, Value v) {
                     "duplicate key '" + key + "' in [" + name_ + "]");
   }
   entries_.emplace_back(key, std::move(v));
-  used_.push_back(false);
 }
 
 bool Section::override_value(const std::string& key, Value v) {
@@ -447,16 +429,147 @@ bool Section::override_value(const std::string& key, Value v) {
   return false;
 }
 
-void Section::mark_all_unused() const {
-  for (std::size_t i = 0; i < used_.size(); ++i) used_[i] = false;
+// --- key tables ------------------------------------------------------------
+
+namespace {
+
+bool is_array(KeyType t) { return t >= KeyType::kCounts; }
+
+// A string scalar: its default may be written without quotes.
+bool is_quoted_scalar(KeyType t) {
+  return t >= KeyType::kString && t <= KeyType::kBytes;
 }
 
-std::vector<std::pair<std::string, int>> Section::unused_keys() const {
-  std::vector<std::pair<std::string, int>> out;
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (!used_[i]) out.emplace_back(entries_[i].first, entries_[i].second.line);
+const char* type_name(KeyType t) {
+  static constexpr const char* kNames[] = {
+      "count", "count64", "number",  "bool",     "string",   "time",
+      "rate",  "bytes",   "count[]", "number[]", "string[]", "time[]"};
+  return kNames[static_cast<int>(t)];
+}
+
+std::string num_text(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", v);
+  return buf;
+}
+
+// What `k`'s values must satisfy, as the tail of "'<key>' must ...":
+// "be >= 1", "be in [0, 1)", "list 3 entries", "be one of ...";
+// "" when every value of its type is accepted.
+std::string condition(const Key& k) {
+  if (!k.choices.empty()) {
+    std::string out = "be one of ";
+    for (const std::string& c : k.choices) {
+      out += (c == k.choices.front() ? "\"" : ", \"") + c + "\"";
+    }
+    return out;
   }
-  return out;
+  const Range& r = k.range;
+  if (r.lo == -std::numeric_limits<double>::infinity()) return "";
+  if (is_array(k.type)) {
+    return r.lo == r.hi ? "list " + num_text(r.lo) + " entries"
+                        : "not be empty";
+  }
+  if (r.hi != std::numeric_limits<double>::infinity()) {
+    return "be in " + std::string(r.lo_open ? "(" : "[") + num_text(r.lo) +
+           ", " + num_text(r.hi) + (r.hi_open ? ")" : "]");
+  }
+  return std::string("be ") + (r.even ? "even and " : "") +
+         (r.lo_open ? "> " : ">= ") + num_text(r.lo);
+}
+
+bool in_range(const Range& r, double v) {
+  return (r.lo_open ? v > r.lo : v >= r.lo) &&
+         (r.hi_open ? v < r.hi : v <= r.hi) &&
+         (!r.even || std::fmod(v, 2.0) == 0.0);
+}
+
+// Check `k`'s value in `s` (present) against its type, range and choices.
+void check_value(const Section& s, const Key& k) {
+  const std::string& n = k.name;
+  auto size = [](const auto& xs) { return static_cast<double>(xs.size()); };
+  double v = 0.0;  // the scalar, or the number of array entries
+  bool chosen = true;
+  switch (k.type) {
+    case KeyType::kCount: v = s.get_count<int>(n); break;
+    case KeyType::kCount64:
+      v = static_cast<double>(s.get_count<std::uint64_t>(n));
+      break;
+    case KeyType::kNumber: v = s.get_number(n); break;
+    case KeyType::kBool: s.get_bool(n); break;
+    case KeyType::kString:
+      chosen = k.choices.empty() ||
+               std::find(k.choices.begin(), k.choices.end(),
+                         s.get_string(n)) != k.choices.end();
+      break;
+    case KeyType::kTime: s.get_time(n); break;
+    case KeyType::kRate: v = s.get_rate_bps(n); break;
+    case KeyType::kBytes: s.get_bytes(n); break;
+    case KeyType::kCounts: v = size(s.get_count_array(n)); break;
+    case KeyType::kNumbers: v = size(s.get_number_array(n)); break;
+    case KeyType::kStrings: v = size(s.get_string_array(n)); break;
+    case KeyType::kTimes: v = size(s.get_time_array(n)); break;
+  }
+  if (!chosen || !in_range(k.range, v)) {
+    s.fail_at(s.find(n)->line, "'" + n + "' must " + condition(k));
+  }
+}
+
+}  // namespace
+
+Args read_args(const Section& s, std::initializer_list<const KeyTable*> tables,
+               bool partial) {
+  std::vector<const Key*> keys;
+  for (const KeyTable* t : tables) {
+    for (const Key& k : *t) keys.push_back(&k);
+  }
+  auto known = [&](const std::string& name) {
+    for (const Key* k : keys) {
+      if (k->name == name) return k->needs.empty() || s.has(k->needs);
+    }
+    return false;
+  };
+  for (const auto& [name, v] : s.entries()) {
+    if (!partial && !known(name)) {
+      throw SpecError(s.file(), v.line,
+                      "unknown key '" + name + "' in [" + s.name() + "]");
+    }
+  }
+  Args args(s);
+  for (const Key* k : keys) {
+    if (s.has(k->name)) {
+      check_value(s, *k);
+      if (!k->excludes.empty() && s.has(k->excludes)) {
+        s.fail_at(s.find(k->name)->line,
+                  k->name + ": mutually exclusive with '" + k->excludes + "'");
+      }
+    } else if (k->def == kRequired) {
+      if (k->needs.empty() || s.has(k->needs)) {
+        s.fail("is missing required key '" + k->name + "'");
+      }
+    } else if (*k->def != '\0') {
+      args.append(k->name, is_quoted_scalar(k->type)
+                               ? Value::string(k->def, s.line())
+                               : parse_value(k->def, s.file(), s.line()));
+    }
+  }
+  return args;
+}
+
+std::string format_key(const Key& k) {
+  std::string def = k.def == kRequired ? "required"
+                    : *k.def == '\0'   ? "-"
+                    : is_quoted_scalar(k.type)
+                        ? '"' + std::string(k.def) + '"'
+                        : k.def;
+  char head[160];
+  std::snprintf(head, sizeof head, "%-18s %-8s %-10s ", k.name.c_str(),
+                type_name(k.type), def.c_str());
+  std::string line = head + k.doc;
+  if (const std::string c = condition(k); !c.empty()) line += "; must " + c;
+  if (!k.excludes.empty()) line += "; not with " + k.excludes;
+  if (!k.needs.empty()) line += "; only with " + k.needs;
+  return line;
 }
 
 // --- Spec ------------------------------------------------------------------
@@ -538,15 +651,6 @@ const Section* Spec::find_section(const std::string& name) const {
   return nullptr;
 }
 
-Section& Spec::require_section(const std::string& name) {
-  Section* s = find_section(name);
-  if (s == nullptr) {
-    throw SpecError(file_, 1, "spec is missing required section [" + name +
-                    "]");
-  }
-  return *s;
-}
-
 const Section& Spec::require_section(const std::string& name) const {
   const Section* s = find_section(name);
   if (s == nullptr) {
@@ -554,19 +658,6 @@ const Section& Spec::require_section(const std::string& name) const {
                     "]");
   }
   return *s;
-}
-
-void Spec::check_all_used() const {
-  for (const Section& s : sections_) {
-    for (const auto& [key, line] : s.unused_keys()) {
-      throw SpecError(file_, line,
-                      "unknown key '" + key + "' in [" + s.name() + "]");
-    }
-  }
-}
-
-void Spec::mark_all_unused() const {
-  for (const Section& s : sections_) s.mark_all_unused();
 }
 
 }  // namespace mpsim::scenario

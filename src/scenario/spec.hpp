@@ -20,14 +20,19 @@
 // with a file:line diagnostic — a spec never silently falls back to a
 // default when a value was provided.
 //
-// Every accessor marks its key as consumed; Spec::check_all_used() turns
-// unconsumed keys into unknown-key errors, so misspelled keys cannot be
-// silently ignored either.
+// Every section a spec may hold, and every key of every registered kind,
+// is declared once in a key table (Key below): name, type, default, range
+// or choices, exclusion and one line of doc. read_args() checks a section
+// against its tables before anything is built, so a misspelled key, a
+// value of the wrong type or out of range, or two keys that exclude each
+// other fail validation; builders then read values that are already typed,
+// defaulted and range-checked. `mpsim list` prints the tables.
 #pragma once
 
 #include <algorithm>
 #include <concepts>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -110,60 +115,45 @@ class Section {
   bool has(const std::string& key) const;
 
   // --- typed accessors -----------------------------------------------
-  // Two forms each: with a fallback (missing key => fallback) and without
-  // (missing key => SpecError). A key that exists with the wrong type or a
-  // malformed unit is always an error.
+  // A missing key, a key of the wrong type or a malformed unit is a
+  // SpecError. Defaults come from key tables (read_args), never from the
+  // caller.
   double get_number(const std::string& key) const;
-  double get_number(const std::string& key, double fallback) const;
   // Integer keys, read as counts of type T (see count_max()).
   template <std::integral T>
   T get_count(const std::string& key) const {
-    return static_cast<T>(get_count_upto(key, count_max<T>()));
-  }
-  template <std::integral T>
-  T get_count(const std::string& key, T fallback) const {
-    return has(key) ? get_count<T>(key) : fallback;
+    return static_cast<T>(count_of(key, require(key), count_max<T>()));
   }
   std::string get_string(const std::string& key) const;
-  std::string get_string(const std::string& key,
-                         const std::string& fallback) const;
-  bool get_bool(const std::string& key, bool fallback) const;
+  bool get_bool(const std::string& key) const;
   SimTime get_time(const std::string& key) const;
-  SimTime get_time(const std::string& key, SimTime fallback) const;
   double get_rate_bps(const std::string& key) const;
-  double get_rate_bps(const std::string& key, double fallback) const;
-  std::uint64_t get_bytes(const std::string& key,
-                          std::uint64_t fallback) const;
+  std::uint64_t get_bytes(const std::string& key) const;
 
   // Arrays. A scalar is accepted as a one-element array, so a sweep axis
   // can substitute a single value for a list-valued key.
   std::vector<double> get_number_array(const std::string& key) const;
+  std::vector<std::uint64_t> get_count_array(const std::string& key) const;
   std::vector<std::string> get_string_array(const std::string& key) const;
   std::vector<SimTime> get_time_array(const std::string& key) const;
-  bool has_array(const std::string& key) const { return has(key); }
 
-  // Raw lookup; marks the key consumed. nullptr when absent.
+  // Raw lookup. nullptr when absent.
   const Value* find(const std::string& key) const;
 
-  // Throw for a key that exists but should not (e.g. mutually exclusive
-  // parameter forms).
-  [[noreturn]] void reject(const std::string& key,
-                           const std::string& why) const;
   [[noreturn]] void fail(const std::string& message) const;  // at section line
   [[noreturn]] void fail_at(int line, const std::string& message) const;
 
   // Parser/sweep-expansion interface.
   void append(const std::string& key, Value v);  // throws on duplicate key
   bool override_value(const std::string& key, Value v);  // false if absent
-  void mark_all_unused() const;
-  std::vector<std::pair<std::string, int>> unused_keys() const;
   const std::vector<std::pair<std::string, Value>>& entries() const {
     return entries_;
   }
 
  private:
   const Value& require(const std::string& key) const;
-  std::int64_t get_count_upto(const std::string& key, std::int64_t max) const;
+  std::int64_t count_of(const std::string& key, const Value& v,
+                        std::int64_t max) const;
   [[noreturn]] void type_error(const std::string& key, const Value& v,
                                const char* expected) const;
 
@@ -171,8 +161,76 @@ class Section {
   int line_;
   std::string file_;
   std::vector<std::pair<std::string, Value>> entries_;
-  mutable std::vector<bool> used_;
 };
+
+// --- key tables -------------------------------------------------------------
+
+// What a key holds. kCount is a whole number stored in an int; kCount64 one
+// stored in 64 bits (seeds, packet counts, capacities). kTime, kRate and
+// kBytes are unit strings. The plural kinds are flat arrays.
+enum class KeyType : std::uint8_t {
+  kCount, kCount64, kNumber, kBool, kString, kTime, kRate, kBytes,
+  kCounts, kNumbers, kStrings, kTimes,
+};
+
+// The values a numeric key accepts, or for an array key how many entries
+// it must list.
+struct Range {
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  bool lo_open = false;
+  bool hi_open = false;
+  bool even = false;
+};
+
+constexpr Range at_least(double lo) { return {.lo = lo}; }
+constexpr Range above(double lo) { return {.lo = lo, .lo_open = true}; }
+constexpr Range exactly(double n) { return {.lo = n, .hi = n}; }
+
+// Key::def of a key the section must give.
+inline constexpr const char* kRequired = nullptr;
+
+// One declared key.
+struct Key {
+  std::string name;
+  KeyType type;
+  // The default, in spec syntax (a scalar string may leave out its
+  // quotes); kRequired; or "" when the builder computes it and `doc` says
+  // how.
+  const char* def;
+  std::string doc;
+  Range range = {};
+  std::vector<std::string> choices = {};  // the accepted strings, if limited
+  std::string excludes = {};  // a key this one may not appear with
+  // A key without which this one is unknown; a kRequired key with `needs`
+  // is required only when that key is given.
+  std::string needs = {};
+};
+
+using KeyTable = std::vector<Key>;
+
+// A section read_args() has checked against its key tables, with every
+// static default filled in. Builders take one, so they never see a raw
+// section, and read it with Section's getters.
+class Args : public Section {
+ private:
+  explicit Args(const Section& s) : Section(s) {}
+  friend Args read_args(const Section& s,
+                        std::initializer_list<const KeyTable*> tables,
+                        bool partial);
+};
+
+// Check `s` against the union of `tables`: every key declared (an unknown
+// key fails with its own line), of its type, inside its range or choices,
+// not next to a key it excludes, and every required key given. `partial`
+// skips the unknown-key check, to read one key (a section's `kind`) before
+// the rest of its table is known.
+Args read_args(const Section& s, std::initializer_list<const KeyTable*> tables,
+               bool partial = false);
+
+// `k` as one line of `mpsim list`: name, type, default, doc and the
+// accepted values.
+std::string format_key(const Key& k);
 
 class Spec {
  public:
@@ -184,13 +242,8 @@ class Spec {
 
   Section* find_section(const std::string& name);
   const Section* find_section(const std::string& name) const;
-  Section& require_section(const std::string& name);
   const Section& require_section(const std::string& name) const;
   const std::vector<Section>& sections() const { return sections_; }
-
-  // After a full build: every key of every section must have been read.
-  void check_all_used() const;
-  void mark_all_unused() const;
 
  private:
   std::string file_;

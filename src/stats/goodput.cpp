@@ -27,10 +27,4 @@ std::vector<double> GoodputMeter::mbps() const {
   return out;
 }
 
-double GoodputMeter::total_mbps() const {
-  double total = 0.0;
-  for (double v : mbps()) total += v;
-  return total;
-}
-
 }  // namespace mpsim::stats

@@ -25,8 +25,6 @@ class GoodputMeter {
   // yields 0.0 per connection rather than a NaN/inf rate.
   std::vector<double> mbps() const;
 
-  double total_mbps() const;
-
   std::size_t tracked() const { return conns_.size(); }
 
  private:

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/check.hpp"
-#include "net/packet.hpp"
 
 namespace mpsim::tcp {
 
@@ -80,10 +79,6 @@ bool DeliveryRateEstimator::on_ack(std::uint64_t cum, SimTime now,
   out.app_limited = last.app_limited;
   out.round_start = round_start;
   return true;
-}
-
-std::uint64_t DeliveryRateEstimator::delivered_bytes() const {
-  return delivered_ * net::kDataPacketBytes;
 }
 
 }  // namespace mpsim::tcp

@@ -54,7 +54,6 @@ class DeliveryRateEstimator {
   // Monotone count of packets delivered (cumulatively acked) on this
   // subflow since the estimator was created.
   std::uint64_t delivered_pkts() const { return delivered_; }
-  std::uint64_t delivered_bytes() const;
   bool app_limited() const { return delivered_ < app_limited_until_; }
 
  private:

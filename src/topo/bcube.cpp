@@ -120,8 +120,22 @@ std::vector<int> BCube::neighbors(int host, int level) const {
   return out;
 }
 
-std::vector<const net::Queue*> BCube::all_queues() const {
-  std::vector<const net::Queue*> qs;
+std::vector<PathPair> BCube::host_paths(int src, int dst, int n, Rng& rng) {
+  return sample_path_pairs(*this, src, dst, n, rng);
+}
+
+std::vector<std::pair<int, int>> BCube::neighbor_pairs() const {
+  std::vector<std::pair<int, int>> tm;
+  for (int h = 0; h < hosts_; ++h) {
+    for (int l = 0; l < levels(); ++l) {
+      for (int d : neighbors(h, l)) tm.emplace_back(h, d);
+    }
+  }
+  return tm;
+}
+
+std::vector<net::Queue*> BCube::queues() {
+  std::vector<net::Queue*> qs;
   for (const Link& l : host_up_) qs.push_back(l.queue);
   for (const Link& l : host_down_) qs.push_back(l.queue);
   return qs;

@@ -25,7 +25,7 @@
 
 namespace mpsim::topo {
 
-class BCube {
+class BCube : public Topology {
  public:
   BCube(Network& net, int n, int k, double link_rate_bps = 100e6,
         SimTime per_hop_delay = from_us(20),
@@ -34,7 +34,7 @@ class BCube {
   int n() const { return n_; }
   int k() const { return k_; }
   int levels() const { return k_ + 1; }
-  int num_hosts() const { return hosts_; }
+  int num_hosts() const override { return hosts_; }
   int switches_per_level() const { return hosts_ / n_; }
 
   // The k+1 NIC-disjoint BCube paths from src to dst.
@@ -51,7 +51,13 @@ class BCube {
   // TP2 destinations.
   std::vector<int> neighbors(int host, int level) const;
 
-  std::vector<const net::Queue*> all_queues() const;
+  // Matrix traffic only: sample_path_pairs() between hosts; TP2's
+  // neighbour matrix, every host writing to its one-digit neighbours at
+  // every level (replica placement close in the topology); every queue.
+  std::vector<PathPair> host_paths(int src, int dst, int n,
+                                   Rng& rng) override;
+  std::vector<std::pair<int, int>> neighbor_pairs() const override;
+  std::vector<net::Queue*> queues() override;
 
  private:
   int digit(int host, int level) const;

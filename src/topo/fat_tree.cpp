@@ -162,6 +162,19 @@ std::vector<const net::Queue*> FatTree::core_queues() const {
   return qs;
 }
 
+std::vector<PathPair> FatTree::host_paths(int src, int dst, int n,
+                                          Rng& rng) {
+  return sample_path_pairs(*this, src, dst, n, rng);
+}
+
+std::vector<net::Queue*> FatTree::queues() {
+  std::vector<net::Queue*> qs;
+  for (const auto& part : {access_queues(), core_queues()}) {
+    for (const auto* q : part) qs.push_back(const_cast<net::Queue*>(q));
+  }
+  return qs;
+}
+
 std::vector<PathPair> sample_path_pairs(FatTree& ft, int src, int dst, int n,
                                         Rng& rng) {
   std::vector<PathPair> out;

@@ -27,14 +27,14 @@
 
 namespace mpsim::topo {
 
-class FatTree {
+class FatTree : public Topology {
  public:
   FatTree(Network& net, int k, double link_rate_bps = 100e6,
           SimTime per_hop_delay = from_us(20),
           std::uint64_t buf_bytes = 100 * net::kDataPacketBytes);
 
   int k() const { return k_; }
-  int num_hosts() const { return k_ * k_ * k_ / 4; }
+  int num_hosts() const override { return k_ * k_ * k_ / 4; }
   int num_switches() const { return k_ * k_ + k_ * k_ / 4; }
 
   // All shortest paths src -> dst ((k/2)^2, k/2 or 1 of them). Non-const:
@@ -52,6 +52,12 @@ class FatTree {
   // from access links).
   std::vector<const net::Queue*> access_queues() const;
   std::vector<const net::Queue*> core_queues() const;
+
+  // Matrix traffic only: sample_path_pairs() between hosts; queues access
+  // then core, the Fig. 13 reporting order.
+  std::vector<PathPair> host_paths(int src, int dst, int n,
+                                   Rng& rng) override;
+  std::vector<net::Queue*> queues() override;
 
  private:
   int pod_of(int host) const { return host / (half_k_ * half_k_); }

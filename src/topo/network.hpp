@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/event_list.hpp"
+#include "core/rng.hpp"
 #include "fault/fault.hpp"
 #include "net/cbr.hpp"
 #include "net/lossy_link.hpp"
@@ -117,6 +118,41 @@ class Network {
   std::vector<std::unique_ptr<net::LossyLink>> lossy_;
 };
 
+// What traffic needs from a built topology: its natural flow slots (5 ring
+// flows on the torus, 1 client on a two-link), each with an ordered list
+// of candidate paths; host addressing for datacenter fabrics; and a queue
+// inventory for loss metrics. Every topology class implements it.
+class Topology {
+ public:
+  virtual ~Topology() = default;
+
+  // Natural flow slots for persistent traffic; 0 = matrix traffic only.
+  virtual int flow_slots() const { return 0; }
+
+  // Up to `n` (fwd, rev) path pairs for flow slot `slot`, in the
+  // topology's canonical path order (so "path 0"/"path 1" in a spec mean
+  // what the paper's figures mean).
+  virtual std::vector<PathPair> flow_paths(int /*slot*/, int /*n*/) {
+    return {};
+  }
+
+  // Host-addressable fabrics (FatTree, BCube): up to `n` sampled path
+  // pairs from host `src` to `dst`; 0 hosts = not addressable.
+  virtual int num_hosts() const { return 0; }
+  virtual std::vector<PathPair> host_paths(int /*src*/, int /*dst*/,
+                                           int /*n*/, Rng& /*rng*/) {
+    return {};
+  }
+
+  // BCube TP2-style neighbour traffic matrix; empty = unsupported.
+  virtual std::vector<std::pair<int, int>> neighbor_pairs() const {
+    return {};
+  }
+
+  // Bottleneck queues in a stable order, for loss metrics and stat resets.
+  virtual std::vector<net::Queue*> queues() = 0;
+};
+
 // Path assembly helpers.
 inline void append_link(Path& path, const Link& link) {
   path.push_back(link.queue);
@@ -127,6 +163,14 @@ inline Path path_of(std::initializer_list<const Link*> links) {
   Path p;
   for (const Link* l : links) append_link(p, *l);
   return p;
+}
+
+// The first `n` of a flow slot's canonical path pairs.
+inline std::vector<PathPair> first_paths(std::vector<PathPair> pairs, int n) {
+  if (n >= 0 && static_cast<std::size_t>(n) < pairs.size()) {
+    pairs.resize(static_cast<std::size_t>(n));
+  }
+  return pairs;
 }
 
 // Buffer sizing helper: `bdp_multiple` bandwidth-delay products, in bytes.

@@ -13,7 +13,7 @@
 
 namespace mpsim::topo {
 
-class ParkingLot {
+class ParkingLot : public Topology {
  public:
   // `path_rtt` is the propagation RTT of *every* path, one- or two-hop:
   // per-link pipes carry a small fixed delay and the ACK pipes pad the
@@ -33,6 +33,18 @@ class ParkingLot {
   Path two_hop_rev(int flow) const;
 
   net::Queue& queue(int link) { return *links_[link].queue; }
+
+  // Path 0 = the one-hop path, path 1 = the two-hop detour (Fig. 2's
+  // ordering).
+  int flow_slots() const override { return kFlows; }
+  std::vector<PathPair> flow_paths(int slot, int n) override {
+    return first_paths({{one_hop_fwd(slot), one_hop_rev(slot)},
+                        {two_hop_fwd(slot), two_hop_rev(slot)}},
+                       n);
+  }
+  std::vector<net::Queue*> queues() override {
+    return {&queue(0), &queue(1), &queue(2)};
+  }
 
  private:
   Link links_[3];

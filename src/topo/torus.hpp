@@ -12,7 +12,7 @@
 
 namespace mpsim::topo {
 
-class Torus {
+class Torus : public Topology {
  public:
   static constexpr int kLinks = 5;
 
@@ -26,6 +26,18 @@ class Torus {
 
   net::Queue& queue(int link) { return *links_[link].queue; }
   const net::Queue& queue(int link) const { return *links_[link].queue; }
+
+  int flow_slots() const override { return kLinks; }
+  std::vector<PathPair> flow_paths(int slot, int n) override {
+    return first_paths({{fwd(slot, 0), rev(slot, 0)},
+                        {fwd(slot, 1), rev(slot, 1)}},
+                       n);
+  }
+  std::vector<net::Queue*> queues() override {
+    std::vector<net::Queue*> qs;
+    for (const Link& l : links_) qs.push_back(l.queue);
+    return qs;
+  }
 
   static constexpr SimTime kRtt = from_ms(100);
 

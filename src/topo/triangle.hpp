@@ -16,7 +16,7 @@
 
 namespace mpsim::topo {
 
-class Triangle {
+class Triangle : public Topology {
  public:
   Triangle(Network& net, const std::array<double, 3>& rates_bps,
            SimTime one_way_delay, const std::array<std::uint64_t, 3>& bufs);
@@ -28,6 +28,16 @@ class Triangle {
   Path rev(int flow, int path) const;
 
   net::Queue& queue(int link) { return *links_[link].queue; }
+
+  int flow_slots() const override { return kFlows; }
+  std::vector<PathPair> flow_paths(int slot, int n) override {
+    return first_paths({{fwd(slot, 0), rev(slot, 0)},
+                        {fwd(slot, 1), rev(slot, 1)}},
+                       n);
+  }
+  std::vector<net::Queue*> queues() override {
+    return {&queue(0), &queue(1), &queue(2)};
+  }
 
  private:
   int link_of(int flow, int path) const { return (flow + path) % 3; }

@@ -15,8 +15,34 @@ TwoLink::TwoLink(Network& net, const LinkSpec& link1, const LinkSpec& link2) {
   }
 }
 
-Path TwoLink::fwd(int link) const { return path_of({&links_[link]}); }
+void TwoLink::add_loss(Network& net, int link, double p, std::uint64_t seed) {
+  loss_[link] =
+      &net.add_lossy("link" + std::to_string(link + 1) + "/loss", p, seed);
+}
+
+void TwoLink::add_cbr(Network& net, int link, double rate_bps,
+                      SimTime mean_on, SimTime mean_off, std::uint64_t seed) {
+  const std::string name = "link" + std::to_string(link + 1) + "/cbr";
+  Cbr& c = cbr_[link];
+  c.sink = std::make_unique<net::CountingSink>(name + "/sink");
+  Path path = fwd(link);
+  path.push_back(c.sink.get());
+  c.route = std::make_unique<net::Route>(path);
+  c.source = std::make_unique<net::OnOffCbrSource>(
+      net.events(), name, *c.route, rate_bps, mean_on, mean_off, seed);
+  c.source->start(0);
+}
+
+Path TwoLink::fwd(int link) const {
+  Path path = path_of({&links_[link]});
+  if (loss_[link] != nullptr) path.insert(path.begin(), loss_[link]);
+  return path;
+}
 
 Path TwoLink::rev(int link) const { return {ack_pipes_[link]}; }
+
+std::vector<PathPair> TwoLink::flow_paths(int /*slot*/, int n) {
+  return first_paths({{fwd(0), rev(0)}, {fwd(1), rev(1)}}, n);
+}
 
 }  // namespace mpsim::topo

@@ -17,7 +17,7 @@
 
 namespace mpsim::topo {
 
-struct WirelessClient {
+struct WirelessClient : Topology {
   static constexpr double kWifiRate = 14.4e6;
   static constexpr double k3gRate = 2.1e6;
 
@@ -44,6 +44,13 @@ struct WirelessClient {
   Path wifi_rev() { return {&wifi_ack}; }
   Path g3_fwd() { return {&g3_q, &g3_pipe}; }
   Path g3_rev() { return {&g3_ack}; }
+
+  // Path 0 = WiFi, path 1 = 3G.
+  int flow_slots() const override { return 1; }
+  std::vector<PathPair> flow_paths(int /*slot*/, int n) override {
+    return first_paths({{wifi_fwd(), wifi_rev()}, {g3_fwd(), g3_rev()}}, n);
+  }
+  std::vector<net::Queue*> queues() override { return {&wifi_q, &g3_q}; }
 
   net::VariableRateQueue& wifi_q;
   net::LossyLink& wifi_loss_el;

@@ -70,7 +70,6 @@ enum class TcpPhase : std::uint8_t {
 // Stable lowercase names, used by the CSV/JSONL sinks and the schema
 // validator (tools/check_trace_schema.py must list the same set).
 const char* record_type_name(RecordType t);
-const char* tcp_phase_name(TcpPhase p);
 
 struct Record {
   SimTime t = 0;

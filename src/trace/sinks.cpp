@@ -54,16 +54,6 @@ const char* record_type_name(RecordType t) {
   return "unknown";
 }
 
-const char* tcp_phase_name(TcpPhase p) {
-  switch (p) {
-    case TcpPhase::kSlowStart: return "slow_start";
-    case TcpPhase::kCongestionAvoidance: return "congestion_avoidance";
-    case TcpPhase::kFastRecovery: return "fast_recovery";
-    case TcpPhase::kRtoRecovery: return "rto_recovery";
-  }
-  return "unknown";
-}
-
 void CsvSink::begin() {
   out_ += kHeader;
   out_ += '\n';

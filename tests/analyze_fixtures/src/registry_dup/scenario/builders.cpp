@@ -1,12 +1,16 @@
 // Fixture: the same scheduler key registered twice -> registry-discipline.
 // The topology of the same name is another kind and is no duplicate.
+struct KindSet {
+  void add(const char* key, const char* help, int keys, int kind);
+};
 struct Registry {
-  void add_topology(const char* key, const char* help, int kind);
-  void add_scheduler(const char* key, const char* help, int kind);
+  KindSet topologies;
+  KindSet schedulers;
 };
 
 void register_schedulers(Registry& r) {
-  r.add_topology("stripe", "a striped fabric", 7);
-  r.add_scheduler("stripe", "lowest-numbered subflow with window space", 0);
-  r.add_scheduler("stripe", "prefer the smallest srtt", 1);
+  r.topologies.add("stripe", "a striped fabric", 0, 7);
+  r.schedulers.add("stripe", "lowest-numbered subflow with window space", 0,
+                   0);
+  r.schedulers.add("stripe", "prefer the smallest srtt", 0, 1);
 }

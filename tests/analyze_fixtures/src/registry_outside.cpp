@@ -1,9 +1,12 @@
 // Fixture: a scheduler registered outside scenario/builders.cpp ->
 // registry-discipline.
+struct KindSet {
+  void add(const char* key, const char* help, int keys, int kind);
+};
 struct Registry {
-  void add_scheduler(const char* key, const char* help, int kind);
+  KindSet schedulers;
 };
 
 void register_extra_schedulers(Registry& r) {
-  r.add_scheduler("round_robin", "rotate across subflows", 4);
+  r.schedulers.add("round_robin", "rotate across subflows", 0, 4);
 }

@@ -1,8 +1,12 @@
 // Fixture: a scheduler key that is not lowercase -> registry-discipline.
+struct KindSet {
+  void add(const char* key, const char* help, int keys, int kind);
+};
 struct Registry {
-  void add_scheduler(const char* key, const char* help, int kind);
+  KindSet schedulers;
 };
 
 void register_schedulers(Registry& r) {
-  r.add_scheduler("Stripe", "lowest-numbered subflow with window space", 0);
+  r.schedulers.add("Stripe", "lowest-numbered subflow with window space", 0,
+                   0);
 }

@@ -38,6 +38,10 @@ EXPECTED = Counter([
     ("registry_outside.cpp", "registry-discipline"),
     ("registry_upper/scenario/builders.cpp", "registry-discipline"),
     ("registry_dup/scenario/builders.cpp", "registry-discipline"),
+    # a builder reads a key its table does not declare
+    ("registry_undeclared/scenario/builders.cpp", "registry-discipline"),
+    # a table declares one key twice
+    ("registry_duprow/scenario/builders.cpp", "registry-discipline"),
     ("mutable_global_namespace.cpp", "mutable-global"),
     ("mutable_global_class.cpp", "mutable-global"),  # static inline int
     ("mutable_global_class.cpp", "mutable-global"),  # inline static u64

@@ -368,6 +368,63 @@ TEST(SpecValidation, LossRatioQueueIndexOutOfIntRangeRejected) {
   expect_range_error(text, "[output]", "'99999999999'");
 }
 
+TEST(SpecValidation, TraceSinkMustBeAKnownName) {
+  // validate() checks [output] trace even though only `mpsim run` reads
+  // it, so `mpsim run --trace=off` cannot run a spec that names no sink.
+  for (const char* value : {"\"bogus\"", "3"}) {
+    const std::string text = std::string(kBase) +
+                             "\n[output]\ntrace = " + value + "\n";
+    const SpecError e = error_of([&] { load(text).validate(); });
+    EXPECT_EQ(e.line(), line_of(text, "trace = ")) << e.what();
+    EXPECT_NE(std::string(e.what()).find("[output]"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SpecValidation, NegativeTraceCapacityRejected) {
+  const std::string text =
+      std::string(kBase) + "\n[output]\ntrace_capacity = -5\n";
+  expect_range_error(text, "trace_capacity", "[output] trace_capacity:");
+}
+
+TEST(SpecValidation, PathManagerNeedsATrafficKindThatTakesOne) {
+  // Even an empty [path_manager] asks for path management, which poisson
+  // and the traffic matrices cannot provide.
+  auto replaced = [](std::string text, const std::string& from,
+                     const std::string& to) {
+    text.replace(text.find(from), from.size(), to);
+    return text;
+  };
+  const std::string persistent =
+      "kind = \"persistent\"\ncount = 1\nsubflows = 2";
+  const std::string poisson =
+      replaced(kBase, persistent, "kind = \"poisson\"");
+  std::string permutation =
+      replaced(replaced(kBase, persistent,
+                        "kind = \"permutation\"\ntm_seed = 1"),
+               "kind = \"two_link\"", "kind = \"fat_tree\"\nk = 4");
+  for (const char* key : {"link1_rate", "link1_delay", "link2_rate",
+                          "link2_delay"}) {
+    const std::size_t pos = permutation.find(key);
+    permutation.erase(pos, permutation.find('\n', pos) + 1 - pos);
+  }
+  for (const std::string& base : {poisson, permutation}) {
+    EXPECT_NO_THROW(load(base).validate());
+    const std::string text = base + "\n[path_manager]\n";
+    const SpecError e = error_of([&] { load(text).validate(); });
+    EXPECT_EQ(e.line(), line_of(text, "[path_manager]")) << e.what();
+  }
+  EXPECT_NO_THROW(load(std::string(kBase) + "\n[path_manager]\n").validate());
+}
+
+TEST(SpecValidation, UnknownSectionRejected) {
+  const std::string text = std::string(kBase) + "\n[path_manger]\n";
+  const SpecError e = error_of([&] { load(text).validate(); });
+  EXPECT_EQ(e.line(), line_of(text, "[path_manger]")) << e.what();
+  EXPECT_NE(std::string(e.what()).find("path_manger"), std::string::npos)
+      << e.what();
+}
+
 TEST(SweepExpansion, EmptyAxisRejected) {
   Scenario s =
       load(std::string(kBase) + "\n[sweep]\ntraffic.subflows = []\n");

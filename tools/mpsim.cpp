@@ -2,7 +2,7 @@
 //
 //   mpsim run <spec.toml>...       execute every run in each spec's grid
 //   mpsim validate <spec.toml>...  dry-build every grid point, no sim time
-//   mpsim list                     print the registered kinds
+//   mpsim list                     print every section's and kind's keys
 //
 // `run` prints one deterministic block per run (name + recorded metrics,
 // fixed formatting) to stdout and writes BENCH_scenario_<name>.json; wall
@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/env.hpp"
@@ -33,8 +34,8 @@ int usage() {
                "  run       execute every run in each spec's sweep x seed "
                "grid\n"
                "  validate  dry-build every grid point; no simulated time\n"
-               "  list      print registered topology/algorithm/traffic/"
-               "data-scheduler kinds\n"
+               "  list      print every section's keys and every registered "
+               "kind's\n"
                "\n"
                "options:\n"
                "  --threads=N     worker threads (default: hardware "
@@ -107,32 +108,42 @@ bool parse_args(int argc, char** argv, Options& opts) {
   return true;
 }
 
-trace::SinkKind sink_from_name(const std::string& name) {
-  if (name == "csv") return trace::SinkKind::kCsv;
-  if (name == "jsonl") return trace::SinkKind::kJsonl;
-  if (name == "null") return trace::SinkKind::kNull;
-  return trace::SinkKind::kNone;
-}
-
 // The --trace flag, else the spec's [output] trace.
 trace::SinkKind resolve_sink(const Options& opts,
                              const scenario::Scenario& scn) {
-  if (!opts.trace.empty()) return sink_from_name(opts.trace);
+  if (!opts.trace.empty()) return scenario::sink_kind(opts.trace);
   return scn.spec_trace_sink();
 }
 
+template <typename B>
+void print_kinds(const scenario::KindSet<B>& kinds) {
+  for (const scenario::Kind<B>& k : kinds.kinds()) {
+    const char* note = "";
+    if constexpr (std::is_same_v<B, scenario::TrafficBuilder>) {
+      if (k.build.path_manager) note = "; takes [path_manager]";
+    }
+    std::printf("  kind = \"%s\": %s%s\n", k.key.c_str(), k.help.c_str(),
+                note);
+    for (const scenario::Key& key : k.keys) {
+      std::printf("    %s\n", scenario::format_key(key).c_str());
+    }
+  }
+}
+
+// Every section with its key table; a section that names a kind is
+// followed by each registered kind and its table.
 int cmd_list() {
   const scenario::Registry& reg = scenario::builtin_registry();
-  auto print = [](const char* title, const scenario::Registry::Names& ns) {
-    std::printf("%s:\n", title);
-    for (const auto& [key, help] : ns.entries) {
-      std::printf("  %-12s %s\n", key.c_str(), help.c_str());
+  for (const scenario::SpecSection& s : scenario::spec_sections()) {
+    std::printf("[%s] %s\n", s.name.c_str(), s.doc.c_str());
+    for (const scenario::Key& k : s.keys) {
+      std::printf("  %s\n", scenario::format_key(k).c_str());
     }
-  };
-  print("topologies", reg.topology_names());
-  print("algorithms", reg.algorithm_names());
-  print("traffic", reg.traffic_names());
-  print("data schedulers ([scheduler] kind=...)", reg.scheduler_names());
+    if (s.name == "topology") print_kinds(reg.topologies);
+    if (s.name == "algorithm") print_kinds(reg.algorithms);
+    if (s.name == "scheduler") print_kinds(reg.schedulers);
+    if (s.name == "traffic") print_kinds(reg.traffic_models);
+  }
   return 0;
 }
 

@@ -112,7 +112,7 @@ def main() -> int:
               f"{hot_files} files", file=sys.stderr)
         return 0
 
-    findings, stale = rules.run_rules(lexed_files, decls, hot)
+    findings, stale = rules.run_rules(lexed_files, decls, hot, defs)
     for f in findings:
         print(f)
     for path, line in stale:

@@ -65,6 +65,8 @@ class FunctionDef:
     end_line: int      # line of the closing '}'
     body_open: int     # token index of the body's '{'
     body_close: int    # token index of the body's '}'
+    head: int          # token index of the name (parameters and a
+                       # constructor's init-list lie between it and body)
     calls: list = field(default_factory=list)  # list[CallSite]
 
     @property
@@ -253,6 +255,7 @@ class _Parser:
             end_line=self.toks[body_end].line,
             body_open=k,
             body_close=body_end,
+            head=i,
         )
         fn.calls = self._extract_calls(k + 1, body_end)
         # Parameter-list defaults can call too (rare; include them).

@@ -29,10 +29,13 @@ trace-discipline    Record through MPSIM_TRACE, never append_unchecked():
                     the macro carries the null-recorder guard. [trace/]
 simtime-discipline  SimTime is built with from_ns/us/ms/sec(), not
                     hand-scaled 1e3/1e6/1e9 factors. [core/time.hpp]
-registry-discipline add_topology/algorithm/traffic/scheduler calls live in
-                    scenario/builders.cpp only, and each key there is
-                    lowercase [a-z0-9_]+ and unique per kind.
-                    [scenario/registry.*, which declares them]
+registry-discipline Registrations (`.topologies/.algorithms/.traffic_models/
+                    .schedulers.add(`) live in scenario/builders.cpp only.
+                    There, each kind's key is lowercase [a-z0-9_]+ and
+                    unique per registry, its key table has no duplicate
+                    row, and every literal key its builder reads is
+                    declared in that table. [scenario/registry.*, which
+                    declares them]
 mutable-global      No mutable state shared by simulations running on
                     worker threads: namespace-scope variables, static data
                     members and function-local statics. const, constexpr,
@@ -61,6 +64,7 @@ stale: it would pre-approve the next violation there.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 
 
@@ -102,10 +106,8 @@ TREE_RULES = (
         r"(?:static_cast < SimTime >|\bSimTime \()[^;]*\b1e[369]\b"),
         "build SimTime with from_ns/us/ms/sec(), not raw 1e3/1e6/1e9 unit "
         "factors", ("core/time.hpp",)),
-    # A call, not registry.cpp's `void Registry::add_*(` definitions.
     Rule("registry-discipline", re.compile(
-        r"(?<!void )(?<!:: )\badd_(?:topology|algorithm|traffic|scheduler)"
-        r" \("),
+        r"\. (?:topologies|algorithms|traffic_models|schedulers) \. add \("),
         "topology/algorithm/traffic/scheduler registrations live in "
         "src/scenario/builders.cpp only",
         ("scenario/registry.", "scenario/builders.cpp")),
@@ -126,8 +128,15 @@ HOT_RULES = (
         "recorder and flush after the run"),
 )
 
-REGISTRY_KEY_RE = re.compile(
-    r"(?<!void )(?<!:: )\badd_(topology|algorithm|traffic|scheduler) \( \"\"")
+REGISTRATION_RE = re.compile(
+    r"\. (topologies|algorithms|traffic_models|schedulers) \. add \( \"\"")
+# A key-table row `{"name", kType, ...`, a literal-key read of a builder's
+# args (`has("k")`, `get_count<int>("k")`) and a named table.
+SECTION_OF = {"topologies": "topology", "algorithms": "algorithm",
+              "traffic_models": "traffic", "schedulers": "scheduler"}
+TABLE_ROW_RE = re.compile(r"\{ \"\" , k[A-Z]\w* ,")
+KEY_READ_RE = re.compile(r"\b(?:has|get_\w+) (?:< [^;()]*> )?\( \"\"")
+NAMED_TABLE_RE = re.compile(r"\bKeyTable (\w+) =")
 
 PKT_SOURCE_RE = re.compile(
     r"\bPacket :: alloc \(|\bpool (?:\. \w+ )*\. alloc \(")
@@ -181,11 +190,12 @@ class _Report:
                      rule.message, func)
 
 
-def run_rules(lexed_files: dict, decls: dict, hot: list):
+def run_rules(lexed_files: dict, decls: dict, hot: list, defs: list):
     """(findings, stale_allows).
 
     lexed_files maps path -> LexedFile, decls maps path -> the parser's
-    declaration starts, hot is the list of FunctionDef in the hot set.
+    declaration starts, hot is the list of FunctionDef in the hot set and
+    defs every FunctionDef.
     stale_allows lists (path, line) of every allow no finding consumed.
     """
     report = _Report()
@@ -194,7 +204,8 @@ def run_rules(lexed_files: dict, decls: dict, hot: list):
             if not _exempt(path, rule.exempt):
                 report.scan(lf, rule, (0, len(lf.code)))
         if _exempt(path, ("scenario/builders.cpp",)):
-            _check_registry_keys(report, lf)
+            _check_registrations(report, lf,
+                                 [d for d in defs if d.path == path])
         for scope, first in decls[path]:
             _check_mutable_global(report, lf, scope, first)
     for fn in hot:
@@ -211,23 +222,85 @@ def run_rules(lexed_files: dict, decls: dict, hot: list):
     return findings, stale
 
 
-def _check_registry_keys(report, lf):
-    """Inside builders.cpp: every literal key is lowercase and unique per
-    registry kind. The one place a rule reads a string token's text."""
-    seen: dict = {}
-    for m in REGISTRY_KEY_RE.finditer(lf.code):
-        kind = m.group(1)
+def _check_registrations(report, lf, defs: list):
+    """Inside builders.cpp, per registration: its key is lowercase and
+    unique per registry; its table (the literal rows inside the call, plus
+    the named tables and functions the call names, transitively) has no
+    duplicate row; and every literal key its builder reads (inside the
+    call, or in a function or constructor of this file the call names,
+    transitively) is declared in that table. The one place a rule reads
+    string tokens' text."""
+    toks = lf.tokens
+
+    def index(offset: int) -> int:
+        return bisect_right(lf.starts, offset) - 1
+
+    def close(i: int) -> int:  # the bracket matching the one at toks[i]
+        depth = 0
+        for j in range(i, len(toks)):
+            depth += toks[j].text in "({[" and toks[j].kind == "punct"
+            depth -= toks[j].text in ")}]" and toks[j].kind == "punct"
+            if depth == 0:
+                return j
+        return len(toks) - 1
+
+    tables = {}  # name -> token span of its initializer
+    for m in NAMED_TABLE_RE.finditer(lf.code):
+        first = index(m.end() - 1)
+        last = next((j for j in range(first, len(toks))
+                     if toks[j].text == ";"), len(toks) - 1)
+        tables[lf.token_at(m.start() + len("KeyTable ")).text] = \
+            (first, last)
+    funcs: dict = {}
+    for d in defs:
+        funcs.setdefault(d.name, []).append((d.head, d.body_close))
+
+    def reach(lo: int, hi: int, seen: set, rows: list, reads: list):
+        span = (lf.starts[lo], lf.starts[hi])
+        rows += [lf.token_at(m.start() + 2)
+                 for m in TABLE_ROW_RE.finditer(lf.code, *span)]
+        reads += [lf.token_at(m.end() - 2)
+                  for m in KEY_READ_RE.finditer(lf.code, *span)]
+        for t in toks[lo:hi]:
+            spans = [tables[t.text]] if t.text in tables else []
+            for sub in spans + funcs.get(t.text, []) if t.kind == "ident" \
+                    else []:
+                if sub not in seen:
+                    seen.add(sub)
+                    reach(*sub, seen, rows, reads)
+
+    seen_keys: dict = {}
+    for m in REGISTRATION_RE.finditer(lf.code):
+        kind = SECTION_OF[m.group(1)]
         tok = lf.token_at(m.end() - 2)
         key = tok.text[1:-1]
         if not re.fullmatch(r"[a-z0-9_]+", key):
             report.add(lf, tok.line, "registry-discipline",
                        f"registry key '{key}' must be lowercase [a-z0-9_]+")
-        if (kind, key) in seen:
+        if (kind, key) in seen_keys:
             report.add(lf, tok.line, "registry-discipline",
                        f"duplicate {kind} key '{key}' (first registered on "
-                       f"line {seen[(kind, key)]})")
+                       f"line {seen_keys[(kind, key)]})")
         else:
-            seen[(kind, key)] = tok.line
+            seen_keys[(kind, key)] = tok.line
+        rows: list = []
+        reads: list = []
+        opened = index(m.end() - 4)  # the call's '('
+        reach(opened, close(opened), set(), rows, reads)
+        declared: dict = {}
+        for row in sorted(rows, key=lambda t: t.line):
+            name = row.text[1:-1]
+            if name in declared:
+                report.add(lf, row.line, "registry-discipline",
+                           f"key '{name}' appears twice in the {kind} "
+                           f"'{key}' table (first on line {declared[name]})")
+            declared.setdefault(name, row.line)
+        for read in reads:
+            name = read.text[1:-1]
+            if name not in declared:
+                report.add(lf, read.line, "registry-discipline",
+                           f"the {kind} '{key}' builder reads key '{name}', "
+                           "which its table does not declare")
 
 
 def _check_mutable_global(report, lf, scope: str, first: int):
