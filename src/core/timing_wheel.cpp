@@ -114,47 +114,6 @@ int TimingWheel::find_slot(const Level& lv, int from) const {
   return (w << 6) + std::countr_zero(lv.bitmap[static_cast<std::size_t>(w)]);
 }
 
-SimTime TimingWheel::next_time() const {
-  if (size_ == 0) return kNever;
-  if (open_pos_ < open_.size()) return static_cast<SimTime>(cur_);
-  // Level 0: the slot index is the exact tick within the current epoch.
-  const int idx =
-      find_slot(levels_[0], static_cast<int>(cur_ & (kSlots - 1)));
-  if (idx >= 0) {
-    return static_cast<SimTime>(
-        (cur_ & ~static_cast<std::uint64_t>(kSlots - 1)) |
-        static_cast<std::uint64_t>(idx));
-  }
-  // Every entry at level l sorts strictly before every entry at level l+1
-  // (they share the level-(l+1) epoch with cur_; higher levels do not), so
-  // the first occupied level holds the minimum. Its slot spans many ticks;
-  // scan it for the earliest entry.
-  for (int lv = 1; lv < kLevels; ++lv) {
-    const Level& level = levels_[static_cast<std::size_t>(lv)];
-    const int il =
-        static_cast<int>((cur_ >> (kSlotBits * lv)) & (kSlots - 1));
-    const int j = find_slot(level, il + 1);
-    if (j < 0) continue;
-    const auto& slots = slots_[static_cast<std::size_t>(lv)];
-    SimTime best = kNever;
-    for (std::uint32_t n = slots[static_cast<std::size_t>(j)].head; n != kNil;
-         n = pool_[n].next) {
-      best = std::min(best, pool_[n].e.time);
-    }
-    return best;
-  }
-  return overflow_.top().time;
-}
-
-TimingWheel::Entry TimingWheel::pop() {
-  MPSIM_CHECK(size_ > 0, "pop() from an empty wheel");
-  Entry e{};
-  const bool ok = pop_if_before(kNever, e);
-  MPSIM_CHECK(ok, "non-empty wheel must yield an entry");
-  (void)ok;
-  return e;
-}
-
 std::size_t TimingWheel::cancel_in_slot(int lv, int idx,
                                         const EventSource* src) {
   Slot& s = slot(lv, idx);

@@ -3,9 +3,10 @@
 // Three levels of 2048 slots each cover a ~8.6 s (2^33 ns) horizon above
 // the wheel's current position; events beyond the horizon wait in a small
 // overflow heap and are pulled in when the wheel advances into their epoch.
-// schedule() and pop() are amortized O(1): an entry is linked into exactly
-// one slot per level it cascades through (at most kLevels times over its
-// lifetime), and finding the next occupied slot is a bitmap scan.
+// schedule() and pop_if_before() are amortized O(1): an entry is linked
+// into exactly one slot per level it cascades through (at most kLevels
+// times over its lifetime), and finding the next occupied slot is a bitmap
+// scan.
 //
 // Storage: every slot is an intrusive FIFO list threaded through one shared
 // node pool with a free list, so memory is O(peak pending entries) rather
@@ -78,19 +79,10 @@ class TimingWheel {
   std::size_t size() const { return size_; }
   const Stats& stats() const { return stats_; }
 
-  // Earliest pending event time, or kNever if empty. Does not move the
-  // wheel (no cascades), so a caller may peek, decide the event lies
-  // beyond its run horizon, and still schedule earlier events afterwards.
-  SimTime next_time() const;
-
-  // Remove and return the earliest entry. Pre: !empty().
-  Entry pop();
-
   // Pop the earliest entry into `out` iff its time is <= limit; returns
-  // false (and pops nothing) otherwise. One scan instead of a
-  // next_time()/pop() pair — the run_until() hot path. The wheel never
-  // advances past `limit`, so callers may keep scheduling any t >= limit
-  // afterwards.
+  // false (and pops nothing) otherwise. The wheel never advances past
+  // `limit`, so callers may keep scheduling any t >= limit afterwards;
+  // kNever pops unconditionally.
   bool pop_if_before(SimTime limit, Entry& out);
 
   // Remove every pending entry whose source is `src`; returns how many were
@@ -186,8 +178,8 @@ class TimingWheel {
   std::uint64_t cur_ = 0;       // tick of the last popped entry
   std::size_t wheel_size_ = 0;  // entries linked into the wheel levels
   std::size_t size_ = 0;        // open tick + wheel + overflow
-  // Cached overflow_.empty(): the drained-wheel branch of pop_if_before and
-  // next_time() consult it instead of probing the heap adaptor each time.
+  // Cached overflow_.empty(): the drained-wheel branch of pop_if_before
+  // consults it instead of probing the heap adaptor each time.
   bool overflow_empty_ = true;
   std::uint32_t free_ = kNil;  // head of the free-node list
   Stats stats_;

@@ -10,6 +10,15 @@
 
 namespace mpsim::mptcp {
 
+namespace {
+
+// The smoothed RTT congestion control sees before a subflow's first sample.
+constexpr SimTime kFallbackRtt = from_sec(0.1);
+// At most this many data seqs are reinjected per head-of-line stall check.
+constexpr std::size_t kHolReinjectBatch = 64;
+
+}  // namespace
+
 MptcpConnection::MptcpConnection(EventList& events, std::string name,
                                  const cc::CongestionControl& cc,
                                  ConnectionConfig cfg)
@@ -277,9 +286,9 @@ void MptcpConnection::maybe_reinject_head_of_line() {
   }
   if (outstanding.empty()) return;
   std::sort(outstanding.begin(), outstanding.end());
-  if (outstanding.size() > cfg_.hol_reinject_batch) {
+  if (outstanding.size() > kHolReinjectBatch) {
     // mpsim-analyze: allow(hot-alloc)
-    outstanding.resize(cfg_.hol_reinject_batch);
+    outstanding.resize(kHolReinjectBatch);
   }
   scheduler_->reinject(outstanding);
   last_hol_reinject_ = now;
@@ -288,8 +297,7 @@ void MptcpConnection::maybe_reinject_head_of_line() {
 
 double MptcpConnection::srtt_sec(std::size_t r) const {
   const SubflowHot& h = *hot_[r];
-  return to_sec(h.rtt_valid != 0 ? h.srtt
-                                 : from_sec(cfg_.fallback_rtt_sec));
+  return to_sec(h.rtt_valid != 0 ? h.srtt : kFallbackRtt);
 }
 
 double MptcpConnection::delivered_mbps(SimTime elapsed) const {

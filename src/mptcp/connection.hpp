@@ -43,9 +43,6 @@ struct ConnectionConfig {
   std::uint64_t recv_buffer_pkts = 1u << 20;
   // Application data to transfer, in packets; 0 = unlimited (long-lived).
   std::uint64_t app_limit_pkts = 0;
-  // Fallback smoothed RTT (seconds) reported to congestion control before
-  // the first RTT sample on a subflow.
-  double fallback_rtt_sec = 0.1;
   // Opportunistic head-of-line reinjection: if the data-level cumulative
   // ACK has not advanced for this long while data is outstanding, the
   // oldest outstanding data sequence numbers are retransmitted on sibling
@@ -53,8 +50,6 @@ struct ConnectionConfig {
   // subflow (deep in a long NewReno recovery, or in a radio outage) from
   // head-of-line-blocking the whole stream. 0 disables.
   SimTime hol_reinject_timeout = from_ms(300);
-  // At most this many data seqs are reinjected per stall check.
-  std::size_t hol_reinject_batch = 64;
   // Data-placement policy (mptcp/scheduler.hpp registry). The default is
   // the paper's window-based striping, bit-exact with the pre-registry
   // behaviour.
@@ -62,12 +57,10 @@ struct ConnectionConfig {
   tcp::SubflowConfig subflow;
 };
 
-// Implements cc::ConnectionView (congestion control's sibling sweep) and
-// SchedulerView (data-placement ranking) with the same overrides: the two
-// interfaces deliberately share signatures.
+// Implements cc::ConnectionView, which both the congestion controller's
+// sibling sweep and the data scheduler's subflow ranking read.
 class MptcpConnection : public tcp::SubflowHost,
                         public cc::ConnectionView,
-                        public SchedulerView,
                         public EventSource {
  public:
   MptcpConnection(EventList& events, std::string name,
@@ -115,11 +108,11 @@ class MptcpConnection : public tcp::SubflowHost,
   void on_ack_sample(std::uint32_t subflow_id,
                      const cc::DeliveryRateSample& sample) override;
 
-  // --- cc::ConnectionView (read by the congestion controller) ---
+  // --- cc::ConnectionView (read by the congestion controller and the
+  // data scheduler) ---
   // The coupled increase term sweeps every sibling on every ACK; these read
   // the subflows' SoA arena rows (cached in hot_) so the sweep walks
   // consecutive cache lines instead of dereferencing Subflow objects.
-  // (Each override below satisfies both ConnectionView and SchedulerView.)
   std::size_t num_subflows() const override { return subflows_.size(); }
   double cwnd_pkts(std::size_t r) const override {
     const SubflowHot& h = *hot_[r];

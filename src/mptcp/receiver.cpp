@@ -34,12 +34,6 @@ void MptcpReceiver::set_app_read_rate(double pkts_per_sec) {
   }
 }
 
-void MptcpReceiver::set_delayed_ack(bool enabled, SimTime delay) {
-  delayed_ack_ = enabled;
-  delack_delay_ = delay;
-  if (!enabled) flush_delayed_acks();
-}
-
 void MptcpReceiver::receive(net::Packet& pkt) {
   MPSIM_CHECK(pkt.type == net::PacketType::kData,
               "receiver can only accept data packets");
@@ -80,41 +74,8 @@ void MptcpReceiver::receive(net::Packet& pkt) {
   MPSIM_TRACE(trace_, trace::rcv_buffer(events_.now(), trace_id_, flow_id_,
                                         buffer_occupancy(),
                                         advertised_window()));
-  send_ack(pkt);
+  emit_ack(pkt.subflow_id, pkt.ts_echo, pkt.is_retransmit, false);
   pkt.release();
-}
-
-void MptcpReceiver::send_ack(const net::Packet& data_pkt) {
-  SubflowRx& sub = subflows_[data_pkt.subflow_id];
-  if (!delayed_ack_) {
-    emit_ack(data_pkt.subflow_id, data_pkt.ts_echo, data_pkt.is_retransmit,
-             false);
-    return;
-  }
-
-  // Delayed ACKs: hold a perfectly in-order segment briefly; everything
-  // irregular (gaps, duplicates, retransmits) is acked at once so the
-  // sender's loss detection is never delayed.
-  const bool irregular = data_pkt.subflow_seq + 1 != sub.reorder.edge() ||
-                         data_pkt.is_retransmit || !sub.reorder.empty() ||
-                         !data_reorder_.empty();
-  ++sub.pending_acks;
-  if (sub.pending_acks == 1) {
-    sub.pending_ts_echo = data_pkt.ts_echo;
-    sub.pending_is_retx = data_pkt.is_retransmit;
-  }
-  if (irregular || sub.pending_acks >= 2) {
-    sub.pending_acks = 0;
-    emit_ack(data_pkt.subflow_id, data_pkt.ts_echo, data_pkt.is_retransmit,
-             false);
-    return;
-  }
-  // One clean segment pending: arm the delayed-ACK timer.
-  const SimTime deadline = events_.now() + delack_delay_;
-  if (delack_deadline_ == kNever || deadline < delack_deadline_) {
-    delack_deadline_ = deadline;
-    events_.schedule_at(*this, deadline);
-  }
 }
 
 void MptcpReceiver::emit_ack(std::uint32_t subflow_id, SimTime ts_echo,
@@ -138,16 +99,6 @@ void MptcpReceiver::emit_ack(std::uint32_t subflow_id, SimTime ts_echo,
   }
   ++acks_sent_;
   ack.send_on(*sub.ack_route);
-}
-
-void MptcpReceiver::flush_delayed_acks() {
-  for (std::uint32_t id = 0; id < subflows_.size(); ++id) {
-    SubflowRx& sub = subflows_[id];
-    if (sub.pending_acks > 0) {
-      sub.pending_acks = 0;
-      emit_ack(id, sub.pending_ts_echo, sub.pending_is_retx, false);
-    }
-  }
 }
 
 void MptcpReceiver::maybe_send_window_update() {
@@ -181,22 +132,14 @@ void MptcpReceiver::drain_to_app() {
 }
 
 void MptcpReceiver::on_event() {
-  // Shared wake-up for the delayed-ACK timer and the periodic app drain;
-  // each action gates on its own deadline, so spurious wake-ups no-op and
-  // never spawn extra periodic chains.
-  const SimTime now = events_.now();
-  if (delack_deadline_ != kNever && now >= delack_deadline_) {
-    delack_deadline_ = kNever;
-    flush_delayed_acks();
-  }
-  if (next_drain_at_ != kNever && now >= next_drain_at_) {
-    if (app_read_rate_ > 0.0) {
-      drain_to_app();
-      next_drain_at_ = now + kDrainInterval;
-      events_.schedule_at(*this, next_drain_at_);
-    } else {
-      next_drain_at_ = kNever;
-    }
+  // The periodic app drain; the chain stops once the read rate is back to
+  // infinite.
+  if (app_read_rate_ > 0.0) {
+    drain_to_app();
+    next_drain_at_ = events_.now() + kDrainInterval;
+    events_.schedule_at(*this, next_drain_at_);
+  } else {
+    next_drain_at_ = kNever;
   }
 }
 

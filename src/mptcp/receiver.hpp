@@ -35,8 +35,8 @@ class MptcpReceiver : public net::PacketSink, public EventSource {
   MptcpReceiver(EventList& events, std::string name, std::uint32_t flow_id,
                 std::uint64_t buffer_pkts);
 
-  // Teardown cancels any pending delayed-ACK / app-drain wake-up so a
-  // reclaimed connection leaves no dangling event behind.
+  // Teardown cancels any pending app-drain wake-up so a reclaimed
+  // connection leaves no dangling event behind.
   ~MptcpReceiver() override { events_.cancel(*this); }
 
   // Register the ACK return route for the next subflow (call order defines
@@ -59,12 +59,6 @@ class MptcpReceiver : public net::PacketSink, public EventSource {
   // read, shrinking the advertised window.
   void set_app_read_rate(double pkts_per_sec);
 
-  // Delayed ACKs (RFC 1122-style): acknowledge every second in-order
-  // segment, or after `delay` if only one is pending. Out-of-order
-  // arrivals are always acked immediately (the sender needs the dupacks).
-  // Off by default — the paper-era simulators ack per packet.
-  void set_delayed_ack(bool enabled, SimTime delay = from_ms(40));
-
   // --- observability ---
   std::uint64_t data_cum_ack() const { return data_reorder_.edge(); }
   // In-order data packets that have reached the application.
@@ -85,11 +79,9 @@ class MptcpReceiver : public net::PacketSink, public EventSource {
   std::uint64_t window_updates_sent() const { return window_updates_sent_; }
 
  private:
-  void send_ack(const net::Packet& data_pkt);
   void emit_ack(std::uint32_t subflow_id, SimTime ts_echo, bool is_retx,
                 bool window_update);
   void drain_to_app();
-  void flush_delayed_acks();
   void maybe_send_window_update();
 
   EventList& events_;
@@ -112,11 +104,6 @@ class MptcpReceiver : public net::PacketSink, public EventSource {
   SimTime next_drain_at_ = kNever;
   static constexpr SimTime kDrainInterval = from_ms(1);
 
-  // Delayed-ACK state.
-  bool delayed_ack_ = false;
-  SimTime delack_delay_ = from_ms(40);
-  SimTime delack_deadline_ = kNever;
-
   // Zero-window tracking for gratuitous window updates.
   bool advertised_zero_ = false;
 
@@ -125,10 +112,6 @@ class MptcpReceiver : public net::PacketSink, public EventSource {
     const net::Route* ack_route = nullptr;
     // Edge: the next expected subflow seq (the subflow's cumulative ACK).
     ReorderWindow reorder;
-    // Delayed-ACK bookkeeping.
-    int pending_acks = 0;
-    SimTime pending_ts_echo = 0;
-    bool pending_is_retx = false;
   };
   std::vector<SubflowRx> subflows_;
 

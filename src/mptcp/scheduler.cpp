@@ -90,7 +90,7 @@ void DataScheduler::reinject(const std::vector<std::uint64_t>& data_seqs) {
   for (std::uint64_t seq : data_seqs) {
     if (seq < data_cum_ack_) continue;
     // Reinjection is the exceptional path (HoL stall or subflow death),
-    // rate-limited by the caller; bounded by hol_reinject_batch per sweep.
+    // rate-limited by the caller; bounded by the connection's batch per sweep.
     // mpsim-analyze: allow(hot-alloc)
     if (!reinject_pending_.insert(seq).second) continue;  // already queued
     // mpsim-analyze: allow(hot-alloc)

@@ -28,9 +28,9 @@
 //                 remaining send window anyway (avoids HoL at the
 //                 receiver window)
 //
-// Policies that rank subflows see them through SchedulerView, implemented
-// by MptcpConnection over the arena rows; without a view every policy
-// degenerates to stripe.
+// Policies that rank subflows read them through cc::ConnectionView, the
+// same view congestion control sweeps, implemented by MptcpConnection over
+// the arena rows; without a view every policy degenerates to stripe.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +39,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "cc/congestion_control.hpp"
 #include "core/event_list.hpp"
 #include "trace/trace.hpp"
 
@@ -50,19 +51,6 @@ namespace mpsim::mptcp {
 enum class DataSchedulerKind { kStripe, kMinRttFirst, kRedundant, kBlest };
 
 const char* to_string(DataSchedulerKind kind);
-
-// What a placement policy may ask about the connection's subflows. The
-// signatures deliberately match cc::ConnectionView so MptcpConnection
-// satisfies both interfaces with single overrides.
-class SchedulerView {
- public:
-  virtual ~SchedulerView() = default;
-  virtual std::size_t num_subflows() const = 0;
-  virtual bool subflow_active(std::size_t r) const = 0;
-  virtual double srtt_sec(std::size_t r) const = 0;
-  virtual double cwnd_pkts(std::size_t r) const = 0;
-  virtual double inflight_pkts(std::size_t r) const = 0;
-};
 
 class DataScheduler {
  public:
@@ -90,7 +78,7 @@ class DataScheduler {
 
   // Install the subflow-ranking view. Optional: policies fall back to
   // stripe placement without one. Not owned; must outlive the scheduler.
-  void set_view(const SchedulerView* view) { view_ = view; }
+  void set_view(const cc::ConnectionView* view) { view_ = view; }
 
   // Process a data-level cumulative ACK + receive window. The right edge
   // (ack + window) only ever moves forward: ACKs may be reordered across
@@ -147,7 +135,7 @@ class DataScheduler {
   // Remaining fresh packets the limits admit right now (for BLEST).
   std::uint64_t fresh_window_pkts() const;
 
-  const SchedulerView* view_ = nullptr;
+  const cc::ConnectionView* view_ = nullptr;
 
   std::uint64_t app_limit_;
   std::uint64_t right_edge_;

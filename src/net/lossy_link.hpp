@@ -18,17 +18,16 @@ namespace mpsim::net {
 
 class LossyLink : public PacketSink {
  public:
-  LossyLink(std::string name, double loss_prob, std::uint64_t seed)
-      : name_(std::move(name)), loss_prob_(loss_prob), rng_(seed) {}
-
-  // EventList-aware overload: registers with the simulation's flight
-  // recorder (if installed) so random drops show up in traces as kLinkDrop
-  // — distinguishable from congestive queue drops.
+  // Registers with the simulation's flight recorder (if installed) so
+  // random drops show up in traces as kLinkDrop, distinguishable from
+  // congestive queue drops.
   LossyLink(EventList& events, std::string name, double loss_prob,
             std::uint64_t seed)
-      : LossyLink(std::move(name), loss_prob, seed) {
-    events_ = &events;
-    trace_ = trace::TraceRecorder::find(events);
+      : events_(events),
+        name_(std::move(name)),
+        loss_prob_(loss_prob),
+        rng_(seed),
+        trace_(trace::TraceRecorder::find(events)) {
     if (trace_ != nullptr) trace_id_ = trace_->register_object(name_);
   }
 
@@ -37,7 +36,7 @@ class LossyLink : public PacketSink {
     if (rng_.chance(loss_prob_)) {
       ++drops_;
       MPSIM_TRACE(trace_,
-                  trace::link_drop(events_->now(), trace_id_, pkt.flow_id,
+                  trace::link_drop(events_.now(), trace_id_, pkt.flow_id,
                                    pkt.subflow_id, pkt.size_bytes));
       pkt.release();
       return;
@@ -53,16 +52,15 @@ class LossyLink : public PacketSink {
   std::uint64_t drops() const { return drops_; }
 
  private:
+  EventList& events_;
   std::string name_;
   double loss_prob_;
   Rng rng_;
   std::uint64_t arrivals_ = 0;
   std::uint64_t drops_ = 0;
 
-  // Set only by the EventList-aware constructor; trace_ != nullptr implies
-  // events_ != nullptr, and MPSIM_TRACE's guard keeps the dereference safe.
-  EventList* events_ = nullptr;
-  trace::TraceRecorder* trace_ = nullptr;
+  // Flight recorder, cached at construction (nullptr = tracing off).
+  trace::TraceRecorder* trace_;
   std::uint16_t trace_id_ = 0;
 };
 

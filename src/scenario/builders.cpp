@@ -81,6 +81,11 @@ KeyTable link_keys(int i) {
 // Traffic models
 // ---------------------------------------------------------------------------
 
+// Every min_rto row's range: a floor above SubflowConfig's max_rto would
+// invert RttEstimator's clamp.
+constexpr Range kMinRtoRange{.lo = 0,
+                             .hi = to_sec(tcp::SubflowConfig{}.max_rto)};
+
 // "0", "1", "0+1", ... — '+'-joined path indices for one flow.
 std::vector<int> parse_path_set(const std::string& text, const Section& s) {
   std::vector<int> idxs;
@@ -328,6 +333,13 @@ traffic::PoissonConfig arrivals(const Args& a) {
   return c;
 }
 
+// `s`'s phase at this run's --scale: the arrival process divides by it.
+SimTime scaled_phase(const Section& s, SimTime phase, const BuildEnv& env) {
+  const SimTime scaled = env.scaled(phase);
+  if (scaled <= 0) s.fail_at(s.find("phase")->line, "phase must be positive");
+  return scaled;
+}
+
 // §3's dynamic server workload: Poisson single-path arrivals on path 0,
 // one long-lived TCP on path 1, and a set of multipath companions using
 // both paths — all simultaneously, as the paper ran them. The run seed
@@ -346,7 +358,7 @@ class PoissonTraffic final : public TrafficModel {
              const BuildEnv& env) override {
     (void)algo;  // per-companion algorithms below
     (void)rng;
-    pcfg_.phase_duration = env.scaled(phase_);
+    pcfg_.phase_duration = scaled_phase(section_, phase_, env);
     pcfg_.seed = env.seed;
     auto pairs = topo.flow_paths(0, 2);
     if (pairs.size() < 2) {
@@ -439,7 +451,7 @@ class ChurnTraffic final : public TrafficModel {
              const AlgorithmInstance& algo, Rng& rng,
              const BuildEnv& env) override {
     (void)rng;
-    pcfg_.phase_duration = env.scaled(phase_);
+    pcfg_.phase_duration = scaled_phase(section_, phase_, env);
     pcfg_.seed = env.seed;
     auto pairs = topo.flow_paths(0, 2);
     if (pairs.size() < 2) {
@@ -759,14 +771,15 @@ Registry make_builtin_registry() {
         "receive buffer, packets (default: ConnectionConfig's, 2^20)"},
        {"app_limit_pkts", kCount64, "0",
         "packets each flow sends; 0 = unlimited"},
-       {"min_rto", kTime, "", "RTO floor (default: SubflowConfig's, 200ms)"}},
+       {"min_rto", kTime, "", "RTO floor (default: SubflowConfig's, 200ms)",
+        kMinRtoRange}},
       {.path_manager = true, .make = [](const Args& a) {
          return std::make_unique<PersistentTraffic>(a);
        }});
 
   const KeyTable matrix_keys = {
       {"subflows", kCount, "8", "paths sampled per flow (1 for single)"},
-      {"min_rto", kTime, "10ms", "RTO floor"},
+      {"min_rto", kTime, "10ms", "RTO floor", kMinRtoRange},
       {"recv_buffer_pkts", kCount64, "4096", "receive buffer, packets"}};
   const KeyTable seeded_keys = join(
       {{"tm_seed", kCount64, kRequired, "seed of the matrix's own rng"}},
@@ -813,14 +826,18 @@ Registry make_builtin_registry() {
 
   const KeyTable arrival_keys = {
       {"phase", kTime, "10s",
-       "light and heavy arrival phases alternate every phase (scaled)"},
-      {"pareto_shape", kNumber, "2", "Pareto shape of flow sizes"},
-      {"mean_flow_bytes", kNumber, "200000", "mean flow size, bytes"}};
+       "light and heavy arrival phases alternate every phase (scaled)",
+       above(0)},
+      {"pareto_shape", kNumber, "2", "Pareto shape of flow sizes", above(1)},
+      {"mean_flow_bytes", kNumber, "200000", "mean flow size, bytes",
+       above(0)}};
 
   r.traffic_models.add(
       "poisson", "§3: Poisson arrivals + long TCP + multipath companions",
-      join({{"light_rate_per_sec", kNumber, "10", "light-phase arrivals/s"},
-            {"heavy_rate_per_sec", kNumber, "60", "heavy-phase arrivals/s"},
+      join({{"light_rate_per_sec", kNumber, "10", "light-phase arrivals/s",
+             above(0)},
+            {"heavy_rate_per_sec", kNumber, "60", "heavy-phase arrivals/s",
+             above(0)},
             {"long_tcp", kBool, "true", "a long-lived TCP on path 1"},
             {"companions", kStrings, R"(["mptcp", "coupled", "ewtcp"])",
              "multipath flows over both paths, by algorithm kind at its "
@@ -833,15 +850,17 @@ Registry make_builtin_registry() {
       "churn",
       "Fig. 10 generalized: Poisson multipath arrivals with path "
       "management, reclaimed on completion",
-      join({{"light_rate_per_sec", kNumber, "20", "light-phase arrivals/s"},
+      join({{"light_rate_per_sec", kNumber, "20", "light-phase arrivals/s",
+             above(0)},
             {"heavy_rate_per_sec", kNumber, "",
-             "heavy-phase arrivals/s (default: light_rate_per_sec)"},
+             "heavy-phase arrivals/s (default: light_rate_per_sec)",
+             above(0)},
             {"tcp_link1", kCount, "1", "persistent single-path TCPs, path 0"},
             {"tcp_link2", kCount, "1", "persistent single-path TCPs, path 1"},
             {"mp_count", kCount, "2",
              "long-lived multipath flows under [algorithm]"},
             {"min_rto", kTime, "",
-             "RTO floor (default: SubflowConfig's, 200ms)"},
+             "RTO floor (default: SubflowConfig's, 200ms)", kMinRtoRange},
             {"recv_buffer_pkts", kCount64, "",
              "receive buffer, packets (default: ConnectionConfig's, 2^20)"}},
            arrival_keys),

@@ -114,7 +114,8 @@ const std::vector<SpecSection>& spec_sections() {
         {"add_threshold", kBytes, "1048576B",
          "threshold: bytes delivered per added subflow; 0 = never add"},
         {"max_subflows", kCount, "8", "cap on live subflows", at_least(1)},
-        {"scan_period", kTime, "100ms", "dead-path detection interval"},
+        {"scan_period", kTime, "100ms", "dead-path detection interval",
+         above(0)},
         {"reprobe_backoff", kTime, "1s", "wait before re-probing a path"},
         {"dead_after_rtos", kCount, "3",
          "consecutive RTOs that declare a path dead", at_least(1)}}},
@@ -462,6 +463,21 @@ void execute_run(const ResolvedRun& run, double time_scale,
     faults = parse_fault_plan(read_args(*f, {&keys_of("faults")}),
                               net.fault_targets(), env);
   }
+  // Metrics that depend on the built run fail here, before a dry run
+  // returns, so validate() catches them too.
+  const auto queues = topology->queues();
+  for (const MetricPlan& p : plan) {
+    if (p.kind == MetricPlan::Kind::kLossRatio &&
+        (static_cast<std::size_t>(p.a) >= queues.size() ||
+         static_cast<std::size_t>(p.b) >= queues.size())) {
+      out.fail("loss_ratio queue index out of range (topology has " +
+               std::to_string(queues.size()) + " queues)");
+    }
+    if (p.kind == MetricPlan::Kind::kPerHostMbps &&
+        traffic->host_count() <= 0) {
+      out.fail("per_host_mbps needs host-addressable traffic");
+    }
+  }
   if (dry_run) return;
 
   std::unique_ptr<fault::RecoveryMonitor> recovery;
@@ -517,7 +533,6 @@ void execute_run(const ResolvedRun& run, double time_scale,
   ctx.events().run_until(warmup + measure);
 
   const std::vector<double> mbps = meter.mbps();
-  const auto queues = topology->queues();
   double total = 0.0;
   for (double v : mbps) total += v;
   for (const MetricPlan& p : plan) {
@@ -539,12 +554,6 @@ void execute_run(const ResolvedRun& run, double time_scale,
         }
         break;
       case MetricPlan::Kind::kLossRatio: {
-        if (p.a < 0 || p.b < 0 ||
-            static_cast<std::size_t>(p.a) >= queues.size() ||
-            static_cast<std::size_t>(p.b) >= queues.size()) {
-          out.fail("loss_ratio queue index out of range (topology has " +
-                   std::to_string(queues.size()) + " queues)");
-        }
         const double pa = queues[static_cast<std::size_t>(p.a)]->loss_rate();
         const double pb = queues[static_cast<std::size_t>(p.b)]->loss_rate();
         ctx.record("loss_ratio_" + std::to_string(p.a) + "_" +
@@ -552,14 +561,10 @@ void execute_run(const ResolvedRun& run, double time_scale,
                    pb > 0 ? pa / pb : 0.0);
         break;
       }
-      case MetricPlan::Kind::kPerHostMbps: {
-        const int hosts = traffic->host_count();
-        if (hosts <= 0) {
-          out.fail("per_host_mbps needs host-addressable traffic");
-        }
-        ctx.record("per_host_mbps", total / static_cast<double>(hosts));
+      case MetricPlan::Kind::kPerHostMbps:
+        ctx.record("per_host_mbps",
+                   total / static_cast<double>(traffic->host_count()));
         break;
-      }
       case MetricPlan::Kind::kPerFlowMeanMbps:
         ctx.record("per_flow_mean_mbps",
                    conns.empty()

@@ -323,12 +323,24 @@ bool Section::get_bool(const std::string& key) const {
   return v.boolean;
 }
 
+SimTime Section::time_of(const std::string& key, const std::string& text,
+                         int line) const {
+  const SimTime t = parse_time(text, file_, line);
+  if (t < 0) {
+    throw SpecError(file_, line,
+                    "[" + name_ + "] " + key +
+                        ": expected a non-negative time, got \"" + text +
+                        "\"");
+  }
+  return t;
+}
+
 SimTime Section::get_time(const std::string& key) const {
   const Value& v = require(key);
   if (v.kind != Value::Kind::kString) {
     type_error(key, v, "a time string like \"20ms\"");
   }
-  return parse_time(v.str, file_, v.line);
+  return time_of(key, v.str, v.line);
 }
 
 double Section::get_rate_bps(const std::string& key) const {
@@ -398,7 +410,7 @@ std::vector<SimTime> Section::get_time_array(const std::string& key) const {
   std::vector<SimTime> out;
   const Value& v = require(key);
   for (const std::string& s : get_string_array(key)) {
-    out.push_back(parse_time(s, file_, v.line));
+    out.push_back(time_of(key, s, v.line));
   }
   return out;
 }
@@ -470,12 +482,13 @@ std::string condition(const Key& k) {
     return r.lo == r.hi ? "list " + num_text(r.lo) + " entries"
                         : "not be empty";
   }
+  const std::string unit = k.type == KeyType::kTime ? "s" : "";
   if (r.hi != std::numeric_limits<double>::infinity()) {
     return "be in " + std::string(r.lo_open ? "(" : "[") + num_text(r.lo) +
-           ", " + num_text(r.hi) + (r.hi_open ? ")" : "]");
+           unit + ", " + num_text(r.hi) + unit + (r.hi_open ? ")" : "]");
   }
   return std::string("be ") + (r.even ? "even and " : "") +
-         (r.lo_open ? "> " : ">= ") + num_text(r.lo);
+         (r.lo_open ? "> " : ">= ") + num_text(r.lo) + unit;
 }
 
 bool in_range(const Range& r, double v) {
@@ -502,7 +515,7 @@ void check_value(const Section& s, const Key& k) {
                std::find(k.choices.begin(), k.choices.end(),
                          s.get_string(n)) != k.choices.end();
       break;
-    case KeyType::kTime: s.get_time(n); break;
+    case KeyType::kTime: v = to_sec(s.get_time(n)); break;
     case KeyType::kRate: v = s.get_rate_bps(n); break;
     case KeyType::kBytes: s.get_bytes(n); break;
     case KeyType::kCounts: v = size(s.get_count_array(n)); break;

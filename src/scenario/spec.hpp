@@ -16,9 +16,10 @@
 //
 // Quantities carry units inside strings and are parsed by the typed
 // getters: times ("20ms", "1.5s", "9min"), rates ("14.4Mbps", "1000pps"),
-// sizes ("25pkt", "64kB"). A malformed or unit-less quantity is an error
-// with a file:line diagnostic — a spec never silently falls back to a
-// default when a value was provided.
+// sizes ("25pkt", "64kB"). A time is never negative, as a count is not.
+// A malformed or unit-less quantity is an error with a file:line
+// diagnostic — a spec never silently falls back to a default when a value
+// was provided.
 //
 // Every section a spec may hold, and every key of every registered kind,
 // is declared once in a key table (Key below): name, type, default, range
@@ -154,6 +155,10 @@ class Section {
   const Value& require(const std::string& key) const;
   std::int64_t count_of(const std::string& key, const Value& v,
                         std::int64_t max) const;
+  // `text` (from `key` at `line`) as a time, which like a count is never
+  // negative.
+  SimTime time_of(const std::string& key, const std::string& text,
+                  int line) const;
   [[noreturn]] void type_error(const std::string& key, const Value& v,
                                const char* expected) const;
 
@@ -173,8 +178,8 @@ enum class KeyType : std::uint8_t {
   kCounts, kNumbers, kStrings, kTimes,
 };
 
-// The values a numeric key accepts, or for an array key how many entries
-// it must list.
+// The values a numeric key accepts (a time's in seconds), or for an array
+// key how many entries it must list.
 struct Range {
   double lo = -std::numeric_limits<double>::infinity();
   double hi = std::numeric_limits<double>::infinity();

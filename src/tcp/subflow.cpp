@@ -1,13 +1,25 @@
 #include "tcp/subflow.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <utility>
 
 #include "core/check.hpp"
 
 namespace mpsim::tcp {
+
+namespace {
+
+// Windows in packets. A fresh or re-probed subflow slow-starts from
+// kInitCwnd with no ssthresh ceiling; the paper bounds every window below
+// by one packet so each path keeps being probed.
+constexpr double kInitCwnd = 2.0;
+constexpr double kInitSsthresh = 1e9;
+constexpr double kMinCwnd = 1.0;
+constexpr double kMaxCwnd = 1e9;
+constexpr std::uint32_t kDupackThreshold = 3;
+
+}  // namespace
 
 Subflow::Subflow(EventList& events, std::string name, SubflowHost& host,
                  std::uint32_t flow_id, std::uint32_t subflow_id,
@@ -21,8 +33,8 @@ Subflow::Subflow(EventList& events, std::string name, SubflowHost& host,
       hot_id_(SimArena::of(events).add_subflow()),
       h_(SimArena::of(events).subflow(hot_id_)),
       rtt_(cfg.min_rto, cfg.max_rto) {
-  h_.cwnd = cfg.init_cwnd;
-  h_.ssthresh = cfg.init_ssthresh;
+  h_.cwnd = kInitCwnd;
+  h_.ssthresh = kInitSsthresh;
   sync_rtt_mirror();
   // The recorder must be installed before the topology is built; a subflow
   // constructed earlier records nothing (by design: one branch, no lookup,
@@ -61,8 +73,8 @@ void Subflow::deactivate() {
 void Subflow::reactivate() {
   MPSIM_CHECK(h_.active == 0, "reactivating a subflow that is still active");
   h_.active = 1;
-  h_.cwnd = cfg_.init_cwnd;
-  h_.ssthresh = cfg_.init_ssthresh;
+  h_.cwnd = kInitCwnd;
+  h_.ssthresh = kInitSsthresh;
   h_.in_recovery = 0;
   dupacks_ = 0;
   backoff_ = 0;
@@ -80,19 +92,12 @@ void Subflow::set_cwnd(double w) {
 }
 
 void Subflow::clamp_cwnd() {
-  h_.cwnd = std::clamp(h_.cwnd, cfg_.min_cwnd, cfg_.max_cwnd);
+  h_.cwnd = std::clamp(h_.cwnd, kMinCwnd, kMaxCwnd);
 }
 
 void Subflow::try_send() {
   if (route_ == nullptr || h_.active == 0) return;
-  // Limited Transmit allowance: up to two extra segments while dupacks
-  // signal departures but fast retransmit has not yet triggered.
-  const std::uint64_t lt_bonus =
-      (cfg_.limited_transmit && !h_.in_recovery && dupacks_ > 0 &&
-       dupacks_ < cfg_.dupack_threshold)
-          ? std::min<std::uint64_t>(dupacks_, 2)
-          : 0;
-  const auto window = static_cast<std::uint64_t>(h_.cwnd) + lt_bonus;
+  const auto window = static_cast<std::uint64_t>(h_.cwnd);
   while (h_.snd_nxt - h_.snd_una < window) {
     if (pacing_active()) {
       // Pacing gate: one launch per 1/pacing_rate seconds. When the next
@@ -250,17 +255,8 @@ void Subflow::handle_ack(net::Packet& ack) {
         for (std::uint64_t i = 0; i < newly; ++i) {
           if (h_.cwnd < h_.ssthresh) {
             h_.cwnd += 1.0;  // slow start
-          } else if (!cfg_.quantized_increase) {
-            h_.cwnd += host_.ca_increase(subflow_id_);
           } else {
-            // Re-evaluate the (possibly expensive) coupled increase only
-            // when the window has grown a whole packet since last computed.
-            const double quantum = std::floor(h_.cwnd);
-            if (quantum != increase_quantum_) {
-              cached_increase_ = host_.ca_increase(subflow_id_);
-              increase_quantum_ = quantum;
-            }
-            h_.cwnd += cached_increase_;
+            h_.cwnd += host_.ca_increase(subflow_id_);
           }
         }
         clamp_cwnd();
@@ -271,7 +267,7 @@ void Subflow::handle_ack(net::Packet& ack) {
     // Duplicate ACK while data is outstanding (window updates are not
     // dupacks, RFC 5681).
     ++dupacks_;
-    if (!h_.in_recovery && dupacks_ == cfg_.dupack_threshold &&
+    if (!h_.in_recovery && dupacks_ == kDupackThreshold &&
         h_.snd_una > recover_) {
       // RFC 6582: react to three dupacks only when the cumulative ACK has
       // passed `recover_` — dupack bursts from packets sent before the
@@ -310,7 +306,7 @@ void Subflow::check_invariants() const {
               "scoreboard base must track the cumulative ACK");
   MPSIM_CHECK(scoreboard_.size() == high_water_ - scoreboard_base_,
               "scoreboard must map every un-acked subflow seq to a data seq");
-  MPSIM_CHECK(h_.cwnd >= cfg_.min_cwnd,
+  MPSIM_CHECK(h_.cwnd >= kMinCwnd,
               "cwnd below the paper's >= 1 pkt probing bound");
 }
 
@@ -320,7 +316,7 @@ void Subflow::enter_recovery() {
   const bool in_slow_start = h_.cwnd < h_.ssthresh;
   const trace::TcpPhase from = phase();
   h_.ssthresh =
-      std::max(cfg_.min_cwnd, host_.window_after_loss(subflow_id_));
+      std::max(kMinCwnd, host_.window_after_loss(subflow_id_));
   recover_ = h_.snd_nxt;  // dupacks below this must not re-trigger (RFC 6582)
   if (in_slow_start || rate_ != nullptr) {
     // Loss during slow start means the exponential overshoot dumped a
@@ -332,7 +328,7 @@ void Subflow::enter_recovery() {
     // paced pipe for seconds, and the resend cannot re-flood because the
     // pacer spaces it. The window itself stays model-driven (loss is not a
     // primary congestion signal for a rate-based controller).
-    if (rate_ == nullptr) h_.cwnd = cfg_.min_cwnd;
+    if (rate_ == nullptr) h_.cwnd = kMinCwnd;
     h_.snd_nxt = h_.snd_una;
     h_.in_recovery = false;
     dupacks_ = 0;
@@ -343,7 +339,7 @@ void Subflow::enter_recovery() {
     try_send();
     return;
   }
-  h_.cwnd = h_.ssthresh + static_cast<double>(cfg_.dupack_threshold);
+  h_.cwnd = h_.ssthresh + static_cast<double>(kDupackThreshold);
   clamp_cwnd();
   h_.in_recovery = true;
   MPSIM_TRACE(trace_, trace::state_transition(events_.now(), trace_id_,
@@ -413,7 +409,7 @@ void Subflow::handle_timeout() {
                                               trace::TcpPhase::kRtoRecovery));
   if (!h_.in_recovery) {
     h_.ssthresh =
-        std::max(cfg_.min_cwnd, host_.window_after_loss(subflow_id_));
+        std::max(kMinCwnd, host_.window_after_loss(subflow_id_));
   }
   // Window mode restarts from one packet and slow-starts back. Rate mode
   // keeps the model-driven window: the go-back-N resend below is spaced by
@@ -422,7 +418,7 @@ void Subflow::handle_timeout() {
   // RTT — every resend ACK is Karn-ambiguous, so no delivery sample
   // arrives to republish the controller's target until the hole train is
   // fully repaired.
-  if (rate_ == nullptr) h_.cwnd = cfg_.min_cwnd;
+  if (rate_ == nullptr) h_.cwnd = kMinCwnd;
   h_.in_recovery = false;
   dupacks_ = 0;
   recover_ = high_water_;  // RFC 6582: no fast retransmit for pre-RTO acks

@@ -33,22 +33,11 @@
 
 namespace mpsim::tcp {
 
+// The retransmission timer's bounds. Every other sender constant (initial
+// window, window bounds, dupack threshold) is fixed in subflow.cpp.
 struct SubflowConfig {
-  double init_cwnd = 2.0;       // packets
-  double init_ssthresh = 1e9;   // effectively infinite
-  double min_cwnd = 1.0;        // paper: windows bounded >= 1 pkt (probing)
-  double max_cwnd = 1e9;
-  std::uint32_t dupack_threshold = 3;
   SimTime min_rto = from_ms(200);
   SimTime max_rto = from_sec(60);
-  // RFC 3042 Limited Transmit: send one new segment per dupack before the
-  // fast-retransmit threshold, keeping the ACK clock alive at small
-  // windows (where three dupacks may never materialise).
-  bool limited_transmit = false;
-  // The paper's kernel optimisation: "we compute the increase parameter
-  // only when the congestion windows grow to accommodate one more packet,
-  // rather than every ACK". Off = evaluate eq. (1) per ACK.
-  bool quantized_increase = false;
 };
 
 // Connection-level services a subflow needs. Implemented by
@@ -255,10 +244,6 @@ class Subflow : public net::PacketSink, public EventSource {
   // NewReno recovery state.
   std::uint32_t dupacks_ = 0;
   std::uint64_t recover_ = 0;  // recovery ends when snd_una >= recover_
-
-  // Quantized-increase cache (cfg_.quantized_increase).
-  double cached_increase_ = 0.0;
-  double increase_quantum_ = -1.0;
 
   // RTO state.
   RttEstimator rtt_;

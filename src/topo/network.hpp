@@ -80,7 +80,7 @@ class Network {
   net::LossyLink& add_lossy(const std::string& name, double loss_prob,
                             std::uint64_t seed) {
     lossy_.push_back(
-        std::make_unique<net::LossyLink>(name, loss_prob, seed));
+        std::make_unique<net::LossyLink>(events_, name, loss_prob, seed));
     faults_.add_lossy(name, *lossy_.back());
     return *lossy_.back();
   }

@@ -12,7 +12,7 @@ namespace {
 TEST(LossyLink, ZeroLossForwardsEverything) {
   EventList events;
   CountingSink sink("sink");
-  LossyLink link("l", 0.0, 1);
+  LossyLink link(events, "l", 0.0, 1);
   Route route({&link, &sink});
   for (int i = 0; i < 1000; ++i) Packet::alloc(events).send_on(route);
   EXPECT_EQ(sink.packets(), 1000u);
@@ -22,7 +22,7 @@ TEST(LossyLink, ZeroLossForwardsEverything) {
 TEST(LossyLink, FullLossDropsEverything) {
   EventList events;
   CountingSink sink("sink");
-  LossyLink link("l", 1.0, 1);
+  LossyLink link(events, "l", 1.0, 1);
   Route route({&link, &sink});
   for (int i = 0; i < 100; ++i) Packet::alloc(events).send_on(route);
   EXPECT_EQ(sink.packets(), 0u);
@@ -32,7 +32,7 @@ TEST(LossyLink, FullLossDropsEverything) {
 TEST(LossyLink, DropFractionApproximatesProbability) {
   EventList events;
   CountingSink sink("sink");
-  LossyLink link("l", 0.04, 99);
+  LossyLink link(events, "l", 0.04, 99);
   Route route({&link, &sink});
   const int n = 100000;
   for (int i = 0; i < n; ++i) Packet::alloc(events).send_on(route);
@@ -44,7 +44,7 @@ TEST(LossyLink, DropFractionApproximatesProbability) {
 TEST(LossyLink, SetLossProbTakesEffect) {
   EventList events;
   CountingSink sink("sink");
-  LossyLink link("l", 0.0, 7);
+  LossyLink link(events, "l", 0.0, 7);
   Route route({&link, &sink});
   for (int i = 0; i < 100; ++i) Packet::alloc(events).send_on(route);
   EXPECT_EQ(link.drops(), 0u);
@@ -57,7 +57,7 @@ TEST(LossyLink, DroppedPacketsReturnToPool) {
   EventList events;
   const std::size_t base = Packet::pool_outstanding(events);
   CountingSink sink("sink");
-  LossyLink link("l", 0.5, 3);
+  LossyLink link(events, "l", 0.5, 3);
   Route route({&link, &sink});
   for (int i = 0; i < 1000; ++i) Packet::alloc(events).send_on(route);
   EXPECT_EQ(Packet::pool_outstanding(events), base);

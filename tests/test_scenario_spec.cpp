@@ -425,6 +425,104 @@ TEST(SpecValidation, UnknownSectionRejected) {
       << e.what();
 }
 
+// Values that crashed or hung a run fail validation at the key's line:
+// a non-positive path-manager scan period or arrival phase, a negative
+// time, zero arrival rates, and an RTO floor above the RTO ceiling.
+void expect_key_error(const std::string& text, const std::string& at,
+                      const std::string& says) {
+  const SpecError e = error_of([&] { load(text).validate(); });
+  EXPECT_EQ(e.line(), line_of(text, at)) << e.what();
+  EXPECT_NE(std::string(e.what()).find(says), std::string::npos) << e.what();
+}
+
+// kBase with churn traffic in place of the persistent flow.
+std::string churn_with(const std::string& lines) {
+  std::string text = kBase;
+  const std::string persistent =
+      "kind = \"persistent\"\ncount = 1\nsubflows = 2\n";
+  text.replace(text.find(persistent), persistent.size(),
+               "kind = \"churn\"\n" + lines);
+  return text;
+}
+
+TEST(SpecValidation, ZeroScanPeriodRejected) {
+  const std::string text =
+      std::string(kBase) + "\n[path_manager]\nscan_period = \"0s\"\n";
+  expect_key_error(text, "scan_period", "'scan_period' must be > 0s");
+}
+
+TEST(SpecValidation, NegativeStartAndStaggerRejected) {
+  for (const char* key : {"start", "stagger"}) {
+    const std::string text =
+        with_lines("subflows = 2\n", std::string(key) + " = \"-5ms\"\n");
+    expect_key_error(text, std::string(key) + " = ",
+                     "[traffic] " + std::string(key) +
+                         ": expected a non-negative time, got \"-5ms\"");
+  }
+  const std::string starts =
+      with_lines("subflows = 2\n", "starts = [\"-1ms\"]\n");
+  expect_key_error(starts, "starts = ", "expected a non-negative time");
+}
+
+TEST(SpecValidation, NegativeLinkDelayRejected) {
+  std::string text = kBase;
+  text.replace(text.find("link1_delay = \"20ms\""), 20,
+               "link1_delay = \"-5ms\"");
+  expect_key_error(text, "link1_delay",
+                   "[topology] link1_delay: expected a non-negative time");
+}
+
+TEST(SpecValidation, NonPositiveArrivalPhaseRejected) {
+  expect_key_error(churn_with("phase = \"0s\"\n"), "phase",
+                   "'phase' must be > 0s");
+  // A phase that --scale rounds to zero fails too.
+  const std::string tiny = churn_with("phase = \"1ns\"\n");
+  EXPECT_NO_THROW(load(tiny).validate());
+  const SpecError e = error_of([&] { load(tiny).validate(0.01); });
+  EXPECT_EQ(e.line(), line_of(tiny, "phase")) << e.what();
+  EXPECT_NE(std::string(e.what()).find("phase must be positive"),
+            std::string::npos)
+      << e.what();
+}
+
+TEST(SpecValidation, ArrivalRatesAndSizesOutOfRangeRejected) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"light_rate_per_sec = 0", "'light_rate_per_sec' must be > 0"},
+      {"heavy_rate_per_sec = 0", "'heavy_rate_per_sec' must be > 0"},
+      {"pareto_shape = 1", "'pareto_shape' must be > 1"},
+      {"mean_flow_bytes = 0", "'mean_flow_bytes' must be > 0"},
+  };
+  for (const auto& [line, says] : cases) {
+    const std::string text = churn_with(std::string(line) + "\n");
+    expect_key_error(text, line, says);
+  }
+}
+
+TEST(SpecValidation, MinRtoAboveMaxRtoRejected) {
+  const std::string text =
+      with_lines("subflows = 2\n", "min_rto = \"61s\"\n");
+  expect_key_error(text, "min_rto", "'min_rto' must be in [0s, 60s]");
+  EXPECT_NO_THROW(
+      load(with_lines("subflows = 2\n", "min_rto = \"60s\"\n")).validate());
+}
+
+// Metric checks that need the built run (its queues, its hosts) fail in
+// validate(), not after the whole run has been simulated.
+TEST(SpecValidation, LossRatioQueueIndexBeyondTopologyRejected) {
+  const std::string text = std::string(kBase) +
+                           "\n[output]\nmetrics = [\"loss_ratio:0:99\"]\n";
+  expect_key_error(text, "[output]",
+                   "[output] loss_ratio queue index out of range (topology "
+                   "has 2 queues)");
+}
+
+TEST(SpecValidation, PerHostMetricWithoutHostsRejected) {
+  const std::string text =
+      std::string(kBase) + "\n[output]\nmetrics = [\"per_host_mbps\"]\n";
+  expect_key_error(text, "[output]",
+                   "[output] per_host_mbps needs host-addressable traffic");
+}
+
 TEST(SweepExpansion, EmptyAxisRejected) {
   Scenario s =
       load(std::string(kBase) + "\n[sweep]\ntraffic.subflows = []\n");

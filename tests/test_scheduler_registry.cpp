@@ -18,7 +18,7 @@ namespace mpsim::mptcp {
 namespace {
 
 // A fixed table of per-subflow (srtt, cwnd, inflight) the policies rank.
-class TableView : public SchedulerView {
+class TableView : public cc::ConnectionView {
  public:
   struct Row {
     double srtt;

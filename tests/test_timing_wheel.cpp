@@ -1,7 +1,8 @@
 // Direct tests of the hierarchical timing wheel, exercising the cases a
 // whole-EventList test reaches only by luck: cross-level cascades, the
 // overflow heap beyond the wheel horizon, idle-gap rebasing, the
-// peek-without-cascade contract that run_until() depends on, run merging
+// never-past-the-limit contract of pop_if_before() that run_until() depends
+// on, run merging
 // in an opened tick, schedules into the tick being drained, and cancel()
 // wherever an entry waits.
 #include "core/timing_wheel.hpp"
@@ -24,11 +25,17 @@ EventSource* tag(std::uintptr_t v) {
   return reinterpret_cast<EventSource*>(v);
 }
 
+// The earliest entry, through the wheel's one pop with no limit.
+TimingWheel::Entry pop(TimingWheel& w) {
+  TimingWheel::Entry e{};
+  EXPECT_TRUE(w.pop_if_before(kNever, e));
+  return e;
+}
+
 TEST(TimingWheel, StartsEmpty) {
   TimingWheel w;
   EXPECT_TRUE(w.empty());
   EXPECT_EQ(w.size(), 0u);
-  EXPECT_EQ(w.next_time(), kNever);
 }
 
 TEST(TimingWheel, PopsInTimeOrder) {
@@ -36,10 +43,9 @@ TEST(TimingWheel, PopsInTimeOrder) {
   w.schedule(300, 0, tag(3));
   w.schedule(100, 1, tag(1));
   w.schedule(200, 2, tag(2));
-  EXPECT_EQ(w.next_time(), 100);
-  EXPECT_EQ(w.pop().time, 100);
-  EXPECT_EQ(w.pop().time, 200);
-  EXPECT_EQ(w.pop().time, 300);
+  EXPECT_EQ(pop(w).time, 100);
+  EXPECT_EQ(pop(w).time, 200);
+  EXPECT_EQ(pop(w).time, 300);
   EXPECT_TRUE(w.empty());
 }
 
@@ -48,9 +54,9 @@ TEST(TimingWheel, FifoAmongEqualTimes) {
   w.schedule(50, 10, tag(1));
   w.schedule(50, 11, tag(2));
   w.schedule(50, 12, tag(3));
-  EXPECT_EQ(w.pop().seq, 10u);
-  EXPECT_EQ(w.pop().seq, 11u);
-  EXPECT_EQ(w.pop().seq, 12u);
+  EXPECT_EQ(pop(w).seq, 10u);
+  EXPECT_EQ(pop(w).seq, 11u);
+  EXPECT_EQ(pop(w).seq, 12u);
 }
 
 TEST(TimingWheel, FifoSurvivesCascade) {
@@ -61,9 +67,9 @@ TEST(TimingWheel, FifoSurvivesCascade) {
   w.schedule(t, 1, tag(1));
   w.schedule(5, 2, tag(0));  // forces wheel advance through cascades
   w.schedule(t, 3, tag(2));
-  EXPECT_EQ(w.pop().seq, 2u);
-  auto a = w.pop();
-  auto b = w.pop();
+  EXPECT_EQ(pop(w).seq, 2u);
+  auto a = pop(w);
+  auto b = pop(w);
   EXPECT_EQ(a.time, t);
   EXPECT_EQ(b.time, t);
   EXPECT_EQ(a.seq, 1u);
@@ -77,11 +83,9 @@ TEST(TimingWheel, OverflowHeapBeyondHorizon) {
   w.schedule(very_far, 1, tag(1));
   w.schedule(far, 2, tag(2));
   w.schedule(77, 3, tag(3));
-  EXPECT_EQ(w.next_time(), 77);
-  EXPECT_EQ(w.pop().time, 77);
-  EXPECT_EQ(w.next_time(), far);
-  EXPECT_EQ(w.pop().time, far);
-  EXPECT_EQ(w.pop().time, very_far);
+  EXPECT_EQ(pop(w).time, 77);
+  EXPECT_EQ(pop(w).time, far);
+  EXPECT_EQ(pop(w).time, very_far);
   EXPECT_TRUE(w.empty());
 }
 
@@ -90,11 +94,10 @@ TEST(TimingWheel, IdleGapRebase) {
   // must rebase rather than walk every intervening slot.
   TimingWheel w;
   w.schedule(10, 1, tag(1));
-  EXPECT_EQ(w.pop().time, 10);
+  EXPECT_EQ(pop(w).time, 10);
   const SimTime far = (1ll << 36) + 42;
   w.schedule(far, 2, tag(2));
-  EXPECT_EQ(w.next_time(), far);
-  EXPECT_EQ(w.pop().time, far);
+  EXPECT_EQ(pop(w).time, far);
 }
 
 TEST(TimingWheel, ScheduleAtCurrentTickDuringDispatch) {
@@ -103,27 +106,47 @@ TEST(TimingWheel, ScheduleAtCurrentTickDuringDispatch) {
   TimingWheel w;
   w.schedule(100, 1, tag(1));
   w.schedule(100, 2, tag(2));
-  EXPECT_EQ(w.pop().seq, 1u);
+  EXPECT_EQ(pop(w).seq, 1u);
   w.schedule(100, 3, tag(3));  // "now", mid-dispatch
-  EXPECT_EQ(w.pop().seq, 2u);
-  EXPECT_EQ(w.pop().seq, 3u);
+  EXPECT_EQ(pop(w).seq, 2u);
+  EXPECT_EQ(pop(w).seq, 3u);
 }
 
-TEST(TimingWheel, PeekDoesNotAdvanceWheel) {
-  // Regression test for run_until(): next_time() must not cascade/advance,
-  // or a subsequent schedule() earlier than the peeked time would violate
-  // the wheel's monotonicity and either assert or mis-order.
-  TimingWheel w;
-  const SimTime far = (1ll << 24) + 3;  // top-level slot from cur_ = 0
-  w.schedule(far, 1, tag(1));
-  EXPECT_EQ(w.next_time(), far);  // peek must not move cur_ to `far`
-  w.schedule(500, 2, tag(2));     // much earlier than the peeked time
-  EXPECT_EQ(w.next_time(), 500);
-  EXPECT_EQ(w.pop().time, 500);
-  EXPECT_EQ(w.pop().time, far);
+TEST(TimingWheel, PopIfBeforeNeverAdvancesPastLimit) {
+  // run_until()'s contract: when the earliest entry lies beyond `limit`,
+  // pop_if_before() pops nothing and leaves the wheel at or before
+  // `limit`, so a later schedule at `limit` (earlier than that entry) is
+  // legal and pops first. One case per level, with `limit` inside the
+  // entry's own slot where the slot spans ticks, and one in the overflow
+  // heap.
+  struct Case {
+    SimTime entry;
+    SimTime limit;
+  };
+  const Case cases[] = {
+      {1000, 500},                                   // level 0
+      {5 * 2048 + 100, 5 * 2048 + 50},               // level 1
+      {(3ll << 22) + 4096 + 7, (3ll << 22) + 4096},  // level 2
+      {(1ll << 33) + 12345, (1ll << 33) + 100},      // overflow heap
+  };
+  for (const Case& c : cases) {
+    TimingWheel w;
+    w.schedule(c.entry, 1, tag(1));
+    TimingWheel::Entry e{};
+    EXPECT_FALSE(w.pop_if_before(c.limit, e)) << c.entry;
+    EXPECT_EQ(w.size(), 1u) << c.entry;
+    w.schedule(c.limit, 2, tag(2));
+    ASSERT_TRUE(w.pop_if_before(c.limit, e)) << c.entry;
+    EXPECT_EQ(e.time, c.limit);
+    EXPECT_EQ(e.src, tag(2));
+    EXPECT_FALSE(w.pop_if_before(c.limit, e)) << c.entry;
+    ASSERT_TRUE(w.pop_if_before(c.entry, e)) << c.entry;
+    EXPECT_EQ(e.time, c.entry);
+    EXPECT_TRUE(w.empty());
+  }
 }
 
-TEST(TimingWheel, NextTimeExactAcrossLevels) {
+TEST(TimingWheel, PopsInOrderAcrossLevels) {
   TimingWheel w;
   // One entry per level distance plus overflow.
   const SimTime times[] = {3, 1000, (1ll << 17) + 5, (1ll << 29) + 1,
@@ -131,8 +154,7 @@ TEST(TimingWheel, NextTimeExactAcrossLevels) {
   std::uint64_t seq = 0;
   for (SimTime t : times) w.schedule(t, seq++, tag(1));
   for (SimTime t : times) {
-    EXPECT_EQ(w.next_time(), t);
-    EXPECT_EQ(w.pop().time, t);
+    EXPECT_EQ(pop(w).time, t);
   }
 }
 
@@ -144,13 +166,13 @@ TEST(TimingWheel, SmallerKeyIntoDrainingTick) {
   w.schedule(100, 10, tag(1));
   w.schedule(100, 20, tag(2));
   w.schedule(100, 30, tag(3));
-  EXPECT_EQ(w.pop().seq, 10u);  // opens the tick
+  EXPECT_EQ(pop(w).seq, 10u);  // opens the tick
   w.schedule(100, 25, tag(4));
   w.schedule(100, 5, tag(5));
   w.schedule(100, 40, tag(6));
   w.schedule(101, 1, tag(7));  // the next tick is not the open one
   std::vector<std::uint64_t> seqs;
-  while (!w.empty()) seqs.push_back(w.pop().seq);
+  while (!w.empty()) seqs.push_back(pop(w).seq);
   EXPECT_EQ(seqs, (std::vector<std::uint64_t>{5, 20, 25, 30, 40, 1}));
 }
 
@@ -166,13 +188,13 @@ TEST(TimingWheel, CancelInOpenTickLevelsAndOverflow) {
     w.schedule(t, seq++, a);
     w.schedule(t, seq++, b);
   }
-  const TimingWheel::Entry first = w.pop();  // opens tick 100
+  const TimingWheel::Entry first = pop(w);  // opens tick 100
   EXPECT_EQ(first.src, a);
   EXPECT_EQ(w.cancel(a), 6u);
   EXPECT_EQ(w.size(), 7u);
   std::vector<SimTime> got;
   while (!w.empty()) {
-    const TimingWheel::Entry e = w.pop();
+    const TimingWheel::Entry e = pop(w);
     EXPECT_EQ(e.src, b);
     got.push_back(e.time);
   }
@@ -190,7 +212,7 @@ TEST(TimingWheel, InterleavedRunsMergeAfterCascade) {
     w.schedule(t, seq, tag(seq));
   }
   for (std::uint64_t want = 1; want <= 10; ++want) {
-    const TimingWheel::Entry e = w.pop();
+    const TimingWheel::Entry e = pop(w);
     EXPECT_EQ(e.time, t);
     EXPECT_EQ(e.seq, want);
   }
@@ -208,7 +230,7 @@ TEST(TimingWheel, ScheduleBeforeCurrentTickFires) {
   TimingWheel w;
   w.schedule(100, 1, tag(1));
   w.schedule(200, 2, tag(1));
-  EXPECT_EQ(w.pop().time, 100);
+  EXPECT_EQ(pop(w).time, 100);
   EXPECT_THROW(w.schedule(50, 3, tag(1)), CheckFailureError);
 }
 
@@ -224,7 +246,7 @@ TEST(TimingWheel, RandomizedAgainstReferenceOrder) {
   for (int step = 0; step < 50'000; ++step) {
     const bool do_pop = pending > 0 && rng.next_double() < 0.5;
     if (do_pop) {
-      auto e = w.pop();
+      auto e = pop(w);
       EXPECT_GE(e.time, now);
       now = e.time;
       popped.push_back(e);
@@ -248,7 +270,7 @@ TEST(TimingWheel, RandomizedAgainstReferenceOrder) {
       ++pending;
     }
   }
-  while (!w.empty()) popped.push_back(w.pop());
+  while (!w.empty()) popped.push_back(pop(w));
   for (std::size_t i = 1; i < popped.size(); ++i) {
     const auto& a = popped[i - 1];
     const auto& b = popped[i];

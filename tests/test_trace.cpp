@@ -17,6 +17,7 @@
 #include "runner/experiment_runner.hpp"
 #include "sim_fixtures.hpp"
 #include "topo/network.hpp"
+#include "topo/two_link.hpp"
 #include "trace/record.hpp"
 #include "trace/sinks.hpp"
 
@@ -189,6 +190,37 @@ TEST(TraceRecorder, InstrumentedSimulationRecords) {
   EXPECT_GT(dack, 100u);
   EXPECT_GT(rcvbuf, 100u);
   EXPECT_EQ(rec.total_records(), rec.size() + rec.overwritten());
+}
+
+// Random loss is traced as well as congestive loss: a loss stage that
+// Network::add_lossy builds logs one link_drop row per packet it drops.
+TEST(TraceRecorder, RandomLossDropsAreTraced) {
+  EventList events;
+  TraceRecorder& rec = TraceRecorder::install(events);
+  topo::Network net(events);
+  topo::LinkSpec spec;
+  spec.rate_bps = 10e6;
+  spec.one_way_delay = from_ms(10);
+  topo::TwoLink two(net, spec, spec);
+  two.add_loss(net, 0, 0.02, 7);
+  const auto paths = two.flow_paths(0, 1);
+  auto tcp = mptcp::make_single_path_tcp(events, "t", paths[0].first,
+                                         paths[0].second);
+  tcp->start(0);
+  events.run_until(from_sec(5));
+
+  const net::LossyLink& loss = *net.fault_targets().find("link1/loss")->lossy;
+  ASSERT_GT(loss.drops(), 0u);
+  ASSERT_EQ(rec.overwritten(), 0u);
+  CsvSink csv;
+  rec.flush(csv);
+  std::uint64_t rows = 0;
+  for (const std::string& line : split_lines(csv.text())) {
+    if (line.find(",link_drop,") == std::string::npos) continue;
+    EXPECT_NE(line.find(",link_drop,link1/loss,"), std::string::npos) << line;
+    ++rows;
+  }
+  EXPECT_EQ(rows, loss.drops());
 }
 
 TEST(TraceRecorder, SecondInstallIsRejected) {

@@ -11,9 +11,9 @@ Checks (mirroring src/trace/record.hpp and the CsvSink format):
   * x / y parse as finite floats
   * obj is non-empty and contains no characters that would break the CSV
 
-CI runs this over a scaled `mpsim run --trace=csv fig17_mobile.toml`
-emission so schema drift between the C++ sinks and this validator fails
-the build.
+The scenario_smoke_* ctests (tests/scenario_smoke.cmake) run this over
+the traces of scaled spec runs, fig17_mobile.toml among them, so schema
+drift between the C++ sinks and this validator fails the build.
 
 Usage: tools/check_trace_schema.py TRACE.csv [TRACE2.csv ...]
 Exits non-zero on the first malformed file.
