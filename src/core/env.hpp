@@ -1,8 +1,8 @@
-// Strict numeric parsing for `mpsim`'s flags and the integer tokens of
-// spec files.
+// Strict numeric parsing for `mpsim`'s flags and every number of a spec
+// file: its values, the magnitudes of its units and its entry tokens.
 //
-// A malformed value ("--threads=fast", "--scale=0x2", a fault step count
-// "4.5") is rejected instead of silently coercing to 0 and running the
+// A malformed value ("--threads=fast", "--scale=0x2", a loss probability
+// "nan") is rejected instead of silently coercing to 0 and running the
 // wrong experiment. The functions are pure (no I/O, no exit), so each
 // caller reports the failure in its own terms and tests can cover the
 // accept/reject behaviour directly.

@@ -24,6 +24,28 @@ const char* target_kind_name(TargetKind k) {
   return "unknown";
 }
 
+bool accepts(Action a, TargetKind k) {
+  switch (a) {
+    case Action::kDown:
+    case Action::kUp:
+    case Action::kRate:
+    case Action::kRamp:
+      return k == TargetKind::kVariableQueue;
+    case Action::kLoss:
+    case Action::kLossBurst:
+      return k == TargetKind::kLossyLink;
+    case Action::kDrain:
+    case Action::kCorrupt:
+      return k == TargetKind::kQueue || k == TargetKind::kVariableQueue;
+    case Action::kReset:
+      return k == TargetKind::kConnection;
+    case Action::kLossRestore:
+    case Action::kRampStep:
+      break;
+  }
+  return false;
+}
+
 void TargetRegistry::add(Target t) {
   MPSIM_CHECK(find(t.name) == nullptr,
               "fault target names must be unique per simulation");
@@ -127,35 +149,6 @@ FaultInjector::FaultInjector(EventList& events, const TargetRegistry& targets,
     MPSIM_CHECK(t != nullptr, "fault plan names an unregistered target");
     return t;
   };
-  auto check_kind = [](const Target* t, Action a) {
-    switch (a) {
-      case Action::kDown:
-      case Action::kUp:
-      case Action::kRate:
-      case Action::kRamp:
-        MPSIM_CHECK(t->vqueue != nullptr,
-                    "rate faults need a variable-rate queue target");
-        break;
-      case Action::kLoss:
-      case Action::kLossBurst:
-        MPSIM_CHECK(t->lossy != nullptr,
-                    "loss faults need a loss-element target");
-        break;
-      case Action::kDrain:
-      case Action::kCorrupt:
-        MPSIM_CHECK(t->queue != nullptr, "queue faults need a queue target");
-        break;
-      case Action::kReset:
-        MPSIM_CHECK(t->conn != nullptr,
-                    "subflow resets need a connection target");
-        break;
-      case Action::kLossRestore:
-      case Action::kRampStep:
-        MPSIM_CHECK(false, "internal fault actions cannot appear in a plan");
-        break;
-    }
-  };
-
   for (const FaultEvent& e : plan.events) {
     Step s;
     s.at = e.at;
@@ -164,7 +157,8 @@ FaultInjector::FaultInjector(EventList& events, const TargetRegistry& targets,
     s.value = e.value;
     s.duration = e.duration;
     s.count = e.count;
-    check_kind(s.target, s.action);
+    MPSIM_CHECK(accepts(s.action, s.target->kind),
+                "fault action does not act on its target's kind");
     timeline_.push_back(s);
     if (e.action == Action::kLossBurst) {
       MPSIM_CHECK(e.duration > 0, "loss burst duration must be positive");
@@ -180,7 +174,8 @@ FaultInjector::FaultInjector(EventList& events, const TargetRegistry& targets,
   // pure function of (plan, run seed) — independent of execution order.
   for (const RandomOutage& ro : plan.random) {
     const Target* t = resolve(ro.target);
-    check_kind(t, Action::kDown);
+    MPSIM_CHECK(accepts(Action::kDown, t->kind),
+                "random outages need a variable-rate queue target");
     MPSIM_CHECK(ro.mean_up > 0 && ro.mean_down > 0 && ro.until > 0,
                 "random outage needs positive mean_up/mean_down/until");
     Rng rng(mix_seed(run_seed, ro.salt));
@@ -341,9 +336,9 @@ void FaultInjector::apply(const Step& s) {
       aux = t->queue->drop_waiting(static_cast<std::size_t>(s.count));
       break;
     case Action::kReset:
-      MPSIM_CHECK(s.count >= 0 &&
-                      static_cast<std::size_t>(s.count) <
-                          t->conn->num_subflows(),
+      // A subflow a path manager has not opened yet resets as a no-op.
+      MPSIM_CHECK(s.count >= 0 && static_cast<std::size_t>(s.count) <
+                                      t->conn->subflow_cap(),
                   "subflow reset index out of range");
       t->conn->reset_subflow(static_cast<std::size_t>(s.count));
       aux = static_cast<std::uint64_t>(s.count);

@@ -69,6 +69,12 @@ enum class TargetKind : std::uint8_t {
 };
 const char* target_kind_name(TargetKind k);
 
+// Whether a plan's action `a` acts on a target of kind `k`: the rate
+// actions on a variable-rate queue, the loss actions on a loss element,
+// drain and corrupt on any queue, reset on a connection. No internal
+// action acts on anything.
+bool accepts(Action a, TargetKind k);
+
 struct Target {
   std::string name;
   TargetKind kind = TargetKind::kQueue;

@@ -182,8 +182,14 @@ void MptcpConnection::on_data_ack(std::uint64_t data_cum_ack,
 }
 
 void MptcpConnection::reset_subflow(std::size_t r) {
-  MPSIM_CHECK(r < subflows_.size(), "reset_subflow index out of range");
-  subflows_[r]->force_timeout();
+  MPSIM_CHECK(r < subflow_cap(), "reset_subflow index out of range");
+  if (r < subflows_.size()) subflows_[r]->force_timeout();
+}
+
+std::size_t MptcpConnection::subflow_cap() const {
+  return path_manager_ == nullptr
+             ? subflows_.size()
+             : std::max(subflows_.size(), path_manager_->config().max_subflows);
 }
 
 void MptcpConnection::drop_subflow(std::size_t r, bool rto_dead) {
@@ -292,7 +298,6 @@ void MptcpConnection::maybe_reinject_head_of_line() {
   }
   scheduler_->reinject(outstanding);
   last_hol_reinject_ = now;
-  ++hol_reinjections_;
 }
 
 double MptcpConnection::srtt_sec(std::size_t r) const {

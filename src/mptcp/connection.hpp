@@ -136,8 +136,13 @@ class MptcpConnection : public tcp::SubflowHost,
 
   // Administrative subflow reset (fault injection): the subflow reacts as
   // if its RTO fired now — min window, go-back-N, backoff — and its
-  // outstanding data becomes eligible for reinjection on siblings.
+  // outstanding data becomes eligible for reinjection on siblings. `r` is
+  // below subflow_cap(); a subflow not opened yet, like a dropped one, has
+  // no timer to fire, so its reset does nothing.
   void reset_subflow(std::size_t r);
+  // How many subflows this connection can ever have: the ones open now,
+  // or up to its path manager's max_subflows.
+  std::size_t subflow_cap() const;
 
   // --- subflow-set lifecycle (driven by the PathManager, or directly) ---
   // Drop subflow r from the live set: its outstanding data is handed to
@@ -174,8 +179,6 @@ class MptcpConnection : public tcp::SubflowHost,
   // Invoked once when an app-limited stream is fully acknowledged.
   std::function<void()> on_complete;
 
-  std::uint64_t hol_reinjections() const { return hol_reinjections_; }
-
   // Wire-reference ledger: packets this connection's endpoints put on the
   // wire that the pool has not yet taken back (in a queue, in a pipe, or
   // being delivered). Zero means no packet anywhere references this
@@ -210,7 +213,6 @@ class MptcpConnection : public tcp::SubflowHost,
   std::uint64_t last_data_cum_ = 0;
   SimTime last_data_advance_ = 0;
   SimTime last_hol_reinject_ = 0;
-  std::uint64_t hol_reinjections_ = 0;
 
   // Flight recorder, cached at construction (nullptr = tracing off).
   trace::TraceRecorder* trace_ = nullptr;

@@ -83,7 +83,6 @@ class PathManager final : public EventSource {
   void on_event() override;
 
   const PathManagerConfig& config() const { return cfg_; }
-  std::size_t num_candidates() const { return candidates_.size(); }
 
   // --- stats ---
   std::uint64_t subflows_opened() const { return opened_; }

@@ -97,7 +97,6 @@ void MptcpReceiver::emit_ack(std::uint32_t subflow_id, SimTime ts_echo,
     ++*wire_counter_;
     ack.wire_refs = wire_counter_;
   }
-  ++acks_sent_;
   ack.send_on(*sub.ack_route);
 }
 

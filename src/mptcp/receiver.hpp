@@ -63,7 +63,6 @@ class MptcpReceiver : public net::PacketSink, public EventSource {
   std::uint64_t data_cum_ack() const { return data_reorder_.edge(); }
   // In-order data packets that have reached the application.
   std::uint64_t delivered() const { return app_read_seq_; }
-  std::uint64_t buffer_capacity() const { return capacity_; }
   std::uint64_t buffer_occupancy() const {
     return (data_reorder_.edge() - app_read_seq_) + data_reorder_.size();
   }
@@ -75,7 +74,6 @@ class MptcpReceiver : public net::PacketSink, public EventSource {
   std::uint64_t window_violations() const { return window_violations_; }
   std::uint64_t packets_received() const { return packets_received_; }
   std::uint64_t duplicates() const { return duplicate_data_; }
-  std::uint64_t acks_sent() const { return acks_sent_; }
   std::uint64_t window_updates_sent() const { return window_updates_sent_; }
 
  private:
@@ -118,7 +116,6 @@ class MptcpReceiver : public net::PacketSink, public EventSource {
   std::uint64_t packets_received_ = 0;
   std::uint64_t duplicate_data_ = 0;
   std::uint64_t window_violations_ = 0;
-  std::uint64_t acks_sent_ = 0;
   std::uint64_t window_updates_sent_ = 0;
 
   // Flight recorder, cached at construction (nullptr = tracing off).

@@ -48,7 +48,6 @@ class Queue : public PacketSink, public EventSource {
   std::uint64_t queued_bytes() const { return h_.queued_bytes; }
   std::size_t queued_packets() const { return fifo_.size() + (busy_ ? 1 : 0); }
   double rate_bps() const { return rate_bps_; }
-  std::uint64_t capacity_bytes() const { return max_bytes_; }
 
  protected:
   // Serialization delay of `pkt` at the current rate. Nearly all packets are

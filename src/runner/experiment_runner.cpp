@@ -67,16 +67,11 @@ std::vector<RunResult> ExperimentRunner::run_all() {
     r.metrics.scheduler = ctx.events().scheduler_stats();
   };
 
-  const unsigned nthreads = resolved_threads();
-  if (nthreads <= 1) {
-    for (std::size_t i = 0; i < n; ++i) exec(i);
-    return results;
-  }
-
   // Every job is added before run_all() starts and no job adds another, so
   // the job set is fixed: each worker claims the next unrun index from one
   // shared cursor until it runs past the end. Results are index-addressed,
-  // so which worker ran a job never shows in the output.
+  // so which worker ran a job never shows in the output. The caller is
+  // one of the workers: with one thread it runs every job, in order.
   std::atomic<std::size_t> next{0};
   auto worker = [&] {
     for (std::size_t idx = next.fetch_add(1, std::memory_order_relaxed);
@@ -85,6 +80,7 @@ std::vector<RunResult> ExperimentRunner::run_all() {
     }
   };
 
+  const unsigned nthreads = resolved_threads();
   std::vector<std::thread> pool;
   pool.reserve(nthreads - 1);
   for (unsigned w = 1; w < nthreads; ++w) pool.emplace_back(worker);

@@ -134,8 +134,6 @@ class ExperimentRunner {
     jobs_.emplace_back(std::move(name), std::move(job));
   }
 
-  std::size_t job_count() const { return jobs_.size(); }
-
   // Execute every job and return one RunResult per job, submission-ordered.
   // With threads == 1 everything runs inline on the calling thread.
   std::vector<RunResult> run_all();

@@ -29,7 +29,10 @@
 #include "cc/rfc6356.hpp"
 #include "cc/semicoupled.hpp"
 #include "cc/uncoupled.hpp"
+#include "core/env.hpp"
 #include "scenario/registry.hpp"
+#include "stats/monitors.hpp"
+#include "stats/summary.hpp"
 #include "topo/bcube.hpp"
 #include "topo/fat_tree.hpp"
 #include "topo/parking_lot.hpp"
@@ -95,15 +98,18 @@ std::vector<int> parse_path_set(const std::string& text, const Section& s) {
     const std::string part =
         text.substr(pos, plus == std::string::npos ? std::string::npos
                                                    : plus - pos);
-    if (part.empty() || part.find_first_not_of("0123456789") !=
-                            std::string::npos) {
+    double index = 0.0;
+    if (part.find_first_not_of("0123456789") != std::string::npos ||
+        !env::parse_double(part, index)) {
       s.fail("flow path set '" + text +
              "' must be '+'-joined path indices like \"0+1\"");
     }
-    idxs.push_back(static_cast<int>(
-        parse_count(part, count_max<int>(),
-                    "flow path set '" + text + "': path index", s.file(),
-                    s.line())));
+    if (index > count_max<int>()) {
+      s.fail("flow path set '" + text + "': path index must be an integer "
+             "in [0, " + std::to_string(count_max<int>()) + "], got '" +
+             part + "'");
+    }
+    idxs.push_back(static_cast<int>(index));
     if (plus == std::string::npos) break;
     pos = plus + 1;
   }
@@ -883,6 +889,114 @@ Registry make_builtin_registry() {
                    "BLEST-style: hold fresh data off slow subflows that "
                    "would stall the faster path's send window",
                    {}, mptcp::DataSchedulerKind::kBlest);
+
+  // Fault actions ([faults] script = "<time> <action> [args...] <target>").
+  // Which target each takes is fault::accepts().
+  r.fault_actions.add("down",
+                      "cut a variable-rate queue's rate to 0, remembering it",
+                      {}, fault::Action::kDown);
+  r.fault_actions.add(
+      "up", "bring a downed variable-rate queue back up",
+      {{"rate", kRate, "", "its new rate (default: its rate before down)"}},
+      fault::Action::kUp);
+  r.fault_actions.add("rate", "set a variable-rate queue's rate",
+                      {{"rate", kRate, kRequired, "the new rate"}},
+                      fault::Action::kRate);
+  r.fault_actions.add(
+      "ramp", "step a variable-rate queue's rate to `rate` over `duration`",
+      {{"rate", kRate, kRequired, "the final rate"},
+       {"duration", kTime, kRequired, "the ramp's length (scaled)", above(0)},
+       {"steps", kCount, kRequired, "equal steps to get there", at_least(1)}},
+      fault::Action::kRamp);
+  constexpr Range kProbability{.lo = 0, .hi = 1};
+  r.fault_actions.add("loss", "set a loss element's drop probability",
+                      {{"probability", kNumber, kRequired,
+                        "the drop probability", kProbability}},
+                      fault::Action::kLoss);
+  r.fault_actions.add(
+      "loss_burst",
+      "raise a loss element's drop probability for `duration`, then "
+      "restore it",
+      {{"probability", kNumber, kRequired, "the drop probability meanwhile",
+        kProbability},
+       {"duration", kTime, kRequired, "the burst's length (scaled)",
+        above(0)}},
+      fault::Action::kLossBurst);
+  r.fault_actions.add("drain", "drop every packet waiting in a queue", {},
+                      fault::Action::kDrain);
+  r.fault_actions.add(
+      "corrupt", "drop up to `packets` packets waiting in a queue",
+      {{"packets", kCount, kRequired, "packets to drop", at_least(1)}},
+      fault::Action::kCorrupt);
+  r.fault_actions.add(
+      "reset", "fire one subflow's RTO now",
+      {{"subflow", kCount, kRequired,
+        "the subflow's index; one not open yet resets as a no-op"}},
+      fault::Action::kReset);
+
+  // Metrics ([output] metrics = ["<metric>[:<arg>...]", ...]), recorded
+  // when the measured window closes, in the order the spec lists them.
+  r.metrics.add("flow_mbps", "each flow's goodput, as mbps_<flow>", {},
+                {.record = [](const auto& in, const auto&, auto& ctx) {
+                   for (std::size_t i = 0; i < in.conns.size(); ++i) {
+                     ctx.record("mbps_" + in.conns[i]->name(), in.mbps[i]);
+                   }
+                 }});
+  r.metrics.add("total_mbps", "the flows' summed goodput", {},
+                {.record = [](const auto& in, const auto&, auto& ctx) {
+                   ctx.record("total_mbps", in.total_mbps);
+                 }});
+  r.metrics.add("jain", "Jain's fairness index over the flows' goodputs", {},
+                {.record = [](const auto& in, const auto&, auto& ctx) {
+                   ctx.record("jain", stats::jain_index(in.mbps));
+                 }});
+  r.metrics.add("queue_loss", "each queue's loss rate, as loss_q<i>", {},
+                {.record = [](const auto& in, const auto&, auto& ctx) {
+                   for (std::size_t i = 0; i < in.queues.size(); ++i) {
+                     ctx.record("loss_q" + std::to_string(i),
+                                in.queues[i]->loss_rate());
+                   }
+                 }});
+  r.metrics.add(
+      "loss_ratio",
+      "queue a's loss rate over queue b's (0 when b lost none), as "
+      "loss_ratio_<a>_<b>",
+      {{"a", kCount, kRequired, "the numerator's queue index"},
+       {"b", kCount, kRequired, "the denominator's queue index"}},
+      {.record = [](const auto& in, const auto& a, auto& ctx) {
+         const std::size_t qa = a.template get_count<std::size_t>("a");
+         const std::size_t qb = a.template get_count<std::size_t>("b");
+         const double pb = in.queues[qb]->loss_rate();
+         ctx.record("loss_ratio_" + std::to_string(qa) + "_" +
+                        std::to_string(qb),
+                    pb > 0 ? in.queues[qa]->loss_rate() / pb : 0.0);
+       }});
+  r.metrics.add("per_host_mbps", "summed goodput per host", {},
+                {.per_host = true,
+                 .record = [](const auto& in, const auto&, auto& ctx) {
+                   ctx.record("per_host_mbps", in.total_mbps / in.hosts);
+                 }});
+  r.metrics.add("per_flow_mean_mbps", "summed goodput per flow", {},
+                {.record = [](const auto& in, const auto&, auto& ctx) {
+                   const double n = static_cast<double>(in.conns.size());
+                   ctx.record("per_flow_mean_mbps",
+                              n > 0 ? in.total_mbps / n : 0.0);
+                 }});
+  r.metrics.add(
+      "subflow_mbps", "each subflow's acked goodput, as mbps_<flow>_sub<i>",
+      {}, {.record = [](const auto& in, const auto&, auto& ctx) {
+        for (std::size_t i = 0; i < in.conns.size(); ++i) {
+          const mptcp::MptcpConnection& c = *in.conns[i];
+          const auto& base = in.subflow_base[i];
+          for (std::size_t s = 0; s < c.num_subflows(); ++s) {
+            const std::uint64_t acked = c.subflow(s).packets_acked();
+            ctx.record("mbps_" + c.name() + "_sub" + std::to_string(s),
+                       stats::pkts_to_mbps(
+                           acked - (s < base.size() ? base[s] : 0),
+                           in.window));
+          }
+        }
+      }});
 
   return r;
 }

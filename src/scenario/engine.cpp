@@ -8,7 +8,6 @@
 #include "scenario/registry.hpp"
 #include "stats/goodput.hpp"
 #include "stats/monitors.hpp"
-#include "stats/summary.hpp"
 #include "topo/network.hpp"
 #include "trace/record.hpp"
 #include "trace/trace.hpp"
@@ -119,28 +118,31 @@ const std::vector<SpecSection>& spec_sections() {
         {"reprobe_backoff", kTime, "1s", "wait before re-probing a path"},
         {"dead_after_rtos", kCount, "3",
          "consecutive RTOs that declare a path dead", at_least(1)}}},
-      {"faults", "a fault schedule (entry grammar: README)",
-       {{"script", kStrings, "", "\"<time> <action> [args...] <target>\""},
+      {"faults", "a fault schedule",
+       {{"script", kStrings, "",
+         "timed actions, \"<time> <action> [args...] <target>\" (actions "
+         "below)"},
         {"flap", kStrings, "",
-         "\"<target> start=<t> period=<t> down=<t> count=<n>\""},
+         "down/up trains, \"<target> <key>=<value>...\" (keys below)"},
         {"random_outage", kStrings, "",
-         "\"<target> mean_up=<t> mean_down=<t> until=<t> [seed=<n>]\""},
+         "seeded outage processes, \"<target> <key>=<value>...\" (keys "
+         "below)"},
         {"recovery_poll", kTime, "1ms",
          "recovery-detection interval (scaled)"}}},
       {"run", "the measured window and the seeds",
        {{"warmup", kTime, kRequired, "time before measuring (scaled)"},
-        {"measure", kTime, kRequired, "the measured window (scaled)"},
+        {"measure", kTime, kRequired, "the measured window (scaled)",
+         above(0)},
         {"seeds", kCounts, "[1]", "one run per seed per grid point",
          at_least(1)},
         {"scale_starts", kBool, "false", "scale flow starts by --scale too"}}},
       {"output", "metrics and the flight recorder",
        {{"metrics", kStrings, R"(["flow_mbps", "total_mbps"])",
-         "flow_mbps, total_mbps, jain, queue_loss, loss_ratio:<a>:<b>, "
-         "per_host_mbps, per_flow_mean_mbps, subflow_mbps"},
+         "what each run records, \"<metric>[:<arg>...]\" (metrics below)"},
         {"sample_interval", kTime, "0s",
          "period of goodput trace records (scaled); 0s = none"},
         {"trace", kString, "off", "trace sink; --trace overrides", {},
-         {"csv", "jsonl", "null", "off"}},
+         {"csv", "jsonl", "off"}},
         {"trace_capacity", kCount64, "0",
          "trace ring size, records; 0 = the recorder's default"}}},
       {"sweep",
@@ -154,7 +156,6 @@ const std::vector<SpecSection>& spec_sections() {
 trace::SinkKind sink_kind(const std::string& name) {
   if (name == "csv") return trace::SinkKind::kCsv;
   if (name == "jsonl") return trace::SinkKind::kJsonl;
-  if (name == "null") return trace::SinkKind::kNull;
   return trace::SinkKind::kNone;
 }
 
@@ -293,72 +294,34 @@ std::size_t Scenario::spec_trace_capacity() const {
 
 namespace {
 
-// A requested output metric, parsed from [output] metrics.
-struct MetricPlan {
-  enum class Kind {
-    kFlowMbps,
-    kTotalMbps,
-    kJain,
-    kQueueLoss,
-    kLossRatio,
-    kPerHostMbps,
-    kPerFlowMeanMbps,
-    kSubflowMbps,
-  };
-  Kind kind;
-  int a = 0;  // loss_ratio numerator queue index
-  int b = 0;  // loss_ratio denominator queue index
+// A requested output metric, read against its registered table.
+struct Metric {
+  const Kind<MetricBuilder>* kind;
+  Args args;
 };
 
-std::vector<MetricPlan> parse_metrics(const Args& out) {
-  std::vector<MetricPlan> plan;
+// The [output] metrics: "<metric>[:<arg>...]", each at the key's line.
+std::vector<Metric> read_metrics(const Args& out) {
+  const Section at("output", out.find("metrics")->line, out.file());
+  std::vector<Metric> metrics;
   for (const std::string& m : out.get_string_array("metrics")) {
-    MetricPlan p{};
-    if (m == "flow_mbps") {
-      p.kind = MetricPlan::Kind::kFlowMbps;
-    } else if (m == "total_mbps") {
-      p.kind = MetricPlan::Kind::kTotalMbps;
-    } else if (m == "jain") {
-      p.kind = MetricPlan::Kind::kJain;
-    } else if (m == "queue_loss") {
-      p.kind = MetricPlan::Kind::kQueueLoss;
-    } else if (m == "per_host_mbps") {
-      p.kind = MetricPlan::Kind::kPerHostMbps;
-    } else if (m == "per_flow_mean_mbps") {
-      p.kind = MetricPlan::Kind::kPerFlowMeanMbps;
-    } else if (m == "subflow_mbps") {
-      p.kind = MetricPlan::Kind::kSubflowMbps;
-    } else if (m.rfind("loss_ratio:", 0) == 0) {
-      p.kind = MetricPlan::Kind::kLossRatio;
-      const std::string rest = m.substr(11);
-      const std::size_t colon = rest.find(':');
-      bool ok = colon != std::string::npos && colon > 0 &&
-                colon + 1 < rest.size();
-      if (ok) {
-        const std::string a = rest.substr(0, colon);
-        const std::string b = rest.substr(colon + 1);
-        ok = a.find_first_not_of("0123456789") == std::string::npos &&
-             b.find_first_not_of("0123456789") == std::string::npos;
-        if (ok) {
-          const std::string what = "metric '" + m + "': queue index";
-          p.a = static_cast<int>(parse_count(a, count_max<int>(), what,
-                                             out.file(), out.line()));
-          p.b = static_cast<int>(parse_count(b, count_max<int>(), what,
-                                             out.file(), out.line()));
-        }
-      }
-      if (!ok) {
-        out.fail("metric '" + m + "' must be 'loss_ratio:<queue>:<queue>'");
-      }
-    } else {
-      out.fail("unknown metric '" + m +
-                "' (known: flow_mbps, total_mbps, jain, queue_loss, "
-                "loss_ratio:<a>:<b>, per_host_mbps, per_flow_mean_mbps, "
-                "subflow_mbps)");
+    std::vector<std::string> tokens;
+    for (std::size_t from = 0;;) {
+      const std::size_t colon = m.find(':', from);
+      tokens.push_back(m.substr(from, colon - from));
+      if (colon == std::string::npos) break;
+      from = colon + 1;
     }
-    plan.push_back(p);
+    const Kind<MetricBuilder>& kind =
+        builtin_registry().metrics.find(tokens[0], at);
+    metrics.push_back(
+        {&kind, read_positional(Section("output." + kind.key, at.line(),
+                                        at.file()),
+                                std::vector<std::string>(tokens.begin() + 1,
+                                                         tokens.end()),
+                                kind.keys)});
   }
-  return plan;
+  return metrics;
 }
 
 // Every section is one spec_sections() declares.
@@ -405,10 +368,14 @@ void execute_run(const ResolvedRun& run, double time_scale,
   env.scale_starts = run_args.get_bool("scale_starts");
   const SimTime warmup = env.scaled(run_args.get_time("warmup"));
   const SimTime measure = env.scaled(run_args.get_time("measure"));
+  if (measure <= 0) {
+    run_args.fail_at(run_args.find("measure")->line,
+                     "measure must be positive");
+  }
 
   const Args out = read_section(spec, "output");
   const SimTime sample_interval = env.scaled(out.get_time("sample_interval"));
-  const std::vector<MetricPlan> plan = parse_metrics(out);
+  const std::vector<Metric> metrics = read_metrics(out);
 
   // The data scheduler and the path manager reach the traffic model
   // through env.
@@ -466,16 +433,15 @@ void execute_run(const ResolvedRun& run, double time_scale,
   // Metrics that depend on the built run fail here, before a dry run
   // returns, so validate() catches them too.
   const auto queues = topology->queues();
-  for (const MetricPlan& p : plan) {
-    if (p.kind == MetricPlan::Kind::kLossRatio &&
-        (static_cast<std::size_t>(p.a) >= queues.size() ||
-         static_cast<std::size_t>(p.b) >= queues.size())) {
-      out.fail("loss_ratio queue index out of range (topology has " +
-               std::to_string(queues.size()) + " queues)");
+  for (const Metric& m : metrics) {
+    for (const Key& k : m.kind->keys) {  // every argument is a queue index
+      if (m.args.get_count<std::size_t>(k.name) >= queues.size()) {
+        out.fail(m.kind->key + " queue index out of range (topology has " +
+                 std::to_string(queues.size()) + " queues)");
+      }
     }
-    if (p.kind == MetricPlan::Kind::kPerHostMbps &&
-        traffic->host_count() <= 0) {
-      out.fail("per_host_mbps needs host-addressable traffic");
+    if (m.kind->build.per_host && traffic->host_count() <= 0) {
+      out.fail(m.kind->key + " needs host-addressable traffic");
     }
   }
   if (dry_run) return;
@@ -494,11 +460,12 @@ void execute_run(const ResolvedRun& run, double time_scale,
   ctx.events().run_until(warmup);
   for (auto* q : topology->queues()) q->reset_stats();
   meter.mark();
-  // Subflow-level goodput: packets each subflow got acked in the window.
-  // Subflows opened later start from zero.
-  std::vector<std::vector<std::uint64_t>> subflow_base;
+  MetricInputs in{.conns = conns,
+                  .queues = queues,
+                  .window = measure,
+                  .hosts = traffic->host_count()};
   for (const auto& c : conns) {
-    auto& base = subflow_base.emplace_back();
+    auto& base = in.subflow_base.emplace_back();
     for (std::size_t r = 0; r < c->num_subflows(); ++r) {
       base.push_back(c->subflow(r).packets_acked());
     }
@@ -532,59 +499,9 @@ void execute_run(const ResolvedRun& run, double time_scale,
 
   ctx.events().run_until(warmup + measure);
 
-  const std::vector<double> mbps = meter.mbps();
-  double total = 0.0;
-  for (double v : mbps) total += v;
-  for (const MetricPlan& p : plan) {
-    switch (p.kind) {
-      case MetricPlan::Kind::kFlowMbps:
-        for (std::size_t i = 0; i < conns.size(); ++i) {
-          ctx.record("mbps_" + conns[i]->name(), mbps[i]);
-        }
-        break;
-      case MetricPlan::Kind::kTotalMbps:
-        ctx.record("total_mbps", total);
-        break;
-      case MetricPlan::Kind::kJain:
-        ctx.record("jain", stats::jain_index(mbps));
-        break;
-      case MetricPlan::Kind::kQueueLoss:
-        for (std::size_t i = 0; i < queues.size(); ++i) {
-          ctx.record("loss_q" + std::to_string(i), queues[i]->loss_rate());
-        }
-        break;
-      case MetricPlan::Kind::kLossRatio: {
-        const double pa = queues[static_cast<std::size_t>(p.a)]->loss_rate();
-        const double pb = queues[static_cast<std::size_t>(p.b)]->loss_rate();
-        ctx.record("loss_ratio_" + std::to_string(p.a) + "_" +
-                       std::to_string(p.b),
-                   pb > 0 ? pa / pb : 0.0);
-        break;
-      }
-      case MetricPlan::Kind::kPerHostMbps:
-        ctx.record("per_host_mbps",
-                   total / static_cast<double>(traffic->host_count()));
-        break;
-      case MetricPlan::Kind::kPerFlowMeanMbps:
-        ctx.record("per_flow_mean_mbps",
-                   conns.empty()
-                       ? 0.0
-                       : total / static_cast<double>(conns.size()));
-        break;
-      case MetricPlan::Kind::kSubflowMbps:
-        for (std::size_t i = 0; i < conns.size(); ++i) {
-          const auto& base = subflow_base[i];
-          for (std::size_t r = 0; r < conns[i]->num_subflows(); ++r) {
-            const std::uint64_t acked = conns[i]->subflow(r).packets_acked();
-            ctx.record("mbps_" + conns[i]->name() + "_sub" +
-                           std::to_string(r),
-                       stats::pkts_to_mbps(
-                           acked - (r < base.size() ? base[r] : 0), measure));
-          }
-        }
-        break;
-    }
-  }
+  in.mbps = meter.mbps();
+  for (double v : in.mbps) in.total_mbps += v;
+  for (const Metric& m : metrics) m.kind->build.record(in, m.args, ctx);
   traffic->record_metrics(ctx);
 
   if (injector != nullptr) {

@@ -61,7 +61,7 @@ class Scenario {
   // Execute the grid. Throws SpecError for spec-level failures.
   std::vector<runner::RunResult> run(const EngineOptions& opts) const;
 
-  // Trace sink requested by [output] trace ("csv"/"jsonl"/"null"/"off"),
+  // Trace sink requested by [output] trace ("csv"/"jsonl"/"off"),
   // and the ring capacity ([output] trace_capacity, 0 = default). The CLI
   // lets --trace override the spec's sink.
   trace::SinkKind spec_trace_sink() const;
@@ -85,8 +85,8 @@ struct SpecSection {
 };
 const std::vector<SpecSection>& spec_sections();
 
-// The flight-recorder sink a trace name ("csv", "jsonl", "null", "off")
-// selects.
+// The flight-recorder sink a trace name (one of the [output] trace row's
+// choices) selects.
 trace::SinkKind sink_kind(const std::string& name);
 
 // Build and execute one resolved run on `ctx`, recording metrics and the

@@ -1,7 +1,6 @@
 #include "scenario/faults.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -9,10 +8,31 @@
 
 namespace mpsim::scenario {
 
-namespace {
+using enum KeyType;
 
-constexpr const char* kKnownActions =
-    "down, up, rate, ramp, loss, loss_burst, drain, corrupt, reset";
+const KeyTable& flap_keys() {
+  static const KeyTable keys = {
+      {"start", kTime, kRequired, "the first down (scaled)"},
+      {"period", kTime, kRequired, "one down/up cycle (scaled)", above(0)},
+      {"down", kTime, kRequired,
+       "the down part of each cycle (scaled), less than period", above(0)},
+      {"count", kCount, kRequired, "cycles", at_least(1)}};
+  return keys;
+}
+
+const KeyTable& random_outage_keys() {
+  static const KeyTable keys = {
+      {"mean_up", kTime, kRequired, "mean up period (scaled)", above(0)},
+      {"mean_down", kTime, kRequired, "mean down period (scaled)", above(0)},
+      {"until", kTime, kRequired, "no outage starts from here on (scaled)",
+       above(0)},
+      {"seed", kCount64, "",
+       "stream salt, mixed with the run seed (default: the entry's index "
+       "among the random_outage entries)"}};
+  return keys;
+}
+
+namespace {
 
 std::vector<std::string> split_tokens(const std::string& text) {
   std::vector<std::string> tokens;
@@ -26,28 +46,6 @@ std::vector<std::string> split_tokens(const std::string& text) {
   return tokens;
 }
 
-double parse_number_token(const Section& sec, int line,
-                          const std::string& token, const char* what) {
-  const char* begin = token.c_str();
-  char* end = nullptr;
-  const double v = std::strtod(begin, &end);
-  if (end == begin || *end != '\0') {
-    sec.fail_at(line, std::string("fault ") + what + " is not a number: '" +
-                          token + "'");
-  }
-  return v;
-}
-
-// A count token (step count, packet count, subflow index, seed), checked
-// against T's range before narrowing (spec.hpp's count_max).
-template <std::integral T>
-T parse_count_token(const Section& sec, int line, const std::string& token,
-                    const char* what) {
-  return static_cast<T>(parse_count(token, count_max<T>(),
-                                    std::string("fault ") + what, sec.file(),
-                                    line));
-}
-
 // The string entries of `key` (its table declares an array of strings;
 // a bare string is a one-entry array).
 std::vector<Value> entries_of(const Section& sec, const std::string& key) {
@@ -56,53 +54,134 @@ std::vector<Value> entries_of(const Section& sec, const std::string& key) {
   return v->kind == Value::Kind::kArray ? v->items : std::vector<Value>{*v};
 }
 
-const fault::Target& resolve_target(const Section& sec, int line,
-                                    const fault::TargetRegistry& targets,
-                                    const std::string& name) {
+// Target `name`, which `action` (written `what`) must act on. A mismatch
+// names the first target kind the action accepts: a variable-rate queue
+// is a queue too.
+const fault::Target& target_of(const Section& at,
+                               const fault::TargetRegistry& targets,
+                               const std::string& name, fault::Action action,
+                               const std::string& what) {
   const fault::Target* t = targets.find(name);
   if (t == nullptr) {
-    sec.fail_at(line, "unknown fault target '" + name +
-                          "' (known: " + targets.known_names() + ")");
+    at.fail("unknown fault target '" + name +
+            "' (known: " + targets.known_names() + ")");
+  }
+  using enum fault::TargetKind;
+  for (fault::TargetKind k : {kQueue, kVariableQueue, kLossyLink,
+                              kConnection}) {
+    if (!fault::accepts(action, t->kind) && fault::accepts(action, k)) {
+      at.fail("fault target '" + name + "' is a " +
+              fault::target_kind_name(t->kind) + "; '" + what +
+              "' needs a " + fault::target_kind_name(k));
+    }
   }
   return *t;
 }
 
-void require_kind(const Section& sec, int line, const fault::Target& t,
-                  const std::string& action, bool ok, const char* needs) {
-  if (!ok) {
-    sec.fail_at(line, "fault target '" + t.name + "' is a " +
-                          fault::target_kind_name(t.kind) + "; '" + action +
-                          "' needs a " + needs);
-  }
+// Time key `key` of `entry` at this run's --scale: a duration, so one the
+// scale rounds to 0 fails.
+SimTime scaled_duration(const Args& entry, const std::string& key,
+                        const BuildEnv& env) {
+  const SimTime t = env.scaled(entry.get_time(key));
+  if (t <= 0) entry.fail(key + " must be positive");
+  return t;
 }
 
-// A down/up edge, for the per-target overlap state machine.
-struct Edge {
-  SimTime at = 0;
-  bool down = false;
-  int line = 0;
-  std::string target;
-};
+// A flap or random_outage entry (`key`, at `at`): its target, which
+// these processes take down, and its key=value tokens read against
+// `table`.
+std::pair<std::string, Args> read_process(
+    const Section& at, const std::string& key, const std::string& entry,
+    const KeyTable& table, const fault::TargetRegistry& targets) {
+  const std::vector<std::string> tok = split_tokens(entry);
+  if (tok.empty()) at.fail(key + " entry needs '<target> <key>=<value>...'");
+  target_of(at, targets, tok[0], fault::Action::kDown, key);
+  return {tok[0],
+          read_keyed(Section("faults." + key, at.line(), at.file()),
+                     std::vector<std::string>(tok.begin() + 1, tok.end()),
+                     table)};
+}
 
-void check_edges(const Section& sec, std::vector<Edge>& edges) {
-  std::stable_sort(edges.begin(), edges.end(),
-                   [](const Edge& a, const Edge& b) { return a.at < b.at; });
-  std::vector<std::string> down_targets;
-  for (const Edge& e : edges) {
-    const auto it =
-        std::find(down_targets.begin(), down_targets.end(), e.target);
-    if (e.down) {
-      if (it != down_targets.end()) {
-        sec.fail_at(e.line, "overlapping 'down'/'down' on target '" +
-                                e.target + "' (it is already down)");
+// Rules that span entries, each failing at the later entry's line: a
+// random outage goes on a target nothing else takes down; a target is not
+// taken down while down, nor brought up unless down; and two loss bursts
+// on one loss element do not overlap. `lines[i]` is the line of the entry
+// plan.events[i] came from, `outage_lines[i]` that of plan.random[i].
+void check_overlaps(const Section& sec, const fault::FaultPlan& plan,
+                    const std::vector<int>& lines,
+                    const std::vector<int>& outage_lines) {
+  const std::vector<fault::FaultEvent>& evs = plan.events;
+  for (std::size_t i = 0; i < plan.random.size(); ++i) {
+    const std::string& target = plan.random[i].target;
+    for (std::size_t j = 0; j < i; ++j) {
+      if (plan.random[j].target == target) {
+        sec.fail_at(outage_lines[i], "target '" + target +
+                                         "' already has a random outage "
+                                         "process");
       }
-      down_targets.push_back(e.target);
-    } else {
-      if (it == down_targets.end()) {
-        sec.fail_at(e.line, "'up' without a preceding 'down' on target '" +
-                                e.target + "'");
+    }
+    for (const fault::FaultEvent& e : evs) {
+      if (e.target == target && (e.action == fault::Action::kDown ||
+                                 e.action == fault::Action::kUp)) {
+        sec.fail_at(outage_lines[i],
+                    "target '" + target +
+                        "' has both a random outage process and scripted "
+                        "down/up events; keep them on separate targets");
       }
-      down_targets.erase(it);
+    }
+  }
+
+  // Plan indices in time order; within a tick the injector keeps plan
+  // order, and so does this walk.
+  std::vector<std::size_t> order(evs.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
+                                                   std::size_t b) {
+    return evs[a].at < evs[b].at;
+  });
+  std::vector<std::string> down;
+  // Per loss element, the plan index of its latest burst.
+  std::vector<std::pair<std::string, std::size_t>> burst;
+  for (const std::size_t i : order) {
+    const fault::FaultEvent& e = evs[i];
+    if (e.action == fault::Action::kDown || e.action == fault::Action::kUp) {
+      const auto it = std::find(down.begin(), down.end(), e.target);
+      if (e.action == fault::Action::kDown) {
+        if (it != down.end()) {
+          sec.fail_at(lines[i], "overlapping 'down'/'down' on target '" +
+                                    e.target + "' (it is already down)");
+        }
+        down.push_back(e.target);
+      } else {
+        if (it == down.end()) {
+          sec.fail_at(lines[i], "'up' without a preceding 'down' on target '" +
+                                    e.target + "'");
+        }
+        down.erase(it);
+      }
+    } else if (e.action == fault::Action::kLossBurst) {
+      const auto it =
+          std::find_if(burst.begin(), burst.end(),
+                       [&](const auto& b) { return b.first == e.target; });
+      if (it == burst.end()) {
+        burst.emplace_back(e.target, i);
+        continue;
+      }
+      // The earlier burst's restore lands at its end, after every step
+      // the plan lists before it: a burst starting on that tick must come
+      // later in the plan.
+      const fault::FaultEvent& prev = evs[it->second];
+      const SimTime end = prev.at + prev.duration;
+      if (e.at < end) {
+        sec.fail_at(lines[i], "overlapping loss bursts on target '" +
+                                  e.target + "'");
+      }
+      if (e.at == end && i < it->second) {
+        sec.fail_at(lines[i], "loss burst on target '" + e.target +
+                                  "' starts as one listed after it ends; "
+                                  "list it later");
+      }
+      it->second = i;
     }
   }
 }
@@ -118,243 +197,81 @@ ParsedFaults parse_fault_plan(const Args& sec,
     sec.fail("recovery_poll must be positive");
   }
 
-  std::vector<Edge> edges;
-
+  const KindSet<ActionBuilder>& actions = builtin_registry().fault_actions;
+  std::vector<int> lines;  // per plan event, its entry's line
   for (const Value& item : entries_of(sec, "script")) {
-    const int line = item.line;
+    const Section at("faults", item.line, sec.file());
     const std::vector<std::string> tok = split_tokens(item.str);
     if (tok.size() < 3) {
-      sec.fail_at(line,
-                  "fault script entry needs '<time> <action> [args...] "
-                  "<target>', got '" + item.str + "'");
+      at.fail("fault script entry needs '<time> <action> [args...] "
+              "<target>', got '" + item.str + "'");
     }
-    const SimTime at = env.scaled(parse_time(tok[0], sec.file(), line));
-    if (at < 0) sec.fail_at(line, "fault time must be non-negative");
-    const std::string& action = tok[1];
-    const std::string& target_name = tok.back();
-    const fault::Target& target =
-        resolve_target(sec, line, targets, target_name);
-    const std::size_t args = tok.size() - 3;  // between action and target
-
     fault::FaultEvent ev;
-    ev.at = at;
-    ev.target = target_name;
+    ev.at = env.scaled(parse_time(tok[0], sec.file(), item.line));
+    if (ev.at < 0) at.fail("fault time must be non-negative");
+    const Kind<ActionBuilder>& action = actions.find(tok[1], at);
+    ev.action = action.build;
+    ev.target = tok.back();
+    const fault::Target& target =
+        target_of(at, targets, ev.target, ev.action, action.key);
 
-    auto want_args = [&](std::size_t n, const char* usage) {
-      if (args != n) {
-        sec.fail_at(line, "'" + action + "' needs '" + usage + "', got '" +
-                              item.str + "'");
+    const Args args = read_positional(
+        Section("faults." + action.key, item.line, sec.file()),
+        std::vector<std::string>(tok.begin() + 2, tok.end() - 1),
+        action.keys);
+    for (const Key& k : action.keys) {
+      if (!args.has(k.name)) continue;
+      switch (k.type) {
+        case kRate: ev.value = args.get_rate_bps(k.name); break;
+        case kNumber: ev.value = args.get_number(k.name); break;
+        case kTime: ev.duration = scaled_duration(args, k.name, env); break;
+        default: ev.count = args.get_count<int>(k.name); break;
       }
-    };
-
-    if (action == "down") {
-      want_args(0, "<time> down <target>");
-      require_kind(sec, line, target, action, target.vqueue != nullptr,
-                   "variable-rate queue");
-      ev.action = fault::Action::kDown;
-      edges.push_back({at, true, line, target_name});
-    } else if (action == "up") {
-      if (args > 1) {
-        sec.fail_at(line, "'up' needs '<time> up [rate] <target>', got '" +
-                              item.str + "'");
-      }
-      require_kind(sec, line, target, action, target.vqueue != nullptr,
-                   "variable-rate queue");
-      ev.action = fault::Action::kUp;
-      if (args == 1) {
-        ev.value = parse_rate_bps(tok[2], sec.file(), line);
-      }
-      edges.push_back({at, false, line, target_name});
-    } else if (action == "rate") {
-      want_args(1, "<time> rate <rate> <target>");
-      require_kind(sec, line, target, action, target.vqueue != nullptr,
-                   "variable-rate queue");
-      ev.action = fault::Action::kRate;
-      ev.value = parse_rate_bps(tok[2], sec.file(), line);
-    } else if (action == "ramp") {
-      want_args(3, "<time> ramp <rate> <duration> <steps> <target>");
-      require_kind(sec, line, target, action, target.vqueue != nullptr,
-                   "variable-rate queue");
-      ev.action = fault::Action::kRamp;
-      ev.value = parse_rate_bps(tok[2], sec.file(), line);
-      ev.duration = env.scaled(parse_time(tok[3], sec.file(), line));
-      if (ev.duration <= 0) {
-        sec.fail_at(line, "ramp duration must be positive");
-      }
-      ev.count = parse_count_token<int>(sec, line, tok[4], "ramp step count");
-      if (ev.count < 1) sec.fail_at(line, "ramp needs at least one step");
-    } else if (action == "loss") {
-      want_args(1, "<time> loss <probability> <target>");
-      require_kind(sec, line, target, action, target.lossy != nullptr,
-                   "loss element");
-      ev.action = fault::Action::kLoss;
-      ev.value = parse_number_token(sec, line, tok[2], "loss probability");
-      if (ev.value < 0.0 || ev.value > 1.0) {
-        sec.fail_at(line, "loss probability must be in [0, 1]");
-      }
-    } else if (action == "loss_burst") {
-      want_args(2, "<time> loss_burst <probability> <duration> <target>");
-      require_kind(sec, line, target, action, target.lossy != nullptr,
-                   "loss element");
-      ev.action = fault::Action::kLossBurst;
-      ev.value = parse_number_token(sec, line, tok[2], "loss probability");
-      if (ev.value < 0.0 || ev.value > 1.0) {
-        sec.fail_at(line, "loss probability must be in [0, 1]");
-      }
-      ev.duration = env.scaled(parse_time(tok[3], sec.file(), line));
-      if (ev.duration <= 0) {
-        sec.fail_at(line, "loss burst duration must be positive");
-      }
-    } else if (action == "drain") {
-      want_args(0, "<time> drain <target>");
-      require_kind(sec, line, target, action, target.queue != nullptr,
-                   "queue");
-      ev.action = fault::Action::kDrain;
-    } else if (action == "corrupt") {
-      want_args(1, "<time> corrupt <packets> <target>");
-      require_kind(sec, line, target, action, target.queue != nullptr,
-                   "queue");
-      ev.action = fault::Action::kCorrupt;
-      ev.count = parse_count_token<int>(sec, line, tok[2],
-                                        "corrupt packet count");
-      if (ev.count < 1) {
-        sec.fail_at(line, "corrupt needs a packet count >= 1");
-      }
-    } else if (action == "reset") {
-      want_args(1, "<time> reset <subflow-index> <target>");
-      require_kind(sec, line, target, action, target.conn != nullptr,
-                   "connection");
-      ev.action = fault::Action::kReset;
-      ev.count = parse_count_token<int>(sec, line, tok[2],
-                                        "reset subflow index");
-      if (static_cast<std::size_t>(ev.count) >= target.conn->num_subflows()) {
-        sec.fail_at(line, "subflow index " + std::to_string(ev.count) +
-                              " out of range for connection '" + target_name +
-                              "' (has " +
-                              std::to_string(target.conn->num_subflows()) +
-                              " subflows)");
-      }
-    } else {
-      sec.fail_at(line, "unknown fault action '" + action +
-                            "' (known: " + kKnownActions + ")");
+    }
+    if (target.conn != nullptr &&
+        static_cast<std::size_t>(ev.count) >= target.conn->subflow_cap()) {
+      args.fail("subflow index " + std::to_string(ev.count) +
+                " out of range for connection '" + ev.target +
+                "' (has at most " +
+                std::to_string(target.conn->subflow_cap()) + " subflows)");
     }
     out.plan.events.push_back(std::move(ev));
+    lines.push_back(item.line);
   }
 
   for (const Value& item : entries_of(sec, "flap")) {
-    const int line = item.line;
-    const std::vector<std::string> tok = split_tokens(item.str);
-    if (tok.empty()) {
-      sec.fail_at(line,
-                  "flap entry needs '<target> start=<t> period=<t> "
-                  "down=<t> count=<n>'");
-    }
-    const std::string& target_name = tok[0];
-    const fault::Target& target =
-        resolve_target(sec, line, targets, target_name);
-    require_kind(sec, line, target, "flap", target.vqueue != nullptr,
-                 "variable-rate queue");
-    SimTime start = 0, period = 0, down = 0;
-    int count = 0;
-    bool saw_start = false, saw_period = false, saw_down = false,
-         saw_count = false;
-    for (std::size_t i = 1; i < tok.size(); ++i) {
-      const std::size_t eq = tok[i].find('=');
-      if (eq == std::string::npos) {
-        sec.fail_at(line, "flap parameter '" + tok[i] +
-                              "' is not of the form key=value");
-      }
-      const std::string key = tok[i].substr(0, eq);
-      const std::string val = tok[i].substr(eq + 1);
-      if (key == "start") {
-        start = env.scaled(parse_time(val, sec.file(), line));
-        saw_start = true;
-      } else if (key == "period") {
-        period = env.scaled(parse_time(val, sec.file(), line));
-        saw_period = true;
-      } else if (key == "down") {
-        down = env.scaled(parse_time(val, sec.file(), line));
-        saw_down = true;
-      } else if (key == "count") {
-        count = parse_count_token<int>(sec, line, val, "flap count");
-        saw_count = true;
-      } else {
-        sec.fail_at(line, "unknown flap parameter '" + key +
-                              "' (known: start, period, down, count)");
-      }
-    }
-    if (!saw_start || !saw_period || !saw_down || !saw_count) {
-      sec.fail_at(line, "flap needs all of start=, period=, down=, count=");
-    }
-    if (start < 0) sec.fail_at(line, "flap start must be non-negative");
-    if (down <= 0 || period <= down) {
-      sec.fail_at(line, "flap needs 0 < down < period");
-    }
-    if (count < 1) sec.fail_at(line, "flap count must be >= 1");
+    const auto [target, a] =
+        read_process(Section("faults", item.line, sec.file()), "flap",
+                     item.str, flap_keys(), targets);
+    const SimTime period = scaled_duration(a, "period", env);
+    const SimTime down = scaled_duration(a, "down", env);
+    if (down >= period) a.fail("'down' must be < 'period'");
     for (fault::FaultEvent& ev :
-         fault::flap_train(target_name, start, period, down, count)) {
-      edges.push_back(
-          {ev.at, ev.action == fault::Action::kDown, line, target_name});
+         fault::flap_train(target, env.scaled(a.get_time("start")), period,
+                           down, a.get_count<int>("count"))) {
       out.plan.events.push_back(std::move(ev));
+      lines.push_back(item.line);
     }
   }
 
-  std::size_t outage_index = 0;
+  std::vector<int> outage_lines;
   for (const Value& item : entries_of(sec, "random_outage")) {
-    const int line = item.line;
-    const std::vector<std::string> tok = split_tokens(item.str);
-    if (tok.empty()) {
-      sec.fail_at(line,
-                  "random_outage entry needs '<target> mean_up=<t> "
-                  "mean_down=<t> until=<t> [seed=<n>]'");
-    }
+    const auto [target, a] =
+        read_process(Section("faults", item.line, sec.file()),
+                     "random_outage", item.str, random_outage_keys(),
+                     targets);
     fault::RandomOutage ro;
-    ro.target = tok[0];
-    ro.salt = outage_index++;
-    const fault::Target& target =
-        resolve_target(sec, line, targets, ro.target);
-    require_kind(sec, line, target, "random_outage",
-                 target.vqueue != nullptr, "variable-rate queue");
-    for (const Edge& e : edges) {
-      if (e.target == ro.target) {
-        sec.fail_at(line, "target '" + ro.target +
-                              "' has both a random outage process and "
-                              "scripted down/up events; keep them on "
-                              "separate targets");
-      }
-    }
-    for (std::size_t i = 1; i < tok.size(); ++i) {
-      const std::size_t eq = tok[i].find('=');
-      if (eq == std::string::npos) {
-        sec.fail_at(line, "random_outage parameter '" + tok[i] +
-                              "' is not of the form key=value");
-      }
-      const std::string key = tok[i].substr(0, eq);
-      const std::string val = tok[i].substr(eq + 1);
-      if (key == "mean_up") {
-        ro.mean_up = env.scaled(parse_time(val, sec.file(), line));
-      } else if (key == "mean_down") {
-        ro.mean_down = env.scaled(parse_time(val, sec.file(), line));
-      } else if (key == "until") {
-        ro.until = env.scaled(parse_time(val, sec.file(), line));
-      } else if (key == "seed") {
-        ro.salt = parse_count_token<std::uint64_t>(sec, line, val,
-                                                   "random_outage seed");
-      } else {
-        sec.fail_at(line,
-                    "unknown random_outage parameter '" + key +
-                        "' (known: mean_up, mean_down, until, seed)");
-      }
-    }
-    if (ro.mean_up <= 0 || ro.mean_down <= 0 || ro.until <= 0) {
-      sec.fail_at(line,
-                  "random_outage needs positive mean_up=, mean_down= and "
-                  "until=");
-    }
+    ro.target = target;
+    ro.mean_up = scaled_duration(a, "mean_up", env);
+    ro.mean_down = scaled_duration(a, "mean_down", env);
+    ro.until = scaled_duration(a, "until", env);
+    ro.salt = a.has("seed") ? a.get_count<std::uint64_t>("seed")
+                            : out.plan.random.size();
     out.plan.random.push_back(std::move(ro));
+    outage_lines.push_back(item.line);
   }
 
-  check_edges(sec, edges);
+  check_overlaps(sec, out.plan, lines, outage_lines);
   return out;
 }
 

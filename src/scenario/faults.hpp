@@ -15,8 +15,11 @@
 //   random_outage = ["wifi/q mean_up=5s mean_down=1s until=30s seed=1"]
 //   recovery_poll = "1ms"                  # TTR probe interval (optional)
 //
-// All times run through BuildEnv::scaled so --scale compresses fault
-// timelines exactly like warmup/measure. Every malformed entry is a
+// An action's arguments are its registered table (builders.cpp), read in
+// order; a flap or random_outage entry's `key=value` tokens are read
+// against flap_keys() or random_outage_keys(). `mpsim list` prints all
+// of them. All times run through BuildEnv::scaled so --scale compresses
+// fault timelines exactly like warmup/measure. Every malformed entry is a
 // SpecError pointing at the offending array item's file:line.
 #pragma once
 
@@ -25,6 +28,10 @@
 #include "scenario/spec.hpp"
 
 namespace mpsim::scenario {
+
+// The keys of a flap entry and of a random_outage entry.
+const KeyTable& flap_keys();
+const KeyTable& random_outage_keys();
 
 struct ParsedFaults {
   fault::FaultPlan plan;

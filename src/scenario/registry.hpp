@@ -1,14 +1,14 @@
 // Extension points of the scenario engine.
 //
 // A spec names a topology kind, a congestion-control algorithm, a traffic
-// model and a data scheduler; each name is looked up in one KindSet of the
-// registry. A kind is one registration in builders.cpp: its key, one line
-// of help, the key table of its section (spec.hpp) and its builder, which
-// gets that section already read against the table. tools/mpsim_analyze's
-// registry-discipline rule keeps every registration in that one
-// translation unit, its key lowercase and unique per kind, its table free
-// of duplicate rows, and every literal key its builder reads declared in
-// its table.
+// model, a data scheduler, fault actions and metrics; each name is looked
+// up in one KindSet of the registry. A kind is one registration in
+// builders.cpp: its key, one line of help, its key table (spec.hpp: its
+// section's keys, or an action's or metric's arguments in order) and its
+// builder. tools/mpsim_analyze's registry-discipline rule keeps every
+// registration in that one translation unit, its key lowercase and unique
+// per kind, its table free of duplicate rows, and every literal key its
+// builder reads declared in its table.
 //
 // The shapes:
 //   topo::Topology  (topo/network.hpp) what a topology builder returns:
@@ -16,6 +16,7 @@
 //                   datacenter fabrics, and a queue inventory.
 //   TrafficModel    builds and owns connections/generators over it, and
 //                   holds the connection list the engine meters.
+//   MetricInputs    what a metric reads when the measured window closes.
 #pragma once
 
 #include <functional>
@@ -28,6 +29,7 @@
 #include "core/check.hpp"
 #include "core/event_list.hpp"
 #include "core/rng.hpp"
+#include "fault/fault.hpp"
 #include "mptcp/connection.hpp"
 #include "mptcp/path_manager.hpp"
 #include "runner/experiment_runner.hpp"
@@ -109,6 +111,33 @@ struct TrafficBuilder {
 // Data-placement policies are an enum, not an object: a scheduler kind's
 // builder is the DataSchedulerKind the ConnectionConfig carries.
 using SchedulerBuilder = mptcp::DataSchedulerKind;
+// A fault action's builder is the fault::Action it schedules. Each of its
+// arguments fills the FaultEvent field its type names: a rate or a number
+// fills `value`, a time `duration` (scaled), a count `count` (on a
+// connection target, a subflow index).
+using ActionBuilder = fault::Action;
+
+// What a metric reads when a run's measured window closes.
+struct MetricInputs {
+  const std::vector<std::unique_ptr<mptcp::MptcpConnection>>& conns;
+  std::vector<double> mbps = {};  // each connection's goodput, in order
+  double total_mbps = 0.0;
+  std::vector<net::Queue*> queues = {};  // the topology's inventory
+  // Packets each subflow had acked when the window opened; a subflow
+  // opened later starts from zero.
+  std::vector<std::vector<std::uint64_t>> subflow_base = {};
+  SimTime window = 0;
+  int hosts = 0;  // TrafficModel::host_count()
+};
+
+// A metric's arguments are counts, each a queue index ("loss_ratio:0:2");
+// the engine checks them, and `per_host`, against the built run before it
+// runs.
+struct MetricBuilder {
+  bool per_host = false;  // divides by the host count, so needs hosts
+  std::function<void(const MetricInputs&, const Args&, runner::RunContext&)>
+      record;
+};
 
 template <typename Builder>
 struct Kind {
@@ -118,11 +147,12 @@ struct Kind {
   Builder build;
 };
 
-// The registered kinds of one spec section, in registration order.
+// The registered kinds of one grammar, in registration order.
 template <typename Builder>
 class KindSet {
  public:
-  explicit KindSet(std::string section) : section_(std::move(section)) {}
+  // `noun` names a kind in diagnostics: "topology kind", "metric".
+  explicit KindSet(std::string noun) : noun_(std::move(noun)) {}
 
   const std::vector<Kind<Builder>>& kinds() const { return kinds_; }
 
@@ -133,8 +163,7 @@ class KindSet {
       if (k.key == key) return k;
       known += (known.empty() ? "" : ", ") + k.key;
     }
-    at.fail("unknown " + section_ + " kind '" + key + "' (known: " + known +
-            ")");
+    at.fail("unknown " + noun_ + " '" + key + "' (known: " + known + ")");
   }
 
   // Registration (builders.cpp only — enforced by tools/mpsim_analyze).
@@ -152,15 +181,17 @@ class KindSet {
   }
 
  private:
-  std::string section_;
+  std::string noun_;
   std::vector<Kind<Builder>> kinds_;
 };
 
 struct Registry {
-  KindSet<TopologyBuilder> topologies{"topology"};
-  KindSet<AlgorithmBuilder> algorithms{"algorithm"};
-  KindSet<TrafficBuilder> traffic_models{"traffic"};
-  KindSet<SchedulerBuilder> schedulers{"scheduler"};
+  KindSet<TopologyBuilder> topologies{"topology kind"};
+  KindSet<AlgorithmBuilder> algorithms{"algorithm kind"};
+  KindSet<TrafficBuilder> traffic_models{"traffic kind"};
+  KindSet<SchedulerBuilder> schedulers{"scheduler kind"};
+  KindSet<ActionBuilder> fault_actions{"fault action"};
+  KindSet<MetricBuilder> metrics{"metric"};
 };
 
 // The built-in registry (every kind builders.cpp registers). Constructed

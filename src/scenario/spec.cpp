@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -38,19 +36,6 @@ std::string strip_comment(const std::string& line) {
   return line;
 }
 
-bool parse_number_strict(const std::string& text, double& out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size() || errno == ERANGE ||
-      !std::isfinite(v)) {
-    return false;
-  }
-  out = v;
-  return true;
-}
-
 // Split "14.4Mbps" into the numeric prefix and the unit suffix.
 bool split_quantity(const std::string& text, double& magnitude,
                     std::string& unit) {
@@ -66,7 +51,7 @@ bool split_quantity(const std::string& text, double& magnitude,
   // Units that start with 'e' cannot occur ("1e" would swallow it), and no
   // current unit does.
   if (i == 0) return false;
-  if (!parse_number_strict(t.substr(0, i), magnitude)) return false;
+  if (!env::parse_double(t.substr(0, i), magnitude)) return false;
   unit = t.substr(i);
   return true;
 }
@@ -95,7 +80,7 @@ Value parse_scalar(const std::string& raw, const std::string& file,
     return v;
   }
   double num = 0.0;
-  if (parse_number_strict(t, num)) return Value::number(num, line);
+  if (env::parse_double(t, num)) return Value::number(num, line);
   throw SpecError(file, line,
                   "'" + t + "' is not a number, bool, or quoted string "
                   "(bare words must be quoted)");
@@ -244,18 +229,6 @@ std::uint64_t parse_bytes(const std::string& text, const std::string& file,
                     "' (use B/kB/MB/pkt)");
   }
   return static_cast<std::uint64_t>(bytes);
-}
-
-std::int64_t parse_count(const std::string& text, std::int64_t max,
-                         const std::string& what, const std::string& file,
-                         int line) {
-  std::int64_t v = 0;
-  if (!env::parse_int(text, v) || v < 0 || v > max) {
-    throw SpecError(file, line,
-                    what + " must be an integer in [0, " +
-                        std::to_string(max) + "], got '" + text + "'");
-  }
-  return v;
 }
 
 // --- Section ---------------------------------------------------------------
@@ -447,6 +420,8 @@ namespace {
 
 bool is_array(KeyType t) { return t >= KeyType::kCounts; }
 
+bool is_numeric(KeyType t) { return t <= KeyType::kNumber; }
+
 // A string scalar: its default may be written without quotes.
 bool is_quoted_scalar(KeyType t) {
   return t >= KeyType::kString && t <= KeyType::kBytes;
@@ -567,6 +542,58 @@ Args read_args(const Section& s, std::initializer_list<const KeyTable*> tables,
     }
   }
   return args;
+}
+
+namespace {
+
+// `entry` holding `pairs` (key, token), read against `table`.
+Args read_entry(const Section& entry,
+                const std::vector<std::pair<std::string, std::string>>& pairs,
+                const KeyTable& table) {
+  Section s = entry;
+  for (const auto& [key, text] : pairs) {
+    const auto row = std::find_if(table.begin(), table.end(),
+                                  [&](const Key& k) { return k.name == key; });
+    double num = 0.0;
+    if (row == table.end() || !is_numeric(row->type)) {
+      s.append(key, Value::string(text, s.line()));
+    } else if (env::parse_double(text, num)) {
+      s.append(key, Value::number(num, s.line()));
+    } else {
+      s.fail(key + ": expected a number, got '" + text + "'");
+    }
+  }
+  return read_args(s, {&table});
+}
+
+}  // namespace
+
+Args read_positional(const Section& entry,
+                     const std::vector<std::string>& tokens,
+                     const KeyTable& table) {
+  if (tokens.size() > table.size()) {
+    entry.fail("takes " + std::to_string(table.size()) + " argument" +
+               (table.size() == 1 ? "" : "s") + ", got " +
+               std::to_string(tokens.size()));
+  }
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    pairs.emplace_back(table[i].name, tokens[i]);
+  }
+  return read_entry(entry, pairs, table);
+}
+
+Args read_keyed(const Section& entry, const std::vector<std::string>& tokens,
+                const KeyTable& table) {
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (const std::string& t : tokens) {
+    const std::size_t eq = t.find('=');
+    if (eq == std::string::npos) {
+      entry.fail("'" + t + "' is not of the form key=value");
+    }
+    pairs.emplace_back(t.substr(0, eq), t.substr(eq + 1));
+  }
+  return read_entry(entry, pairs, table);
 }
 
 std::string format_key(const Key& k) {

@@ -21,13 +21,14 @@
 // diagnostic — a spec never silently falls back to a default when a value
 // was provided.
 //
-// Every section a spec may hold, and every key of every registered kind,
-// is declared once in a key table (Key below): name, type, default, range
-// or choices, exclusion and one line of doc. read_args() checks a section
-// against its tables before anything is built, so a misspelled key, a
-// value of the wrong type or out of range, or two keys that exclude each
-// other fail validation; builders then read values that are already typed,
-// defaulted and range-checked. `mpsim list` prints the tables.
+// Every key a spec may give, in a section or in an entry string ("3s ramp
+// 8Mbps 2s 4 link1/q", "loss_ratio:0:2"), is declared once in a key table
+// (Key below): name, type, default, range or choices, exclusion and one
+// line of doc. read_args() checks a section, or an entry's tokens, against
+// its tables before anything is built, so a misspelled key, a value of the
+// wrong type or out of range, or two keys that exclude each other fail
+// validation; builders then read values that are already typed, defaulted
+// and range-checked. `mpsim list` prints the tables.
 #pragma once
 
 #include <algorithm>
@@ -96,13 +97,6 @@ constexpr std::int64_t count_max() {
   return static_cast<std::int64_t>(std::min<std::uint64_t>(
       std::numeric_limits<T>::max(), std::uint64_t{1} << 53));
 }
-
-// `text` (a decimal integer token: a flow path index, a fault count) as a
-// count in [0, max]; otherwise a SpecError at `file`:`line` naming `what`
-// and the token.
-std::int64_t parse_count(const std::string& text, std::int64_t max,
-                         const std::string& what, const std::string& file,
-                         int line);
 
 class Section {
  public:
@@ -232,6 +226,16 @@ class Args : public Section {
 // the rest of its table is known.
 Args read_args(const Section& s, std::initializer_list<const KeyTable*> tables,
                bool partial = false);
+
+// An entry string's tokens read against `table` as section `entry` (empty;
+// it names the entry and its line in diagnostics). read_positional: the
+// tokens fill the table's rows in order. read_keyed: each token is
+// `key=value`. A token for a count or number row must be a number.
+Args read_positional(const Section& entry,
+                     const std::vector<std::string>& tokens,
+                     const KeyTable& table);
+Args read_keyed(const Section& entry, const std::vector<std::string>& tokens,
+                const KeyTable& table);
 
 // `k` as one line of `mpsim list`: name, type, default, doc and the
 // accepted values.

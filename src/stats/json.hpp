@@ -49,12 +49,6 @@ class Json {
   }
   Json& push(double v) { return push(number(v)); }
 
-  static Json array_of(const std::vector<double>& vs) {
-    Json a = array();
-    for (double v : vs) a.push(v);
-    return a;
-  }
-
   std::string dump(int indent = 0) const {
     std::string out;
     write(out, indent);

@@ -4,13 +4,11 @@
 // format into an in-memory buffer — flushing happens once, at run end, so a
 // sink never does I/O (or anything else nondeterministic) while the
 // simulation is running — and the buffer is then either inspected (tests)
-// or written to a file (runner). Two formats plus a null
-// sink:
+// or written to a file (runner). Two formats:
 //
 //   CsvSink    header + one comma-separated row per record; the schema
 //              tools/check_trace_schema.py validates in CI.
 //   JsonlSink  one JSON object per line, keys matching the CSV columns.
-//   NullSink   discards everything (measures recorder-side overhead).
 //
 // Formatting is locale-independent printf with fixed precision, so equal
 // record streams produce byte-identical text on every platform/thread
@@ -33,16 +31,11 @@ class TraceSink {
   virtual void record(const Record& r, std::string_view obj_name) = 0;
   virtual void finish() {}
 
-  // Everything formatted so far (empty for the null sink).
+  // Everything formatted so far.
   const std::string& text() const { return out_; }
 
  protected:
   std::string out_;
-};
-
-class NullSink final : public TraceSink {
- public:
-  void record(const Record&, std::string_view) override {}
 };
 
 class CsvSink final : public TraceSink {
@@ -60,7 +53,7 @@ class JsonlSink final : public TraceSink {
   void record(const Record& r, std::string_view obj_name) override;
 };
 
-enum class SinkKind : std::uint8_t { kNone = 0, kCsv, kJsonl, kNull };
+enum class SinkKind : std::uint8_t { kNone = 0, kCsv, kJsonl };
 
 std::unique_ptr<TraceSink> make_sink(SinkKind kind);  // not kNone
 const char* sink_extension(SinkKind kind);            // ".csv" / ".jsonl"

@@ -60,7 +60,6 @@ class TraceRecorder final : public EventList::Service {
   // Interns `name` and returns the id instrumentation stamps into records.
   std::uint16_t register_object(std::string name);
   const std::string& object_name(std::uint16_t id) const;
-  std::size_t object_count() const { return names_.size(); }
 
   // Raw ring append. Call via MPSIM_TRACE only — the macro is the null
   // check and the trace-discipline boundary.

@@ -36,12 +36,16 @@ EXPECTED = Counter([
     ("trace_discipline.cpp", "trace-discipline"),
     ("simtime_discipline.cpp", "simtime-discipline"),
     ("registry_outside.cpp", "registry-discipline"),
+    ("registry_action_outside.cpp", "registry-discipline"),  # fault action
     ("registry_upper/scenario/builders.cpp", "registry-discipline"),
     ("registry_dup/scenario/builders.cpp", "registry-discipline"),
     # a builder reads a key its table does not declare
     ("registry_undeclared/scenario/builders.cpp", "registry-discipline"),
     # a table declares one key twice
     ("registry_duprow/scenario/builders.cpp", "registry-discipline"),
+    # a metric's record function reads an argument its table lacks
+    ("registry_metric_undeclared/scenario/builders.cpp",
+     "registry-discipline"),
     ("mutable_global_namespace.cpp", "mutable-global"),
     ("mutable_global_class.cpp", "mutable-global"),  # static inline int
     ("mutable_global_class.cpp", "mutable-global"),  # inline static u64

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <string>
 #include <vector>
@@ -462,6 +463,18 @@ scenario::SpecError fault_error(const std::string& base,
   return scenario::SpecError("", 0, "");
 }
 
+// fault_error(), and the error points at `faults`' first line and says
+// `says`.
+void expect_fault_error(const std::string& base, const std::string& faults,
+                        const std::string& says) {
+  const auto e = fault_error(base, faults);
+  // `base`, a blank line and "[faults]" come first.
+  const auto before = std::count(base.begin(), base.end(), '\n') + 2;
+  EXPECT_EQ(e.file(), "f.toml");
+  EXPECT_EQ(e.line(), before + 1) << e.what();
+  EXPECT_NE(std::string(e.what()).find(says), std::string::npos) << e.what();
+}
+
 TEST(FaultSpecErrors, UnknownTarget) {
   const auto e = fault_error(kTwoLinkBase, "script = \"1s down nope\"");
   EXPECT_NE(std::string(e.what()).find("unknown fault target 'nope'"),
@@ -498,68 +511,57 @@ TEST(FaultSpecErrors, TooFewTokens) {
 }
 
 TEST(FaultSpecErrors, WrongArgCount) {
-  const auto e = fault_error(kTwoLinkBase, "script = \"1s rate link1/q\"");
-  EXPECT_NE(std::string(e.what()).find(
-                "'rate' needs '<time> rate <rate> <target>'"),
-            std::string::npos)
-      << e.what();
+  expect_fault_error(kTwoLinkBase, "script = \"1s rate link1/q\"",
+                     "[faults.rate] is missing required key 'rate'");
+  expect_fault_error(kTwoLinkBase, "script = \"1s down 5Mbps link1/q\"",
+                     "[faults.down] takes 0 arguments, got 1");
 }
 
 TEST(FaultSpecErrors, NegativeRampDuration) {
-  const auto e = fault_error(kTwoLinkBase,
-                             "script = \"1s ramp 5Mbps -2s 4 link1/q\"");
-  EXPECT_NE(std::string(e.what()).find("ramp duration must be positive"),
-            std::string::npos)
-      << e.what();
+  expect_fault_error(
+      kTwoLinkBase, "script = \"1s ramp 5Mbps -2s 4 link1/q\"",
+      "[faults.ramp] duration: expected a non-negative time, got \"-2s\"");
+  expect_fault_error(kTwoLinkBase, "script = \"1s ramp 5Mbps 0s 4 link1/q\"",
+                     "[faults.ramp] 'duration' must be > 0s");
 }
 
 TEST(FaultSpecErrors, RampNeedsSteps) {
-  const auto e = fault_error(kTwoLinkBase,
-                             "script = \"1s ramp 5Mbps 2s 0 link1/q\"");
-  EXPECT_NE(std::string(e.what()).find("ramp needs at least one step"),
-            std::string::npos)
-      << e.what();
+  expect_fault_error(kTwoLinkBase, "script = \"1s ramp 5Mbps 2s 0 link1/q\"",
+                     "[faults.ramp] 'steps' must be >= 1");
 }
 
 TEST(FaultSpecErrors, LossProbabilityOutOfRange) {
-  const auto e =
-      fault_error(kWirelessBase, "script = \"1s loss 1.5 wifi/loss\"");
-  EXPECT_NE(std::string(e.what()).find("loss probability must be in [0, 1]"),
-            std::string::npos)
-      << e.what();
+  expect_fault_error(kWirelessBase, "script = \"1s loss 1.5 wifi/loss\"",
+                     "[faults.loss] 'probability' must be in [0, 1]");
 }
 
 TEST(FaultSpecErrors, LossProbabilityNotANumber) {
-  const auto e =
-      fault_error(kWirelessBase, "script = \"1s loss much wifi/loss\"");
-  EXPECT_NE(std::string(e.what()).find("is not a number"), std::string::npos)
-      << e.what();
+  expect_fault_error(kWirelessBase, "script = \"1s loss much wifi/loss\"",
+                     "[faults.loss] probability: expected a number, got "
+                     "'much'");
+  // A token is a number only as env::parse_double reads one: "nan" would
+  // pass every range check and abort the run.
+  expect_fault_error(kWirelessBase, "script = \"4s loss nan wifi/loss\"",
+                     "[faults.loss] probability: expected a number, got "
+                     "'nan'");
 }
 
 TEST(FaultSpecErrors, NegativeLossBurstDuration) {
-  const auto e = fault_error(kWirelessBase,
-                             "script = \"1s loss_burst 0.5 -1s wifi/loss\"");
-  EXPECT_NE(
-      std::string(e.what()).find("loss burst duration must be positive"),
-      std::string::npos)
-      << e.what();
+  expect_fault_error(kWirelessBase,
+                     "script = \"1s loss_burst 0.5 -1s wifi/loss\"",
+                     "[faults.loss_burst] duration: expected a non-negative "
+                     "time, got \"-1s\"");
 }
 
 TEST(FaultSpecErrors, CorruptCountTooSmall) {
-  const auto e =
-      fault_error(kTwoLinkBase, "script = \"1s corrupt 0 link1/q\"");
-  EXPECT_NE(std::string(e.what()).find("corrupt needs a packet count >= 1"),
-            std::string::npos)
-      << e.what();
+  expect_fault_error(kTwoLinkBase, "script = \"1s corrupt 0 link1/q\"",
+                     "[faults.corrupt] 'packets' must be >= 1");
 }
 
 TEST(FaultSpecErrors, ResetSubflowOutOfRange) {
-  const auto e = fault_error(kTwoLinkBase, "script = \"1s reset 7 flow0\"");
-  EXPECT_NE(std::string(e.what()).find(
-                "subflow index 7 out of range for connection 'flow0' "
-                "(has 2 subflows)"),
-            std::string::npos)
-      << e.what();
+  expect_fault_error(kTwoLinkBase, "script = \"1s reset 7 flow0\"",
+                     "[faults.reset] subflow index 7 out of range for "
+                     "connection 'flow0' (has at most 2 subflows)");
 }
 
 TEST(FaultSpecErrors, KindMismatch) {
@@ -592,51 +594,73 @@ TEST(FaultSpecErrors, UpWithoutDown) {
       << e.what();
 }
 
+// Two bursts at once on one loss element would restore the first's
+// probability after the second ends and lose the element's own; the
+// injector aborts the run instead.
+TEST(FaultSpecErrors, OverlappingLossBurstsRejected) {
+  expect_fault_error(kWirelessBase,
+                     "script = [\"4s loss_burst 0.3 2s wifi/loss\", "
+                     "\"5s loss_burst 0.2 2s wifi/loss\"]",
+                     "[faults] overlapping loss bursts on target "
+                     "'wifi/loss'");
+  // Back to back is fine when the earlier burst is listed first: its
+  // restore then runs before the later burst on the shared tick.
+  const std::string ordered =
+      "script = [\"4s loss_burst 0.3 2s wifi/loss\", "
+      "\"6s loss_burst 0.2 1s wifi/loss\"]";
+  EXPECT_NO_THROW(scenario::Scenario::from_string(
+                      std::string(kWirelessBase) + "\n[faults]\n" +
+                          ordered + "\n",
+                      "f.toml")
+                      .validate());
+  expect_fault_error(kWirelessBase,
+                     "script = [\"6s loss_burst 0.2 1s wifi/loss\", "
+                     "\"4s loss_burst 0.3 2s wifi/loss\"]",
+                     "[faults] loss burst on target 'wifi/loss' starts as "
+                     "one listed after it ends");
+}
+
+// Two random processes on one queue would take it down while down.
+TEST(FaultSpecErrors, SecondRandomOutageOnATargetRejected) {
+  expect_fault_error(
+      kWirelessBase,
+      "random_outage = [\"3g/q mean_up=6s mean_down=500ms until=28s "
+      "seed=1\", \"3g/q mean_up=6s mean_down=500ms until=28s seed=2\"]",
+      "[faults] target '3g/q' already has a random outage process");
+}
+
 TEST(FaultSpecErrors, FlapDownMustFitInsidePeriod) {
-  const auto e = fault_error(
-      kTwoLinkBase,
-      "flap = \"link1/q start=1s period=1s down=2s count=3\"");
-  EXPECT_NE(std::string(e.what()).find("flap needs 0 < down < period"),
-            std::string::npos)
-      << e.what();
+  expect_fault_error(kTwoLinkBase,
+                     "flap = \"link1/q start=1s period=1s down=2s count=3\"",
+                     "[faults.flap] 'down' must be < 'period'");
+  expect_fault_error(kTwoLinkBase,
+                     "flap = \"link1/q start=1s period=1s down=0s count=3\"",
+                     "[faults.flap] 'down' must be > 0s");
 }
 
 TEST(FaultSpecErrors, FlapCountMustBePositive) {
-  const auto e = fault_error(
-      kTwoLinkBase,
-      "flap = \"link1/q start=1s period=2s down=1s count=0\"");
-  EXPECT_NE(std::string(e.what()).find("flap count must be >= 1"),
-            std::string::npos)
-      << e.what();
+  expect_fault_error(kTwoLinkBase,
+                     "flap = \"link1/q start=1s period=2s down=1s count=0\"",
+                     "[faults.flap] 'count' must be >= 1");
 }
 
 TEST(FaultSpecErrors, FlapMissingParameter) {
-  const auto e =
-      fault_error(kTwoLinkBase, "flap = \"link1/q start=1s period=2s\"");
-  EXPECT_NE(std::string(e.what()).find(
-                "flap needs all of start=, period=, down=, count="),
-            std::string::npos)
-      << e.what();
+  expect_fault_error(kTwoLinkBase, "flap = \"link1/q start=1s period=2s\"",
+                     "[faults.flap] is missing required key 'down'");
 }
 
 TEST(FaultSpecErrors, FlapUnknownParameter) {
-  const auto e = fault_error(
+  expect_fault_error(
       kTwoLinkBase,
-      "flap = \"link1/q start=1s period=2s down=1s count=3 cadence=9\"");
-  EXPECT_NE(std::string(e.what()).find("unknown flap parameter 'cadence'"),
-            std::string::npos)
-      << e.what();
+      "flap = \"link1/q start=1s period=2s down=1s count=3 cadence=9\"",
+      "unknown key 'cadence' in [faults.flap]");
 }
 
 TEST(FaultSpecErrors, RandomOutageNeedsPositiveParameters) {
-  const auto e = fault_error(
+  expect_fault_error(
       kTwoLinkBase,
-      "random_outage = \"link1/q mean_up=1s mean_down=0s until=10s\"");
-  EXPECT_NE(std::string(e.what()).find(
-                "random_outage needs positive mean_up=, mean_down= and "
-                "until="),
-            std::string::npos)
-      << e.what();
+      "random_outage = \"link1/q mean_up=1s mean_down=0s until=10s\"",
+      "[faults.random_outage] 'mean_down' must be > 0s");
 }
 
 TEST(FaultSpecErrors, RandomOutageConflictsWithScriptedEdges) {
@@ -658,6 +682,27 @@ TEST(FaultSpecErrors, RecoveryPollMustBePositive) {
   EXPECT_NE(std::string(e.what()).find("recovery_poll must be positive"),
             std::string::npos)
       << e.what();
+}
+
+// A path manager opens subflows only once its connection starts, so a
+// reset is bounded by the manager's max_subflows, and a reset of a subflow
+// that never opened does nothing but is still counted.
+TEST(FaultEngine, ResetOfAnUnopenedSubflowIsANoOp) {
+  const std::string text = std::string(kTwoLinkBase) +
+                           "\n[path_manager]\nadd_threshold = \"0B\"\n"
+                           "\n[faults]\nscript = [\"1s reset 1 flow0\", "
+                           "\"2s reset 0 flow0\"]\n";
+  const scenario::Scenario s = scenario::Scenario::from_string(text, "r.toml");
+  EXPECT_NO_THROW(s.validate());
+  scenario::EngineOptions opts;
+  opts.threads = 1;
+  const auto results = s.run(opts);
+  ASSERT_EQ(results.size(), 1u);
+  double applied = -1.0;
+  for (const auto& [key, value] : results[0].values) {
+    if (key == "fault_events_applied") applied = value;
+  }
+  EXPECT_EQ(applied, 2.0);
 }
 
 }  // namespace

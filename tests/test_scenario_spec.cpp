@@ -349,7 +349,9 @@ TEST(SpecValidation, ResetSubflowIndexThatWrapsIntRejected) {
   text.replace(text.find("count = 1\nsubflows = 2"), 22,
                "flows = [\"0+1\"]\nnames = [\"mp\"]");
   text += "\n[faults]\nscript = [\"1s reset 4294967296 mp\"]\n";
-  expect_range_error(text, "script = ", "'4294967296'");
+  expect_range_error(text, "script = ",
+                     "[faults.reset] subflow: expected an integer in [0, "
+                     "2147483647], got 4294967296");
 }
 
 TEST(SpecValidation, FlowPathIndexOutOfIntRangeRejected) {
@@ -364,8 +366,10 @@ TEST(SpecValidation, LossRatioQueueIndexOutOfIntRangeRejected) {
   const std::string text =
       std::string(kBase) +
       "\n[output]\nmetrics = [\"loss_ratio:0:99999999999\"]\n";
-  // Metric errors point at the [output] section.
-  expect_range_error(text, "[output]", "'99999999999'");
+  // Metric errors point at the metrics key.
+  expect_range_error(text, "metrics = ",
+                     "[output.loss_ratio] b: expected an integer in [0, "
+                     "2147483647], got 99999999999");
 }
 
 TEST(SpecValidation, TraceSinkMustBeAKnownName) {
@@ -496,6 +500,22 @@ TEST(SpecValidation, ArrivalRatesAndSizesOutOfRangeRejected) {
     const std::string text = churn_with(std::string(line) + "\n");
     expect_key_error(text, line, says);
   }
+}
+
+// A zero-length window would report every flow at 0 Mb/s.
+TEST(SpecValidation, ZeroMeasureWindowRejected) {
+  std::string text = kBase;
+  text.replace(text.find("measure = \"2s\""), 15, "measure = \"0s\"");
+  expect_key_error(text, "measure", "'measure' must be > 0s");
+  // A window that --scale rounds to zero fails too.
+  std::string tiny = kBase;
+  tiny.replace(tiny.find("measure = \"2s\""), 15, "measure = \"1ns\"");
+  EXPECT_NO_THROW(load(tiny).validate());
+  const SpecError e = error_of([&] { load(tiny).validate(0.01); });
+  EXPECT_EQ(e.line(), line_of(tiny, "measure")) << e.what();
+  EXPECT_NE(std::string(e.what()).find("[run] measure must be positive"),
+            std::string::npos)
+      << e.what();
 }
 
 TEST(SpecValidation, MinRtoAboveMaxRtoRejected) {

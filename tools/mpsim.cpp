@@ -2,7 +2,9 @@
 //
 //   mpsim run <spec.toml>...       execute every run in each spec's grid
 //   mpsim validate <spec.toml>...  dry-build every grid point, no sim time
-//   mpsim list                     print every section's and kind's keys
+//   mpsim list                     print every key table: sections, kinds,
+//                                  fault actions, flap and random_outage
+//                                  entries, metrics
 //
 // `run` prints one deterministic block per run (name + recorded metrics,
 // fixed formatting) to stdout and writes BENCH_scenario_<name>.json; wall
@@ -10,6 +12,7 @@
 // byte-identical across thread counts — CI diffs them. A malformed spec
 // exits 2 with a file:line diagnostic; a report or trace file that cannot
 // be written exits 1 after naming it.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -19,12 +22,34 @@
 #include "core/env.hpp"
 #include "runner/report.hpp"
 #include "scenario/engine.hpp"
+#include "scenario/faults.hpp"
 #include "scenario/registry.hpp"
 #include "trace/trace.hpp"
 
 namespace {
 
 using namespace mpsim;
+
+// The sinks --trace accepts: the [output] trace row's choices.
+const std::vector<std::string>& trace_sinks() {
+  const auto& sections = scenario::spec_sections();
+  const auto out =
+      std::find_if(sections.begin(), sections.end(),
+                   [](const auto& s) { return s.name == "output"; });
+  const auto row =
+      std::find_if(out->keys.begin(), out->keys.end(),
+                   [](const auto& k) { return k.name == "trace"; });
+  return row->choices;
+}
+
+// trace_sinks() as "csv|jsonl|off".
+std::string sink_list() {
+  std::string joined;
+  for (const std::string& c : trace_sinks()) {
+    joined += (joined.empty() ? "" : "|") + c;
+  }
+  return joined;
+}
 
 int usage() {
   std::fprintf(stderr,
@@ -41,8 +66,7 @@ int usage() {
                "  --threads=N     worker threads (default: hardware "
                "threads)\n"
                "  --scale=X       simulated-duration scale (default 1)\n"
-               "  --trace=KIND    csv|jsonl|null|off; overrides [output] "
-               "trace\n"
+               "  --trace=KIND    %s; overrides [output] trace\n"
                "  --trace-dir=D   directory for trace_<run>.* files "
                "(default \".\")\n"
                "\n"
@@ -50,8 +74,9 @@ int usage() {
                "down/up/rate/ramp,\nloss bursts, queue drain/corrupt, "
                "subflow resets, flap trains, seeded\nrandom outages); "
                "fault runs report recovery metrics (fault_outages,\n"
-               "fault_ttr_mean_s, ...) alongside the ordinary ones. See "
-               "README.md.\n");
+               "fault_ttr_mean_s, ...) alongside the ordinary ones. "
+               "`mpsim list` prints\nevery grammar.\n",
+               sink_list().c_str());
   return 1;
 }
 
@@ -90,9 +115,10 @@ bool parse_args(int argc, char** argv, Options& opts) {
       }
       opts.scale = d;
     } else if (value_of("--trace=", v)) {
-      if (v != "csv" && v != "jsonl" && v != "null" && v != "off") {
-        std::fprintf(stderr, "mpsim: --trace wants csv|jsonl|null|off, "
-                             "got \"%s\"\n", v.c_str());
+      const std::vector<std::string>& sinks = trace_sinks();
+      if (std::find(sinks.begin(), sinks.end(), v) == sinks.end()) {
+        std::fprintf(stderr, "mpsim: --trace wants %s, got \"%s\"\n",
+                     sink_list().c_str(), v.c_str());
         return false;
       }
       opts.trace = v;
@@ -115,34 +141,66 @@ trace::SinkKind resolve_sink(const Options& opts,
   return scn.spec_trace_sink();
 }
 
-template <typename B>
-void print_kinds(const scenario::KindSet<B>& kinds) {
+void print_keys(const scenario::KeyTable& keys, const char* indent) {
+  for (const scenario::Key& k : keys) {
+    std::printf("%s%s\n", indent, scenario::format_key(k).c_str());
+  }
+}
+
+// `keys` as arguments, each after `sep`: "<rate>" if required, else
+// "[rate]".
+std::string arg_usage(const scenario::KeyTable& keys, char sep) {
+  std::string out;
+  for (const scenario::Key& k : keys) {
+    out += sep + (k.def == scenario::kRequired ? "<" + k.name + ">"
+                                               : "[" + k.name + "]");
+  }
+  return out;
+}
+
+// Each kind of `kinds` as `head(kind)`, its help and its key table.
+template <typename B, typename Head>
+void print_kinds(const scenario::KindSet<B>& kinds, Head head) {
   for (const scenario::Kind<B>& k : kinds.kinds()) {
     const char* note = "";
     if constexpr (std::is_same_v<B, scenario::TrafficBuilder>) {
       if (k.build.path_manager) note = "; takes [path_manager]";
     }
-    std::printf("  kind = \"%s\": %s%s\n", k.key.c_str(), k.help.c_str(),
-                note);
-    for (const scenario::Key& key : k.keys) {
-      std::printf("    %s\n", scenario::format_key(key).c_str());
+    if constexpr (std::is_same_v<B, scenario::MetricBuilder>) {
+      if (k.build.per_host) note = "; needs host-addressable traffic";
     }
+    std::printf("  %s: %s%s\n", head(k).c_str(), k.help.c_str(), note);
+    print_keys(k.keys, "    ");
   }
 }
 
 // Every section with its key table; a section that names a kind is
-// followed by each registered kind and its table.
+// followed by each registered kind and its table, [faults] by its entry
+// grammars and [output] by the metrics.
 int cmd_list() {
   const scenario::Registry& reg = scenario::builtin_registry();
+  const auto kind = [](const auto& k) { return "kind = \"" + k.key + "\""; };
   for (const scenario::SpecSection& s : scenario::spec_sections()) {
     std::printf("[%s] %s\n", s.name.c_str(), s.doc.c_str());
-    for (const scenario::Key& k : s.keys) {
-      std::printf("  %s\n", scenario::format_key(k).c_str());
+    print_keys(s.keys, "  ");
+    if (s.name == "topology") print_kinds(reg.topologies, kind);
+    if (s.name == "algorithm") print_kinds(reg.algorithms, kind);
+    if (s.name == "scheduler") print_kinds(reg.schedulers, kind);
+    if (s.name == "traffic") print_kinds(reg.traffic_models, kind);
+    if (s.name == "faults") {
+      print_kinds(reg.fault_actions, [](const auto& k) {
+        return "\"<time> " + k.key + arg_usage(k.keys, ' ') + " <target>\"";
+      });
+      std::printf("  flap keys:\n");
+      print_keys(scenario::flap_keys(), "    ");
+      std::printf("  random_outage keys:\n");
+      print_keys(scenario::random_outage_keys(), "    ");
     }
-    if (s.name == "topology") print_kinds(reg.topologies);
-    if (s.name == "algorithm") print_kinds(reg.algorithms);
-    if (s.name == "scheduler") print_kinds(reg.schedulers);
-    if (s.name == "traffic") print_kinds(reg.traffic_models);
+    if (s.name == "output") {
+      print_kinds(reg.metrics, [](const auto& k) {
+        return "\"" + k.key + arg_usage(k.keys, ':') + "\"";
+      });
+    }
   }
   return 0;
 }

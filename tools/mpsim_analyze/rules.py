@@ -30,12 +30,12 @@ trace-discipline    Record through MPSIM_TRACE, never append_unchecked():
 simtime-discipline  SimTime is built with from_ns/us/ms/sec(), not
                     hand-scaled 1e3/1e6/1e9 factors. [core/time.hpp]
 registry-discipline Registrations (`.topologies/.algorithms/.traffic_models/
-                    .schedulers.add(`) live in scenario/builders.cpp only.
-                    There, each kind's key is lowercase [a-z0-9_]+ and
-                    unique per registry, its key table has no duplicate
-                    row, and every literal key its builder reads is
-                    declared in that table. [scenario/registry.*, which
-                    declares them]
+                    .schedulers/.fault_actions/.metrics.add(`) live in
+                    scenario/builders.cpp only. There, each kind's key is
+                    lowercase [a-z0-9_]+ and unique per registry, its key
+                    table has no duplicate row, and every literal key its
+                    builder reads is declared in that table.
+                    [scenario/registry.*, which declares them]
 mutable-global      No mutable state shared by simulations running on
                     worker threads: namespace-scope variables, static data
                     members and function-local statics. const, constexpr,
@@ -107,9 +107,10 @@ TREE_RULES = (
         "build SimTime with from_ns/us/ms/sec(), not raw 1e3/1e6/1e9 unit "
         "factors", ("core/time.hpp",)),
     Rule("registry-discipline", re.compile(
-        r"\. (?:topologies|algorithms|traffic_models|schedulers) \. add \("),
-        "topology/algorithm/traffic/scheduler registrations live in "
-        "src/scenario/builders.cpp only",
+        r"\. (?:topologies|algorithms|traffic_models|schedulers"
+        r"|fault_actions|metrics) \. add \("),
+        "topology/algorithm/traffic/scheduler/fault action/metric "
+        "registrations live in src/scenario/builders.cpp only",
         ("scenario/registry.", "scenario/builders.cpp")),
 )
 
@@ -129,11 +130,13 @@ HOT_RULES = (
 )
 
 REGISTRATION_RE = re.compile(
-    r"\. (topologies|algorithms|traffic_models|schedulers) \. add \( \"\"")
+    r"\. (topologies|algorithms|traffic_models|schedulers|fault_actions"
+    r"|metrics) \. add \( \"\"")
 # A key-table row `{"name", kType, ...`, a literal-key read of a builder's
 # args (`has("k")`, `get_count<int>("k")`) and a named table.
 SECTION_OF = {"topologies": "topology", "algorithms": "algorithm",
-              "traffic_models": "traffic", "schedulers": "scheduler"}
+              "traffic_models": "traffic", "schedulers": "scheduler",
+              "fault_actions": "fault action", "metrics": "metric"}
 TABLE_ROW_RE = re.compile(r"\{ \"\" , k[A-Z]\w* ,")
 KEY_READ_RE = re.compile(r"\b(?:has|get_\w+) (?:< [^;()]*> )?\( \"\"")
 NAMED_TABLE_RE = re.compile(r"\bKeyTable (\w+) =")
