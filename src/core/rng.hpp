@@ -6,7 +6,9 @@
 // fast, tiny, and has no discernible statistical defects at this scale.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 
 namespace mpsim {
 
@@ -36,14 +38,13 @@ class Rng {
   // P(X > x) = (xm/x)^alpha for x >= xm. Mean = alpha*xm/(alpha-1).
   double pareto(double alpha, double xm);
 
-  // Fisher-Yates shuffle of [first, first+n).
+  // Fisher-Yates shuffle of [first, first+n), by swaps: no element is
+  // copied.
   template <typename T>
   void shuffle(T* first, std::size_t n) {
     for (std::size_t i = n; i > 1; --i) {
       std::size_t j = static_cast<std::size_t>(next_below(i));
-      T tmp = first[i - 1];
-      first[i - 1] = first[j];
-      first[j] = tmp;
+      std::swap(first[i - 1], first[j]);
     }
   }
 

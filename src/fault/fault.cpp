@@ -1,6 +1,7 @@
 #include "fault/fault.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <utility>
 
@@ -46,9 +47,30 @@ bool accepts(Action a, TargetKind k) {
   return false;
 }
 
+std::size_t TargetRegistry::slot_of(std::string_view name) const {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t slot = std::hash<std::string_view>{}(name) & mask;
+  while (index_[slot] != 0 && targets_[index_[slot] - 1].name != name) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
 void TargetRegistry::add(Target t) {
-  MPSIM_CHECK(find(t.name) == nullptr,
-              "fault target names must be unique per simulation");
+  if (2 * (targets_.size() + 1) > index_.size()) {
+    // Double and re-index in registration order, so a name listed twice
+    // (checks off, below) still indexes its first registration.
+    index_.assign(std::max<std::size_t>(16, 2 * index_.size()), 0);
+    for (std::size_t i = 0; i < targets_.size(); ++i) {
+      std::uint32_t& pos = index_[slot_of(targets_[i].name)];
+      if (pos == 0) pos = static_cast<std::uint32_t>(i + 1);
+    }
+  }
+  std::uint32_t& pos = index_[slot_of(t.name)];
+  MPSIM_CHECK(pos == 0, "fault target names must be unique per simulation");
+  // With checks off a duplicate is listed but not indexed: find() keeps
+  // answering with the first registration of its name.
+  if (pos == 0) pos = static_cast<std::uint32_t>(targets_.size() + 1);
   targets_.push_back(std::move(t));
 }
 
@@ -88,10 +110,9 @@ void TargetRegistry::add_connection(const std::string& name,
 }
 
 const Target* TargetRegistry::find(const std::string& name) const {
-  for (const Target& t : targets_) {
-    if (t.name == name) return &t;
-  }
-  return nullptr;
+  if (index_.empty()) return nullptr;
+  const std::uint32_t pos = index_[slot_of(name)];
+  return pos == 0 ? nullptr : &targets_[pos - 1];
 }
 
 std::string TargetRegistry::known_names() const {
@@ -250,9 +271,9 @@ void FaultInjector::apply(const Step& s) {
       // plan author almost certainly did not mean. The scenario layer
       // rejects overlapping down/down at parse time; this guards direct
       // API users and random processes colliding with scripts.
-      MPSIM_CHECK(st.saved_rate < 0.0,
+      MPSIM_CHECK(st.scripted_rate < 0.0,
                   "overlapping down/down fault on one target");
-      st.saved_rate = t->vqueue->rate_bps();
+      st.scripted_rate = t->vqueue->rate_bps();
       t->vqueue->set_rate(0.0);
       traced_value = 0.0;
       if (monitor_ != nullptr) {
@@ -262,9 +283,9 @@ void FaultInjector::apply(const Step& s) {
       break;
     }
     case Action::kUp: {
-      const double rate = s.value >= 0.0 ? s.value : st.saved_rate;
+      const double rate = s.value >= 0.0 ? s.value : st.scripted_rate;
       MPSIM_CHECK(rate >= 0.0, "'up' fault without a preceding 'down'");
-      st.saved_rate = -1.0;
+      st.scripted_rate = -1.0;
       t->vqueue->set_rate(rate);
       traced_value = rate;
       if (monitor_ != nullptr) {
@@ -275,12 +296,20 @@ void FaultInjector::apply(const Step& s) {
     }
     case Action::kRate:
       MPSIM_CHECK(s.value >= 0.0, "rate fault needs a non-negative rate");
-      t->vqueue->set_rate(s.value);
+      [[fallthrough]];
+    case Action::kRampStep:
+      // Under a down, a scripted rate only changes what the `up` restores.
+      if (st.scripted_rate >= 0.0) {
+        st.scripted_rate = s.value;
+      } else {
+        t->vqueue->set_rate(s.value);
+      }
       break;
     case Action::kRamp: {
       MPSIM_CHECK(s.value >= 0.0 && s.duration > 0 && s.count >= 1,
                   "ramp fault needs a rate, a positive duration and steps");
-      const double from = t->vqueue->rate_bps();
+      const double from = st.scripted_rate >= 0.0 ? st.scripted_rate
+                                                  : t->vqueue->rate_bps();
       const SimTime dt = s.duration / s.count;
       for (int k = 1; k <= s.count; ++k) {
         Step step;
@@ -302,30 +331,33 @@ void FaultInjector::apply(const Step& s) {
       aux = static_cast<std::uint64_t>(s.duration);
       break;
     }
-    case Action::kRampStep:
-      t->vqueue->set_rate(s.value);
-      break;
     case Action::kLoss:
       MPSIM_CHECK(s.value >= 0.0 && s.value <= 1.0,
                   "loss fault needs a probability in [0, 1]");
-      t->lossy->set_loss_prob(s.value);
+      // Under a burst, a scripted probability only changes what the
+      // burst's end restores.
+      if (st.scripted_loss >= 0.0) {
+        st.scripted_loss = s.value;
+      } else {
+        t->lossy->set_loss_prob(s.value);
+      }
       break;
     case Action::kLossBurst:
       MPSIM_CHECK(s.value >= 0.0 && s.value <= 1.0,
                   "loss burst needs a probability in [0, 1]");
-      MPSIM_CHECK(st.saved_loss < 0.0,
+      MPSIM_CHECK(st.scripted_loss < 0.0,
                   "overlapping loss bursts on one target");
-      st.saved_loss = t->lossy->loss_prob();
+      st.scripted_loss = t->lossy->loss_prob();
       t->lossy->set_loss_prob(s.value);
       aux = static_cast<std::uint64_t>(s.duration);
       if (monitor_ != nullptr) monitor_->on_degradation_start();
       break;
     case Action::kLossRestore:
-      MPSIM_CHECK(st.saved_loss >= 0.0,
+      MPSIM_CHECK(st.scripted_loss >= 0.0,
                   "loss restore without a preceding burst");
-      t->lossy->set_loss_prob(st.saved_loss);
-      traced_value = st.saved_loss;
-      st.saved_loss = -1.0;
+      t->lossy->set_loss_prob(st.scripted_loss);
+      traced_value = st.scripted_loss;
+      st.scripted_loss = -1.0;
       if (monitor_ != nullptr) monitor_->on_degradation_end();
       break;
     case Action::kDrain:

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/event_list.hpp"
@@ -47,12 +48,12 @@ namespace mpsim::fault {
 // trailing entries are internal steps the injector synthesizes (loss-burst
 // restores, ramp steps) and are never parsed from a plan.
 enum class Action : std::uint8_t {
-  kDown = 0,     // variable queue -> rate 0, remembering the prior rate
-  kUp,           // restore the remembered rate (or an explicit one)
-  kRate,         // set an explicit rate
-  kRamp,         // step the rate to a target over a duration
-  kLoss,         // set a LossyLink's drop probability
-  kLossBurst,    // raise the drop probability for a duration, then restore
+  kDown = 0,     // variable queue -> rate 0: an overlay on the scripted rate
+  kUp,           // restore the scripted rate (or set an explicit one)
+  kRate,         // script an explicit rate
+  kRamp,         // step the scripted rate to a target over a duration
+  kLoss,         // script a LossyLink's drop probability
+  kLossBurst,    // overlay a drop probability for a duration, then restore
   kDrain,        // drop every waiting packet in a queue
   kCorrupt,      // drop up to N waiting packets (tail corruption)
   kReset,        // administratively reset one subflow of a connection
@@ -86,7 +87,8 @@ struct Target {
 
 // Name -> element map. topo::Network registers queues, variable-rate
 // queues and loss elements as it constructs them; connections are added by
-// whoever owns them (the scenario engine, a test).
+// whoever owns them (the scenario engine, a test). Registration and lookup
+// are O(1), so building a topology stays linear in its element count.
 class TargetRegistry {
  public:
   void add_queue(const std::string& name, net::Queue& q);
@@ -94,20 +96,28 @@ class TargetRegistry {
   void add_lossy(const std::string& name, net::LossyLink& l);
   void add_connection(const std::string& name, mptcp::MptcpConnection& c);
 
+  // The first target registered under `name`, or nullptr.
   const Target* find(const std::string& name) const;
   std::size_t size() const { return targets_.size(); }
+  // Registration order.
   const std::vector<Target>& targets() const { return targets_; }
   // Comma-joined registered names, for "unknown target" diagnostics.
   std::string known_names() const;
 
  private:
   void add(Target t);
+  // The index slot holding `name`, or the empty slot where it would go.
+  std::size_t slot_of(std::string_view name) const;
   std::vector<Target> targets_;
+  // Open-addressed hash index over targets_, probed linearly and kept at
+  // most half full: each slot holds a registration position plus one, or
+  // 0 when empty. It allocates only as it doubles.
+  std::vector<std::uint32_t> index_;
 };
 
 // One scripted fault. Interpretation of value/duration/count per action:
 //   kDown                                   (none)
-//   kUp         value = rate bps, or < 0 to restore the pre-down rate
+//   kUp         value = rate bps, or < 0 to restore the scripted rate
 //   kRate       value = rate bps
 //   kRamp       value = target rate bps, duration = ramp time, count = steps
 //   kLoss       value = drop probability
@@ -175,10 +185,12 @@ class FaultInjector final : public EventSource {
     SimTime duration = 0;
     int count = 0;
   };
-  // Per-target state the injector remembers across steps.
+  // Per-target state the injector remembers across steps. A kDown or a
+  // kLossBurst overlays the target's scripted value, kept here until the
+  // overlay ends; a scripted change that lands under it updates only this.
   struct TargetState {
-    double saved_rate = -1.0;  // rate before kDown (< 0 = not down)
-    double saved_loss = -1.0;  // probability before kLossBurst
+    double scripted_rate = -1.0;  // under a kDown (< 0 = not down)
+    double scripted_loss = -1.0;  // under a kLossBurst (< 0 = no burst)
     std::uint16_t trace_id = 0;
   };
 

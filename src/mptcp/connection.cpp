@@ -69,14 +69,9 @@ tcp::Subflow& MptcpConnection::add_subflow(
   if (cc_.rate_based()) sub->enable_rate_mode();
 
   // mpsim-analyze: allow(hot-alloc)
-  auto fwd = std::make_unique<net::Route>();
-  for (auto* hop : fwd_path) fwd->push_back(hop);
-  fwd->push_back(&receiver_);
-
+  auto fwd = std::make_unique<net::Route>(fwd_path, &receiver_);
   // mpsim-analyze: allow(hot-alloc)
-  auto rev = std::make_unique<net::Route>();
-  for (auto* hop : rev_path) rev->push_back(hop);
-  rev->push_back(sub.get());
+  auto rev = std::make_unique<net::Route>(rev_path, sub.get());
 
   fwd->set_reverse(rev.get());
   rev->set_reverse(fwd.get());

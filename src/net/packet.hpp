@@ -57,8 +57,13 @@ class Route {
  public:
   Route() = default;
   explicit Route(std::vector<PacketSink*> hops) : hops_(std::move(hops)) {}
+  // The hops of `path`, then the endpoint `last`: sized once.
+  Route(const std::vector<PacketSink*>& path, PacketSink* last) {
+    hops_.reserve(path.size() + 1);
+    hops_.assign(path.begin(), path.end());
+    hops_.push_back(last);
+  }
 
-  void push_back(PacketSink* s) { hops_.push_back(s); }
   std::size_t size() const { return hops_.size(); }
   PacketSink* at(std::size_t i) const { return hops_[i]; }
 

@@ -893,11 +893,13 @@ Registry make_builtin_registry() {
   // Fault actions ([faults] script = "<time> <action> [args...] <target>").
   // Which target each takes is fault::accepts().
   r.fault_actions.add("down",
-                      "cut a variable-rate queue's rate to 0, remembering it",
+                      "cut a variable-rate queue's rate to 0 until `up`",
                       {}, fault::Action::kDown);
   r.fault_actions.add(
       "up", "bring a downed variable-rate queue back up",
-      {{"rate", kRate, "", "its new rate (default: its rate before down)"}},
+      {{"rate", kRate, "",
+        "its new rate (default: its rate before down, or the last rate or "
+        "ramp step scripted since)"}},
       fault::Action::kUp);
   r.fault_actions.add("rate", "set a variable-rate queue's rate",
                       {{"rate", kRate, kRequired, "the new rate"}},
@@ -916,7 +918,7 @@ Registry make_builtin_registry() {
   r.fault_actions.add(
       "loss_burst",
       "raise a loss element's drop probability for `duration`, then "
-      "restore it",
+      "restore it (or a `loss` scripted meanwhile)",
       {{"probability", kNumber, kRequired, "the drop probability meanwhile",
         kProbability},
        {"duration", kTime, kRequired, "the burst's length (scaled)",

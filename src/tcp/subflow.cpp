@@ -58,6 +58,10 @@ void Subflow::enable_rate_mode() {
   if (rate_ != nullptr) return;
   MPSIM_CHECK(high_water_ == 0,
               "rate mode must be enabled before the first transmission");
+  // Once per subflow open, at path-management granularity, never per
+  // packet.
+  // mpsim-analyze: allow(hot-alloc)
+  rate_est_.emplace();
   rate_id_ = SimArena::of(events_).add_rate();
   rate_ = &SimArena::of(events_).rate(rate_id_);
 }
@@ -119,7 +123,9 @@ void Subflow::try_send() {
     } else {
       std::uint64_t dseq = 0;
       if (!host_.next_data(subflow_id_, dseq)) {
-        if (rate_ != nullptr) rate_est_.on_app_limited(h_.snd_nxt - h_.snd_una);
+        if (rate_ != nullptr) {
+          rate_est_->on_app_limited(h_.snd_nxt - h_.snd_una);
+        }
         break;
       }
       // Deque block allocation once per ~512 bytes of scoreboard growth,
@@ -159,7 +165,7 @@ void Subflow::send_packet(std::uint64_t subflow_seq, bool is_retransmit) {
   ++packets_sent_;
   if (is_retransmit) ++retransmits_;
   if (rate_ != nullptr) {
-    rate_est_.on_send(subflow_seq, events_.now(), is_retransmit);
+    rate_est_->on_send(subflow_seq, events_.now(), is_retransmit);
   }
   pkt.send_on(*route_);
 }
@@ -220,7 +226,7 @@ void Subflow::handle_ack(net::Packet& ack) {
       // window — the window is model-driven, so the ACK-clocked growth
       // below is skipped.
       cc::DeliveryRateSample sample;
-      if (rate_est_.on_ack(cum, events_.now(), sample)) {
+      if (rate_est_->on_ack(cum, events_.now(), sample)) {
         host_.on_ack_sample(subflow_id_, sample);
       }
     }

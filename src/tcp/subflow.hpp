@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -252,10 +253,11 @@ class Subflow : public net::PacketSink, public EventSource {
   int backoff_ = 0;
 
   // Rate mode (null/false in window mode — every hot-path branch below
-  // stays provably dead, keeping window-mode traces bit-identical).
+  // stays provably dead, keeping window-mode traces bit-identical). The
+  // estimator exists only once enable_rate_mode() has run.
   std::uint32_t rate_id_ = 0;
   RateHot* rate_ = nullptr;     // arena row; owned (released in dtor)
-  DeliveryRateEstimator rate_est_;
+  std::optional<DeliveryRateEstimator> rate_est_;
   bool pace_armed_ = false;
   SimTime pace_deadline_ = 0;
   SimTime pace_next_send_ = 0;  // earliest time pacing admits the next launch

@@ -1,5 +1,6 @@
 #include "topo/fat_tree.hpp"
 
+#include <numeric>
 #include <string>
 
 #include "core/check.hpp"
@@ -62,70 +63,74 @@ FatTree::FatTree(Network& net, int k, double link_rate_bps,
   }
 }
 
-std::vector<Path> FatTree::paths(int src, int dst) {
+std::vector<int> FatTree::candidates(int src, int dst) const {
   MPSIM_CHECK(src != dst && src >= 0 && dst >= 0 && src < num_hosts() &&
                   dst < num_hosts(),
               "host indices out of range or equal");
+  int count = half_k_ * half_k_;  // cross-pod: one per (agg, core) choice
+  if (pod_of(src) == pod_of(dst)) {
+    // Same pod: one per aggregation switch; same edge switch: one.
+    count = edge_of(src) == edge_of(dst) ? 1 : half_k_;
+  }
+  std::vector<int> c(static_cast<std::size_t>(count));
+  std::iota(c.begin(), c.end(), 0);
+  return c;
+}
+
+Path FatTree::build_path(int src, int dst, int c, net::Pipe& dlv) const {
   const int ps = pod_of(src), pd = pod_of(dst);
   const int es = edge_of(src), ed = edge_of(dst);
-  std::vector<Path> out;
+  const std::size_t links = ps != pd ? 5 : es != ed ? 3 : 1;
+  Path p;
+  p.reserve(2 * links + 2);
+  append_link(p, host_up_[src]);  // on one edge switch, the only link up
+  if (ps != pd) {
+    // Cross-pod: candidate c = a*k/2 + i climbs through aggregation switch
+    // a to core switch c, which is reachable from aggregation index a in
+    // every pod.
+    const int a = c / half_k_;
+    append_link(p, edge_agg_[ps][es][a]);
+    append_link(p, agg_core_[ps][a][c % half_k_]);
+    append_link(p, core_agg_[c][pd]);
+    append_link(p, agg_edge_[pd][a][ed]);
+  } else if (es != ed) {
+    // Same pod: up to aggregation switch c and back down.
+    append_link(p, edge_agg_[ps][es][c]);
+    append_link(p, agg_edge_[ps][c][ed]);
+  }
+  // Terminal hop: the dst host's access queue, then the call's delivery
+  // pipe.
+  p.push_back(host_down_[dst].queue);
+  p.push_back(&dlv);
+  return p;
+}
 
-  // Terminal hop: the dst host's access queue, then a delivery pipe of
-  // this call's own, shared by all paths returned (they all end at the
-  // same host) but by no other connection.
+std::vector<Path> FatTree::build_paths(int src, int dst,
+                                       const std::vector<int>& choices) {
+  // A delivery pipe of this call's own, created before any path: shared by
+  // all paths returned (they all end at the same host) but by no other
+  // connection.
   net::Pipe& dlv = net_.add_pipe(
       "ft/dlv" + std::to_string(dlv_count_++) + "/p", per_hop_delay_);
-  auto append_delivery = [&](Path& p) {
-    p.push_back(host_down_[dst].queue);
-    p.push_back(&dlv);
-  };
-
-  if (ps == pd && es == ed) {
-    // Same edge switch: one two-hop path through it.
-    Path p;
-    append_link(p, host_up_[src]);
-    append_delivery(p);
-    out.push_back(std::move(p));
-    return out;
-  }
-
-  if (ps == pd) {
-    // Same pod: up to an aggregation switch and back down, k/2 choices.
-    for (int a = 0; a < half_k_; ++a) {
-      Path p;
-      append_link(p, host_up_[src]);
-      append_link(p, edge_agg_[ps][es][a]);
-      append_link(p, agg_edge_[ps][a][ed]);
-      append_delivery(p);
-      out.push_back(std::move(p));
-    }
-    return out;
-  }
-
-  // Cross-pod: (agg, core) choice; core switch c = a*k/2 + i is reachable
-  // from aggregation index a in every pod.
-  for (int a = 0; a < half_k_; ++a) {
-    for (int i = 0; i < half_k_; ++i) {
-      const int core = a * half_k_ + i;
-      Path p;
-      append_link(p, host_up_[src]);
-      append_link(p, edge_agg_[ps][es][a]);
-      append_link(p, agg_core_[ps][a][i]);
-      append_link(p, core_agg_[core][pd]);
-      append_link(p, agg_edge_[pd][a][ed]);
-      append_delivery(p);
-      out.push_back(std::move(p));
-    }
-  }
+  std::vector<Path> out;
+  out.reserve(choices.size());
+  for (int c : choices) out.push_back(build_path(src, dst, c, dlv));
   return out;
 }
 
+std::vector<Path> FatTree::paths(int src, int dst) {
+  return build_paths(src, dst, candidates(src, dst));
+}
+
 std::vector<Path> FatTree::sample_paths(int src, int dst, int n, Rng& rng) {
-  std::vector<Path> all = paths(src, dst);
-  if (static_cast<int>(all.size()) <= n) return all;
-  rng.shuffle(all.data(), all.size());
-  all.resize(static_cast<std::size_t>(n));
-  return all;
+  std::vector<int> pick = candidates(src, dst);
+  if (static_cast<int>(pick.size()) > n) {
+    // Shuffling the candidates' indices draws what shuffling the built
+    // paths would, and builds only the n kept.
+    rng.shuffle(pick.data(), pick.size());
+    pick.resize(static_cast<std::size_t>(n));
+  }
+  return build_paths(src, dst, pick);
 }
 
 Path FatTree::ack_path(const Path& fwd) {
@@ -177,8 +182,10 @@ std::vector<net::Queue*> FatTree::queues() {
 
 std::vector<PathPair> sample_path_pairs(FatTree& ft, int src, int dst, int n,
                                         Rng& rng) {
+  std::vector<Path> fwd = ft.sample_paths(src, dst, n, rng);
   std::vector<PathPair> out;
-  for (auto& p : ft.sample_paths(src, dst, n, rng)) {
+  out.reserve(fwd.size());
+  for (auto& p : fwd) {
     auto rev = ft.ack_path(p);
     out.emplace_back(std::move(p), std::move(rev));
   }

@@ -13,10 +13,11 @@
 // direction is never the bottleneck in these workloads).
 //
 // The final delivery pipe and the ACK pipe are created per paths() /
-// ack_path() call, never shared between connections. Each pipe is an
-// EventSource, so this construction order fixes every canonical event key
-// (core/event_list.hpp); a shared pipe could also deliver several
-// connections' packets in one wake-up, changing the event count.
+// sample_paths() / ack_path() call, never shared between connections.
+// Each pipe is an EventSource, so this construction order fixes every
+// canonical event key (core/event_list.hpp); a shared pipe could also
+// deliver several connections' packets in one wake-up, changing the event
+// count.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +42,8 @@ class FatTree : public Topology {
   // each call creates the delivery pipe the returned paths end on.
   std::vector<Path> paths(int src, int dst);
 
-  // A random sample of up to `n` distinct shortest paths.
+  // A random sample of up to `n` distinct shortest paths: the first n of
+  // paths() after a shuffle, but only those n are built.
   std::vector<Path> sample_paths(int src, int dst, int n, Rng& rng);
 
   // Delay-matched ACK return path for a forward path produced above: one
@@ -64,6 +66,13 @@ class FatTree : public Topology {
   int edge_of(int host) const {  // edge switch index within its pod
     return (host % (half_k_ * half_k_)) / half_k_;
   }
+  // Indices of the shortest paths src -> dst, in paths() order.
+  std::vector<int> candidates(int src, int dst) const;
+  // Candidate `c`, ending on the delivery pipe `dlv`.
+  Path build_path(int src, int dst, int c, net::Pipe& dlv) const;
+  // The listed candidates, after creating their delivery pipe.
+  std::vector<Path> build_paths(int src, int dst,
+                                const std::vector<int>& choices);
 
   Network& net_;
   int k_;

@@ -1,8 +1,8 @@
-// The fault engine end to end: injector semantics against live network
-// elements, recovery metrics, bit-exact equivalence with the legacy
-// RateSchedule mobility path (the Fig. 17 round trip), scenario [faults]
-// wiring (thread-count identity, recovery metrics in the per-run report,
-// and every parse diagnostic).
+// The fault engine end to end: the target registry, injector semantics
+// against live network elements, recovery metrics, bit-exact equivalence
+// with the legacy RateSchedule mobility path (the Fig. 17 round trip),
+// scenario [faults] wiring (thread-count identity, recovery metrics in the
+// per-run report, and every parse diagnostic).
 #include "fault/fault.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cc/mptcp_lia.hpp"
@@ -34,6 +35,60 @@ net::Packet& make_data(EventList& events) {
   net::Packet& p = net::Packet::alloc(events);
   p.type = net::PacketType::kCbr;
   return p;
+}
+
+// ---------------------------------------------------------------------------
+// Target registry
+// ---------------------------------------------------------------------------
+
+// Lookups answer for every name in registration order, and the listing
+// keeps that order, across many index doublings.
+TEST(TargetRegistry, FindAndKnownNamesKeepRegistrationOrder) {
+  EventList events;
+  net::Queue q(events, "q", 12e6, 100 * net::kDataPacketBytes);
+  fault::TargetRegistry reg;
+  const int n = 10000;
+  std::string joined;
+  for (int i = 0; i < n; ++i) {
+    const std::string name = "t" + std::to_string(i);
+    reg.add_queue(name, q);
+    if (!joined.empty()) joined += ", ";
+    joined += name;
+  }
+  ASSERT_EQ(reg.size(), static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const std::string name = "t" + std::to_string(i);
+    const auto idx = static_cast<std::size_t>(i);
+    EXPECT_EQ(reg.targets()[idx].name, name);
+    ASSERT_EQ(reg.find(name), &reg.targets()[idx]) << name;
+  }
+  EXPECT_EQ(reg.find("t10000"), nullptr);
+  EXPECT_EQ(reg.find(""), nullptr);
+  EXPECT_EQ(reg.known_names(), joined);
+}
+
+// A second registration of a name fires the uniqueness check. With checks
+// off it is listed, but find() keeps answering with the first, also after
+// the index has grown past it.
+TEST(TargetRegistry, DuplicateNameFiresTheCheckOrKeepsTheFirst) {
+  EventList events;
+  net::Queue first(events, "first", 12e6, 100 * net::kDataPacketBytes);
+  net::Queue second(events, "second", 12e6, 100 * net::kDataPacketBytes);
+  fault::TargetRegistry reg;
+  for (int i = 0; i < 20; ++i) reg.add_queue("t" + std::to_string(i), first);
+  reg.add_queue("dup", first);
+  if (checks_enabled()) {
+    ScopedThrowingChecks throwing;
+    EXPECT_THROW(reg.add_queue("dup", second), CheckFailureError);
+    EXPECT_EQ(reg.size(), 21u);
+  } else {
+    reg.add_queue("dup", second);
+    EXPECT_EQ(reg.size(), 22u);
+    EXPECT_EQ(reg.targets().back().queue, &second);
+  }
+  for (int i = 20; i < 200; ++i) reg.add_queue("t" + std::to_string(i), first);
+  ASSERT_NE(reg.find("dup"), nullptr);
+  EXPECT_EQ(reg.find("dup")->queue, &first);
 }
 
 // ---------------------------------------------------------------------------
@@ -153,6 +208,77 @@ TEST(FaultEngine, LossBurstRestoresBaselineProbability) {
   events.run_until(from_ms(2500));
   EXPECT_DOUBLE_EQ(lossy.loss_prob(), 0.01);  // back to the baseline
   EXPECT_EQ(injector.events_applied(), 2u);   // burst + synthesized restore
+}
+
+// A loss scripted under a burst is what the burst's end restores; it does
+// not cut the burst short.
+TEST(FaultEngine, LossScriptedUnderABurstTakesEffectWhenTheBurstEnds) {
+  EventList events;
+  net::LossyLink lossy(events, "l", 0.0005, 99);
+
+  fault::TargetRegistry reg;
+  reg.add_lossy("l", lossy);
+  fault::FaultPlan plan;
+  fault::FaultEvent burst;
+  burst.at = from_sec(4);
+  burst.action = fault::Action::kLossBurst;
+  burst.target = "l";
+  burst.value = 0.3;
+  burst.duration = from_sec(2);
+  fault::FaultEvent loss;
+  loss.at = from_sec(5);
+  loss.action = fault::Action::kLoss;
+  loss.target = "l";
+  loss.value = 0.1;
+  plan.events = {burst, loss};
+  fault::FaultInjector injector(events, reg, plan, /*run_seed=*/1);
+
+  events.run_until(from_ms(4500));
+  EXPECT_DOUBLE_EQ(lossy.loss_prob(), 0.3);
+  events.run_until(from_ms(5500));
+  EXPECT_DOUBLE_EQ(lossy.loss_prob(), 0.3);  // still the burst
+  events.run_until(from_ms(6500));
+  EXPECT_DOUBLE_EQ(lossy.loss_prob(), 0.1);  // the scripted value
+  EXPECT_EQ(injector.events_applied(), 3u);
+}
+
+// A rate or ramp scripted while a link is down keeps it down; the `up`
+// restores the latest scripted rate, and a ramp starts from the scripted
+// rate, not from the outage's 0.
+TEST(FaultEngine, RateScriptedUnderADownTakesEffectAtUp) {
+  EventList events;
+  net::VariableRateQueue q(events, "q", 14.4e6, 100 * net::kDataPacketBytes);
+
+  fault::TargetRegistry reg;
+  reg.add_variable_queue("q", q);
+  auto step = [](double sec, fault::Action a, double value = -1.0) {
+    fault::FaultEvent e;
+    e.at = from_sec(sec);
+    e.action = a;
+    e.target = "q";
+    e.value = value;
+    return e;
+  };
+  fault::FaultPlan plan;
+  plan.events = {step(2, fault::Action::kDown),
+                 step(3, fault::Action::kRate, 1e6),
+                 step(5, fault::Action::kUp),
+                 step(6, fault::Action::kDown),
+                 step(7, fault::Action::kRamp, 2e6),
+                 step(10, fault::Action::kUp)};
+  // Scripts 1.5 Mb/s at 8 s and 2 Mb/s at 9 s, both under the down.
+  plan.events[4].duration = from_sec(2);
+  plan.events[4].count = 2;
+  fault::FaultInjector injector(events, reg, plan, /*run_seed=*/1);
+
+  const std::vector<std::pair<double, double>> expect = {
+      {2.5, 0.0}, {3.5, 0.0}, {5.5, 1e6}, {7.5, 0.0},
+      {8.5, 0.0}, {9.5, 0.0}, {10.5, 2e6}};
+  for (const auto& [sec, bps] : expect) {
+    events.run_until(from_sec(sec));
+    EXPECT_DOUBLE_EQ(q.rate_bps(), bps) << "at " << sec << " s";
+  }
+  EXPECT_EQ(injector.events_applied(), 8u);  // six scripted + two ramp steps
 }
 
 TEST(FaultEngine, RandomOutageTimelineIsAFunctionOfSeedAndSalt) {

@@ -90,14 +90,13 @@ TEST(Route, ReverseLinkage) {
   EXPECT_EQ(rev.reverse(), &fwd);
 }
 
-TEST(Route, PushBackBuildsInOrder) {
-  RecordingSink a("a"), b("b");
-  Route r;
-  r.push_back(&a);
-  r.push_back(&b);
-  ASSERT_EQ(r.size(), 2u);
+TEST(Route, PathThenEndpointBuildsInOrder) {
+  RecordingSink a("a"), b("b"), c("c");
+  Route r({&a, &b}, &c);
+  ASSERT_EQ(r.size(), 3u);
   EXPECT_EQ(r.at(0), &a);
   EXPECT_EQ(r.at(1), &b);
+  EXPECT_EQ(r.at(2), &c);
 }
 
 TEST(Packet, SizesMatchConventions) {

@@ -141,5 +141,35 @@ TEST(Rng, ShuffleActuallyMoves) {
   EXPECT_LT(fixed, 10);
 }
 
+// An element that counts its copies; moves are free.
+struct CopyCounted {
+  int v = 0;
+  int* copies = nullptr;
+  CopyCounted(int value, int* counter) : v(value), copies(counter) {}
+  CopyCounted(const CopyCounted& o) : v(o.v), copies(o.copies) { ++*copies; }
+  CopyCounted& operator=(const CopyCounted& o) {
+    v = o.v;
+    copies = o.copies;
+    ++*copies;
+    return *this;
+  }
+  CopyCounted(CopyCounted&&) noexcept = default;
+  CopyCounted& operator=(CopyCounted&&) noexcept = default;
+};
+
+TEST(Rng, ShuffleSwapsWithoutCopyingAndKeepsItsPermutation) {
+  int copies = 0;
+  std::vector<CopyCounted> v;
+  v.reserve(10);
+  for (int i = 0; i < 10; ++i) v.emplace_back(i, &copies);
+  Rng rng(43);
+  rng.shuffle(v.data(), v.size());
+  EXPECT_EQ(copies, 0);
+  // The permutation seed 43 has always drawn: FatTree path samples and
+  // permutation traffic matrices depend on it.
+  const std::vector<int> pinned = {2, 1, 3, 9, 5, 6, 4, 7, 0, 8};
+  for (std::size_t i = 0; i < v.size(); ++i) EXPECT_EQ(v[i].v, pinned[i]);
+}
+
 }  // namespace
 }  // namespace mpsim
