@@ -7,9 +7,7 @@
 
 namespace mpsim::env {
 
-namespace {
-
-std::string trimmed(const std::string& text) {
+std::string trim(const std::string& text) {
   std::size_t b = 0;
   std::size_t e = text.size();
   while (b < e && std::isspace(static_cast<unsigned char>(text[b]))) ++b;
@@ -17,10 +15,8 @@ std::string trimmed(const std::string& text) {
   return text.substr(b, e - b);
 }
 
-}  // namespace
-
 bool parse_double(const std::string& text, double& out) {
-  const std::string t = trimmed(text);
+  const std::string t = trim(text);
   if (t.empty() || t.find('x') != std::string::npos ||
       t.find('X') != std::string::npos) {
     return false;  // reject hex: "0x2" parses as 0 under some strtods
@@ -36,7 +32,7 @@ bool parse_double(const std::string& text, double& out) {
 }
 
 bool parse_int(const std::string& text, std::int64_t& out) {
-  const std::string t = trimmed(text);
+  const std::string t = trim(text);
   if (t.empty()) return false;
   errno = 0;
   char* end = nullptr;

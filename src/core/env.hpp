@@ -13,6 +13,9 @@
 
 namespace mpsim::env {
 
+// `text` without leading and trailing whitespace.
+std::string trim(const std::string& text);
+
 // Full-consumption numeric parses: leading/trailing whitespace is allowed,
 // any other trailing text (unit suffixes, hex, empty string) is rejected,
 // and so is a value outside the result type's range.

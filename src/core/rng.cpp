@@ -4,8 +4,6 @@
 
 namespace mpsim {
 
-namespace {
-// splitmix64: expands a single seed into well-distributed generator state.
 std::uint64_t splitmix64(std::uint64_t& x) {
   std::uint64_t z = (x += 0x9E3779B97F4A7C15ULL);
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
@@ -13,6 +11,7 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
+namespace {
 inline std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }

@@ -12,6 +12,11 @@
 
 namespace mpsim {
 
+// One splitmix64 step: advance `x` by the golden-ratio increment and
+// return it mixed. Rng expands its seed with four steps; fault processes
+// that share a run seed draw their own seeds with one.
+std::uint64_t splitmix64(std::uint64_t& x);
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL);

@@ -147,20 +147,6 @@ std::vector<FaultEvent> flap_train(const std::string& target, SimTime start,
   return events;
 }
 
-namespace {
-
-// Decorrelate two fault processes sharing a run seed (splitmix64 finalizer
-// over seed+salt: cheap, and any bit of either input flips ~half the
-// output).
-std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t salt) {
-  std::uint64_t z = seed + 0x9E3779B97F4A7C15ULL * (salt + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
 FaultInjector::FaultInjector(EventList& events, const TargetRegistry& targets,
                              FaultPlan plan, std::uint64_t run_seed,
                              RecoveryMonitor* monitor)
@@ -199,7 +185,11 @@ FaultInjector::FaultInjector(EventList& events, const TargetRegistry& targets,
                 "random outages need a variable-rate queue target");
     MPSIM_CHECK(ro.mean_up > 0 && ro.mean_down > 0 && ro.until > 0,
                 "random outage needs positive mean_up/mean_down/until");
-    Rng rng(mix_seed(run_seed, ro.salt));
+    // Decorrelate outage processes sharing a run seed: each draws from
+    // output salt + 1 of the splitmix64 stream the run seed starts (any
+    // bit of either input flips ~half the output).
+    std::uint64_t x = run_seed + 0x9E3779B97F4A7C15ULL * ro.salt;
+    Rng rng(splitmix64(x));
     SimTime at = from_sec(rng.exponential(to_sec(ro.mean_up)));
     while (at < ro.until) {
       const SimTime down_for = std::max<SimTime>(

@@ -59,9 +59,7 @@ struct ConnectionConfig {
 
 // Implements cc::ConnectionView, which both the congestion controller's
 // sibling sweep and the data scheduler's subflow ranking read.
-class MptcpConnection : public tcp::SubflowHost,
-                        public cc::ConnectionView,
-                        public EventSource {
+class MptcpConnection : public cc::ConnectionView, public EventSource {
  public:
   MptcpConnection(EventList& events, std::string name,
                   const cc::CongestionControl& cc, ConnectionConfig cfg = {});
@@ -93,20 +91,32 @@ class MptcpConnection : public tcp::SubflowHost,
   // Begin transmitting at simulated time `at`.
   void start(SimTime at);
 
-  // --- SubflowHost (called by the subflows) ---
-  bool next_data(std::uint32_t subflow_id, std::uint64_t& data_seq) override;
-  double ca_increase(std::uint32_t subflow_id) override;
-  double window_after_loss(std::uint32_t subflow_id) override;
-  void on_data_ack(std::uint64_t data_cum_ack,
-                   std::uint64_t rcv_window) override;
+  // --- called by the subflows (tcp::Subflow) ---
+  // Hand out the next data sequence number to transmit on this subflow, or
+  // return false if none is available (application-limited,
+  // flow-controlled, or complete).
+  bool next_data(std::uint32_t subflow_id, std::uint64_t& data_seq);
+  // Additive increase (in packets) per newly acked packet during
+  // congestion avoidance on this subflow.
+  double ca_increase(std::uint32_t subflow_id);
+  // New congestion window after a loss event on this subflow.
+  double window_after_loss(std::uint32_t subflow_id);
+  // A (possibly updated) data-level cumulative ACK / receive window
+  // arrived.
+  void on_data_ack(std::uint64_t data_cum_ack, std::uint64_t rcv_window);
+  // The subflow suffered a retransmission timeout; `outstanding` lists the
+  // data sequence numbers still unacknowledged on it (candidates for
+  // reinjection on sibling subflows).
   void on_subflow_rto(std::uint32_t subflow_id,
-                      const std::vector<std::uint64_t>& outstanding) override;
-  void on_subflow_progress(std::uint32_t subflow_id) override;
+                      const std::vector<std::uint64_t>& outstanding);
+  // Progress happened on this subflow (ACK processed): pump data into
+  // sibling subflows whose constraints changed.
+  void on_subflow_progress(std::uint32_t subflow_id);
   // Rate mode: feed the delivery-rate sample to the controller, then apply
   // the model it answers with (pacing rate into the subflow's RateHot row,
   // target inflight cap onto its window).
   void on_ack_sample(std::uint32_t subflow_id,
-                     const cc::DeliveryRateSample& sample) override;
+                     const cc::DeliveryRateSample& sample);
 
   // --- cc::ConnectionView (read by the congestion controller and the
   // data scheduler) ---
@@ -114,6 +124,11 @@ class MptcpConnection : public tcp::SubflowHost,
   // the subflows' SoA arena rows (cached in hot_) so the sweep walks
   // consecutive cache lines instead of dereferencing Subflow objects.
   std::size_t num_subflows() const override { return subflows_.size(); }
+  // The congestion window as seen by coupled congestion control. During
+  // NewReno fast recovery the cwnd is *inflated* by one packet per dupack
+  // (the self-clocking transmit rule) and can transiently dwarf the real
+  // window; the semantically meaningful value there is ssthresh, the
+  // post-loss target the window deflates to on the full ACK.
   double cwnd_pkts(std::size_t r) const override {
     const SubflowHot& h = *hot_[r];
     return h.in_recovery != 0 ? std::min(h.cwnd, h.ssthresh) : h.cwnd;

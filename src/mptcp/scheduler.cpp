@@ -7,17 +7,6 @@
 
 namespace mpsim::mptcp {
 
-const char* to_string(DataSchedulerKind kind) {
-  switch (kind) {
-    case DataSchedulerKind::kStripe: return "stripe";
-    case DataSchedulerKind::kMinRttFirst: return "min_rtt_first";
-    case DataSchedulerKind::kRedundant: return "redundant";
-    case DataSchedulerKind::kBlest: return "blest";
-  }
-  MPSIM_CHECK(false, "unknown DataSchedulerKind");
-  return "?";
-}
-
 bool DataScheduler::next_reinject(std::uint64_t& data_seq) {
   while (!reinject_q_.empty()) {
     const std::uint64_t seq = reinject_q_.front();

@@ -50,8 +50,6 @@ namespace mpsim::mptcp {
 // (core/event_list.hpp); these pick data placement.
 enum class DataSchedulerKind { kStripe, kMinRttFirst, kRedundant, kBlest };
 
-const char* to_string(DataSchedulerKind kind);
-
 class DataScheduler {
  public:
   // `app_limit_pkts == 0` means an unlimited (long-lived) stream.
@@ -71,10 +69,6 @@ class DataScheduler {
 
   // Single-subflow convenience (tests, abstract drivers): stripe-equivalent.
   bool next_data(std::uint64_t& data_seq) { return next_data(0, data_seq); }
-
-  virtual const char* kind_name() const {
-    return to_string(DataSchedulerKind::kStripe);
-  }
 
   // Install the subflow-ranking view. Optional: policies fall back to
   // stripe placement without one. Not owned; must outlive the scheduler.
@@ -161,9 +155,6 @@ class MinRttFirstScheduler : public DataScheduler {
   using DataScheduler::DataScheduler;
   using DataScheduler::next_data;
   bool next_data(std::uint32_t subflow_id, std::uint64_t& data_seq) override;
-  const char* kind_name() const override {
-    return to_string(DataSchedulerKind::kMinRttFirst);
-  }
 };
 
 class RedundantScheduler : public DataScheduler {
@@ -171,9 +162,6 @@ class RedundantScheduler : public DataScheduler {
   using DataScheduler::DataScheduler;
   using DataScheduler::next_data;
   bool next_data(std::uint32_t subflow_id, std::uint64_t& data_seq) override;
-  const char* kind_name() const override {
-    return to_string(DataSchedulerKind::kRedundant);
-  }
 
  private:
   // Per-subflow cursor into the shared fresh stream; each subflow sends
@@ -187,9 +175,6 @@ class BlestScheduler : public DataScheduler {
   using DataScheduler::DataScheduler;
   using DataScheduler::next_data;
   bool next_data(std::uint32_t subflow_id, std::uint64_t& data_seq) override;
-  const char* kind_name() const override {
-    return to_string(DataSchedulerKind::kBlest);
-  }
 };
 
 std::unique_ptr<DataScheduler> make_data_scheduler(

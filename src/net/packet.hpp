@@ -57,10 +57,14 @@ class Route {
  public:
   Route() = default;
   explicit Route(std::vector<PacketSink*> hops) : hops_(std::move(hops)) {}
-  // The hops of `path`, then the endpoint `last`: sized once.
+  // The hops of `path`, then the endpoint `last`: sized once. Built once
+  // per subflow open (MptcpConnection::add_subflow, which a PathManager
+  // scan may call at run time), never per packet.
   Route(const std::vector<PacketSink*>& path, PacketSink* last) {
+    // mpsim-analyze: allow(hot-alloc)
     hops_.reserve(path.size() + 1);
     hops_.assign(path.begin(), path.end());
+    // mpsim-analyze: allow(hot-alloc)
     hops_.push_back(last);
   }
 

@@ -52,7 +52,10 @@ std::vector<RunResult> ExperimentRunner::run_all() {
       const std::string path = cfg_.trace_dir + "/trace_" +
                                sanitize_for_filename(ctx.name()) +
                                trace::sink_extension(cfg_.trace_sink);
-      if (trace::write_text_file(path, sink->text())) r.trace_path = path;
+      if (trace::write_text_file(path, sink->text())) {
+        r.trace_path = path;
+        r.trace_records_lost = rec->overwritten();
+      }
     }
     r.metrics.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
     r.metrics.events_processed = ctx.events().events_processed();

@@ -100,6 +100,9 @@ struct RunResult {
   // failed). Files are named from the run name alone, so contents and names
   // are byte-identical across thread counts.
   std::string trace_path;
+  // The oldest records the written trace lost because the ring filled
+  // (TraceRecorder::overwritten()): the file starts that many records late.
+  std::uint64_t trace_records_lost = 0;
 
   double value(const std::string& key, double fallback = 0.0) const {
     for (const auto& [k, v] : values) {

@@ -21,7 +21,8 @@
 namespace mpsim::runner {
 
 // One runner result as a Json object: name, resolved-spec echo, recorded
-// values, run metrics, trace path when one was written.
+// values, run metrics, trace path when one was written and the records it
+// lost when its ring filled.
 inline stats::Json json_from_result(const RunResult& r) {
   stats::Json o = stats::Json::object();
   o.set("name", r.name);
@@ -43,6 +44,9 @@ inline stats::Json json_from_result(const RunResult& r) {
   });
   o.set("metrics", std::move(m));
   if (!r.trace_path.empty()) o.set("trace_path", r.trace_path);
+  if (r.trace_records_lost > 0) {
+    o.set("trace_records_lost", static_cast<double>(r.trace_records_lost));
+  }
   return o;
 }
 

@@ -36,8 +36,7 @@
 #include "topo/bcube.hpp"
 #include "topo/fat_tree.hpp"
 #include "topo/parking_lot.hpp"
-#include "topo/torus.hpp"
-#include "topo/triangle.hpp"
+#include "topo/ring.hpp"
 #include "topo/two_link.hpp"
 #include "topo/wireless.hpp"
 #include "traffic/poisson_flows.hpp"
@@ -58,14 +57,19 @@ KeyTable join(KeyTable a, const KeyTable& b) {
 // Topologies
 // ---------------------------------------------------------------------------
 
+// Every queue-buffer row's range: a buffer below one data packet drops
+// every packet.
+constexpr Range kHoldsAPacket = at_least(net::kDataPacketBytes);
+
 // two_link's keys for link `i` (1 or 2).
 KeyTable link_keys(int i) {
   const std::string l = "link" + std::to_string(i);
   const std::string link = "link " + std::to_string(i);
   return {
-      {l + "_rate", kRate, "100Mbps", link + "'s rate"},
+      {l + "_rate", kRate, "100Mbps", link + "'s rate", above(0)},
       {l + "_delay", kTime, "5ms", link + "'s one-way delay, each way"},
-      {l + "_buf", kBytes, "50pkt", link + "'s buffer", {}, {}, "buffer_bdp"},
+      {l + "_buf", kBytes, "50pkt", link + "'s buffer", kHoldsAPacket, {},
+       "buffer_bdp"},
       {l + "_loss", kNumber, "",
        "Bernoulli loss in front of " + link + "'s queue (default: none)",
        Range{.lo = 0, .hi = 1, .hi_open = true}},
@@ -633,29 +637,29 @@ Registry make_builtin_registry() {
   r.topologies.add(
       "triangle", "Fig. 3: three links, three two-path flows in a cycle",
       {{"rates_pps", kNumbers, kRequired, "the three links' rates, packets/s",
-        exactly(3)},
+        exactly(3), {}, {}, {}, above(0)},
        {"one_way_delay", kTime, "10ms", "every link's one-way delay"},
        {"buffer_bdp", kNumber, "1",
-        "every buffer, in bandwidth-delay products of its link"}},
+        "every buffer, in bandwidth-delay products of its link", above(0)}},
       [](topo::Network& net, const Args& a, const BuildEnv&) {
         const auto rates = a.get_number_array("rates_pps");
         const SimTime delay = a.get_time("one_way_delay");
-        std::array<double, 3> bps{};
-        std::array<std::uint64_t, 3> bufs{};
+        std::vector<topo::RingLink> links;
         for (std::size_t i = 0; i < 3; ++i) {
-          bps[i] = topo::pkts_per_sec_to_bps(rates[i]);
-          bufs[i] = topo::bdp_bytes(bps[i], 2 * delay,
-                                    a.get_number("buffer_bdp"));
+          const double bps = topo::pkts_per_sec_to_bps(rates[i]);
+          links.push_back({"tri" + std::to_string(i), bps, delay,
+                           topo::bdp_bytes(bps, 2 * delay,
+                                           a.get_number("buffer_bdp"))});
         }
-        return std::make_unique<topo::Triangle>(net, bps, delay, bufs);
+        return std::make_unique<topo::Ring>(net, links);
       });
 
   r.topologies.add(
       "parking_lot", "Fig. 2: three-link cycle, one-hop vs two-hop paths",
-      {{"link_rate", kRate, "48Mbps", "every link's rate"},
+      {{"link_rate", kRate, "48Mbps", "every link's rate", above(0)},
        {"rtt", kTime, "40ms", "every path's propagation RTT"},
        {"buffer", kBytes, "",
-        "every buffer (default: one BDP of link_rate x rtt)"}},
+        "every buffer (default: one BDP of link_rate x rtt)", kHoldsAPacket}},
       [](topo::Network& net, const Args& a, const BuildEnv&) {
         const double rate = a.get_rate_bps("link_rate");
         const SimTime rtt = a.get_time("rtt");
@@ -667,29 +671,36 @@ Registry make_builtin_registry() {
   r.topologies.add(
       "torus", "Fig. 7/8: five-link ring, five two-path flows",
       {{"rate_pps", kNumber, "1000", "links A, B, D and E's rate, packets/s",
-        {}, {}, "rates_pps"},
+        above(0), {}, "rates_pps"},
        {"cap_c", kNumber, "", "link C's rate, packets/s (default: rate_pps)",
-        {}, {}, "rates_pps"},
+        above(0), {}, "rates_pps"},
        {"rates_pps", kNumbers, "",
         "the five links' rates, packets/s (default: rate_pps and cap_c)",
-        exactly(5)}},
+        exactly(5), {}, {}, {}, above(0)}},
       [](topo::Network& net, const Args& a, const BuildEnv&) {
-        std::array<double, topo::Torus::kLinks> rates{};
+        std::vector<double> rates;
         if (a.has("rates_pps")) {
-          const auto rs = a.get_number_array("rates_pps");
-          std::copy(rs.begin(), rs.end(), rates.begin());
+          rates = a.get_number_array("rates_pps");
         } else {
           const double base = a.get_number("rate_pps");
           const double cap_c = a.has("cap_c") ? a.get_number("cap_c") : base;
           rates = {base, base, cap_c, base, base};
         }
-        return std::make_unique<topo::Torus>(net, rates);
+        // Every RTT 100 ms, every buffer one bandwidth-delay product.
+        const SimTime rtt = from_ms(100);
+        std::vector<topo::RingLink> links;
+        for (std::size_t i = 0; i < rates.size(); ++i) {
+          const double bps = topo::pkts_per_sec_to_bps(rates[i]);
+          links.push_back({"torus" + std::string(1, char('A' + i)), bps,
+                           rtt / 2, topo::bdp_bytes(bps, rtt, 1.0)});
+        }
+        return std::make_unique<topo::Ring>(net, links);
       });
 
   const KeyTable fabric_keys = {
-      {"link_rate", kRate, "100Mbps", "every link's rate"},
+      {"link_rate", kRate, "100Mbps", "every link's rate", above(0)},
       {"per_hop_delay", kTime, "20us", "every link's one-way delay"},
-      {"buffer", kBytes, "100pkt", "every queue's buffer"}};
+      {"buffer", kBytes, "100pkt", "every queue's buffer", kHoldsAPacket}};
 
   r.topologies.add(
       "fat_tree", "§4: k-ary FatTree (k=8 -> 128 hosts, 100 Mb/s links)",
@@ -719,8 +730,8 @@ Registry make_builtin_registry() {
       "§5: WiFi (path 0) + 3G (path 1) client; [faults] scripts mobility",
       {{"wifi_loss", kNumber, "0.0005", "random loss on the WiFi path"}},
       [](topo::Network& net, const Args& a, const BuildEnv&) {
-        return std::make_unique<topo::WirelessClient>(
-            net, a.get_number("wifi_loss"));
+        return std::make_unique<topo::TwoLink>(
+            topo::wireless_client(net, a.get_number("wifi_loss")));
       });
 
   r.algorithms.add("uncoupled", "independent TCP per subflow", {},
@@ -774,7 +785,8 @@ Registry make_builtin_registry() {
        {"algos", kStrings, "",
         "per-flow algorithm kinds, at their defaults (default: [algorithm])"},
        {"recv_buffer_pkts", kCount64, "",
-        "receive buffer, packets (default: ConnectionConfig's, 2^20)"},
+        "receive buffer, packets (default: ConnectionConfig's, 2^20)",
+        at_least(1)},
        {"app_limit_pkts", kCount64, "0",
         "packets each flow sends; 0 = unlimited"},
        {"min_rto", kTime, "", "RTO floor (default: SubflowConfig's, 200ms)",
@@ -786,7 +798,8 @@ Registry make_builtin_registry() {
   const KeyTable matrix_keys = {
       {"subflows", kCount, "8", "paths sampled per flow (1 for single)"},
       {"min_rto", kTime, "10ms", "RTO floor", kMinRtoRange},
-      {"recv_buffer_pkts", kCount64, "4096", "receive buffer, packets"}};
+      {"recv_buffer_pkts", kCount64, "4096", "receive buffer, packets",
+       at_least(1)}};
   const KeyTable seeded_keys = join(
       {{"tm_seed", kCount64, kRequired, "seed of the matrix's own rng"}},
       matrix_keys);
@@ -868,7 +881,8 @@ Registry make_builtin_registry() {
             {"min_rto", kTime, "",
              "RTO floor (default: SubflowConfig's, 200ms)", kMinRtoRange},
             {"recv_buffer_pkts", kCount64, "",
-             "receive buffer, packets (default: ConnectionConfig's, 2^20)"}},
+             "receive buffer, packets (default: ConnectionConfig's, 2^20)",
+             at_least(1)}},
            arrival_keys),
       {.path_manager = true, .make = [](const Args& a) {
          return std::make_unique<ChurnTraffic>(a);

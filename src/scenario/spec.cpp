@@ -12,18 +12,12 @@
 
 namespace mpsim::scenario {
 
+using env::trim;
+
 namespace {
 
 bool is_key_char(char c) {
   return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_';
-}
-
-std::string trim(const std::string& s) {
-  std::size_t b = 0;
-  std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
 }
 
 // Strip a trailing `# comment` that is not inside a quoted string.
@@ -440,9 +434,21 @@ std::string num_text(double v) {
   return buf;
 }
 
+// What a value in `r` must be, as the tail of "... must ...": "be >= 1",
+// "be >= 1500B", "be in [0, 1)"; "" when `r` accepts every value.
+std::string bounds(const Range& r, const std::string& unit) {
+  if (r.lo == -std::numeric_limits<double>::infinity()) return "";
+  if (r.hi != std::numeric_limits<double>::infinity()) {
+    return "be in " + std::string(r.lo_open ? "(" : "[") + num_text(r.lo) +
+           unit + ", " + num_text(r.hi) + unit + (r.hi_open ? ")" : "]");
+  }
+  return std::string("be ") + (r.even ? "even and " : "") +
+         (r.lo_open ? "> " : ">= ") + num_text(r.lo) + unit;
+}
+
 // What `k`'s values must satisfy, as the tail of "'<key>' must ...":
 // "be >= 1", "be in [0, 1)", "list 3 entries", "be one of ...";
-// "" when every value of its type is accepted.
+// "" when every value of its type is accepted. Key::each is separate.
 std::string condition(const Key& k) {
   if (!k.choices.empty()) {
     std::string out = "be one of ";
@@ -452,18 +458,14 @@ std::string condition(const Key& k) {
     return out;
   }
   const Range& r = k.range;
+  if (!is_array(k.type)) {
+    return bounds(r, k.type == KeyType::kTime    ? "s"
+                     : k.type == KeyType::kBytes ? "B"
+                                                 : "");
+  }
   if (r.lo == -std::numeric_limits<double>::infinity()) return "";
-  if (is_array(k.type)) {
-    return r.lo == r.hi ? "list " + num_text(r.lo) + " entries"
-                        : "not be empty";
-  }
-  const std::string unit = k.type == KeyType::kTime ? "s" : "";
-  if (r.hi != std::numeric_limits<double>::infinity()) {
-    return "be in " + std::string(r.lo_open ? "(" : "[") + num_text(r.lo) +
-           unit + ", " + num_text(r.hi) + unit + (r.hi_open ? ")" : "]");
-  }
-  return std::string("be ") + (r.even ? "even and " : "") +
-         (r.lo_open ? "> " : ">= ") + num_text(r.lo) + unit;
+  return r.lo == r.hi ? "list " + num_text(r.lo) + " entries"
+                      : "not be empty";
 }
 
 bool in_range(const Range& r, double v) {
@@ -477,6 +479,7 @@ void check_value(const Section& s, const Key& k) {
   const std::string& n = k.name;
   auto size = [](const auto& xs) { return static_cast<double>(xs.size()); };
   double v = 0.0;  // the scalar, or the number of array entries
+  std::vector<double> entries;  // a kNumbers array's, checked against each
   bool chosen = true;
   switch (k.type) {
     case KeyType::kCount: v = s.get_count<int>(n); break;
@@ -492,14 +495,24 @@ void check_value(const Section& s, const Key& k) {
       break;
     case KeyType::kTime: v = to_sec(s.get_time(n)); break;
     case KeyType::kRate: v = s.get_rate_bps(n); break;
-    case KeyType::kBytes: s.get_bytes(n); break;
+    case KeyType::kBytes: v = static_cast<double>(s.get_bytes(n)); break;
     case KeyType::kCounts: v = size(s.get_count_array(n)); break;
-    case KeyType::kNumbers: v = size(s.get_number_array(n)); break;
+    case KeyType::kNumbers:
+      entries = s.get_number_array(n);
+      v = size(entries);
+      break;
     case KeyType::kStrings: v = size(s.get_string_array(n)); break;
     case KeyType::kTimes: v = size(s.get_time_array(n)); break;
   }
   if (!chosen || !in_range(k.range, v)) {
     s.fail_at(s.find(n)->line, "'" + n + "' must " + condition(k));
+  }
+  for (double e : entries) {
+    if (!in_range(k.each, e)) {
+      s.fail_at(s.find(n)->line, "'" + n + "' entries must " +
+                                     bounds(k.each, "") + ", got " +
+                                     num_text(e));
+    }
   }
 }
 
@@ -607,6 +620,9 @@ std::string format_key(const Key& k) {
                 type_name(k.type), def.c_str());
   std::string line = head + k.doc;
   if (const std::string c = condition(k); !c.empty()) line += "; must " + c;
+  if (const std::string e = bounds(k.each, ""); !e.empty()) {
+    line += "; entries must " + e;
+  }
   if (!k.excludes.empty()) line += "; not with " + k.excludes;
   if (!k.needs.empty()) line += "; only with " + k.needs;
   return line;

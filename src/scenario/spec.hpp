@@ -172,8 +172,8 @@ enum class KeyType : std::uint8_t {
   kCounts, kNumbers, kStrings, kTimes,
 };
 
-// The values a numeric key accepts (a time's in seconds), or for an array
-// key how many entries it must list.
+// The values a numeric key accepts (a time's in seconds, a size's in
+// bytes), or for an array key how many entries it must list.
 struct Range {
   double lo = -std::numeric_limits<double>::infinity();
   double hi = std::numeric_limits<double>::infinity();
@@ -204,6 +204,7 @@ struct Key {
   // A key without which this one is unknown; a kRequired key with `needs`
   // is required only when that key is given.
   std::string needs = {};
+  Range each = {};  // the values each entry of a kNumbers array accepts
 };
 
 using KeyTable = std::vector<Key>;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/check.hpp"
+#include "mptcp/connection.hpp"
 
 namespace mpsim::tcp {
 
@@ -21,12 +22,12 @@ constexpr std::uint32_t kDupackThreshold = 3;
 
 }  // namespace
 
-Subflow::Subflow(EventList& events, std::string name, SubflowHost& host,
-                 std::uint32_t flow_id, std::uint32_t subflow_id,
-                 const SubflowConfig& cfg)
+Subflow::Subflow(EventList& events, std::string name,
+                 mptcp::MptcpConnection& conn, std::uint32_t flow_id,
+                 std::uint32_t subflow_id, const SubflowConfig& cfg)
     : EventSource(events, std::move(name)),
       events_(events),
-      host_(host),
+      conn_(conn),
       flow_id_(flow_id),
       subflow_id_(subflow_id),
       cfg_(cfg),
@@ -122,7 +123,7 @@ void Subflow::try_send() {
       ++h_.snd_nxt;
     } else {
       std::uint64_t dseq = 0;
-      if (!host_.next_data(subflow_id_, dseq)) {
+      if (!conn_.next_data(subflow_id_, dseq)) {
         if (rate_ != nullptr) {
           rate_est_->on_app_limited(h_.snd_nxt - h_.snd_una);
         }
@@ -185,7 +186,7 @@ void Subflow::handle_ack(net::Packet& ack) {
     // congestion machinery stays frozen: no RTT sample, no window growth
     // (so the coupled controller is never consulted for an inactive row),
     // no dupack/recovery logic, no timer, no transmission.
-    host_.on_data_ack(ack.data_cum_ack, ack.rcv_window);
+    conn_.on_data_ack(ack.data_cum_ack, ack.rcv_window);
     const std::uint64_t cum = ack.subflow_cum_ack;
     if (cum > h_.snd_una) {
       h_.snd_una = cum;
@@ -196,7 +197,7 @@ void Subflow::handle_ack(net::Packet& ack) {
       }
     }
     check_invariants();
-    host_.on_subflow_progress(subflow_id_);
+    conn_.on_subflow_progress(subflow_id_);
     return;
   }
   // Karn's rule: only time unambiguous (non-retransmitted) segments.
@@ -204,7 +205,7 @@ void Subflow::handle_ack(net::Packet& ack) {
     rtt_.add_sample(events_.now() - ack.ts_echo);
     sync_rtt_mirror();
   }
-  host_.on_data_ack(ack.data_cum_ack, ack.rcv_window);
+  conn_.on_data_ack(ack.data_cum_ack, ack.rcv_window);
 
   const std::uint64_t cum = ack.subflow_cum_ack;
   if (cum > h_.snd_una) {
@@ -221,13 +222,13 @@ void Subflow::handle_ack(net::Packet& ack) {
 
     if (rate_ != nullptr) {
       // Rate mode: the estimator retires the acked span and (when the
-      // timing is unambiguous) hands the host a delivery-rate sample. The
-      // host's controller answers by republishing pacing rate and target
+      // timing is unambiguous) hands the connection a delivery-rate sample.
+      // Its controller answers by republishing pacing rate and target
       // window — the window is model-driven, so the ACK-clocked growth
       // below is skipped.
       cc::DeliveryRateSample sample;
       if (rate_est_->on_ack(cum, events_.now(), sample)) {
-        host_.on_ack_sample(subflow_id_, sample);
+        conn_.on_ack_sample(subflow_id_, sample);
       }
     }
 
@@ -262,7 +263,7 @@ void Subflow::handle_ack(net::Packet& ack) {
           if (h_.cwnd < h_.ssthresh) {
             h_.cwnd += 1.0;  // slow start
           } else {
-            h_.cwnd += host_.ca_increase(subflow_id_);
+            h_.cwnd += conn_.ca_increase(subflow_id_);
           }
         }
         clamp_cwnd();
@@ -299,7 +300,7 @@ void Subflow::handle_ack(net::Packet& ack) {
                                          h_.ssthresh, rtt_.srtt(), rtt_.rto()));
   try_send();
   check_invariants();
-  host_.on_subflow_progress(subflow_id_);
+  conn_.on_subflow_progress(subflow_id_);
 }
 
 // The subflow<->data sequence map and window invariants (paper 6: the two
@@ -322,7 +323,7 @@ void Subflow::enter_recovery() {
   const bool in_slow_start = h_.cwnd < h_.ssthresh;
   const trace::TcpPhase from = phase();
   h_.ssthresh =
-      std::max(kMinCwnd, host_.window_after_loss(subflow_id_));
+      std::max(kMinCwnd, conn_.window_after_loss(subflow_id_));
   recover_ = h_.snd_nxt;  // dupacks below this must not re-trigger (RFC 6582)
   if (in_slow_start || rate_ != nullptr) {
     // Loss during slow start means the exponential overshoot dumped a
@@ -415,7 +416,7 @@ void Subflow::handle_timeout() {
                                               trace::TcpPhase::kRtoRecovery));
   if (!h_.in_recovery) {
     h_.ssthresh =
-        std::max(kMinCwnd, host_.window_after_loss(subflow_id_));
+        std::max(kMinCwnd, conn_.window_after_loss(subflow_id_));
   }
   // Window mode restarts from one packet and slow-starts back. Rate mode
   // keeps the model-driven window: the go-back-N resend below is spaced by
@@ -430,7 +431,7 @@ void Subflow::handle_timeout() {
   recover_ = high_water_;  // RFC 6582: no fast retransmit for pre-RTO acks
   h_.snd_nxt = h_.snd_una;     // go-back-N: resend everything outstanding
   ++backoff_;
-  host_.on_subflow_rto(subflow_id_, outstanding_data());
+  conn_.on_subflow_rto(subflow_id_, outstanding_data());
   try_send();
   if (h_.snd_una < high_water_ && !rto_armed_) arm_rto();
 }

@@ -1,11 +1,15 @@
-// One TCP subflow: the full windowed NewReno sender machinery, with the
-// additive-increase and multiplicative-decrease *amounts* delegated to the
-// owning connection (which consults a pluggable congestion-control algorithm
-// that may couple the subflows, per §2 of the paper).
+// One TCP subflow of an mptcp::MptcpConnection: the full windowed NewReno
+// sender machinery, with the additive-increase and multiplicative-decrease
+// *amounts* delegated to the owning connection (which consults a pluggable
+// congestion-control algorithm that may couple the subflows, per §2 of the
+// paper). The connection also hands out the data sequence numbers the
+// subflow sends and takes its data-level ACKs, RTOs and rate samples; a
+// regular single-path TCP is a connection with one subflow.
 //
 // Implemented behaviour:
 //   * slow start (cwnd += 1 per acked packet below ssthresh),
-//   * congestion avoidance (cwnd += host-supplied increase per acked packet),
+//   * congestion avoidance (cwnd += connection-supplied increase per acked
+//     packet),
 //   * duplicate-ACK counting, fast retransmit at 3 dupacks,
 //   * NewReno fast recovery with window inflation and partial-ACK hole
 //     retransmission,
@@ -32,6 +36,10 @@
 #include "tcp/rtt_estimator.hpp"
 #include "trace/trace.hpp"
 
+namespace mpsim::mptcp {
+class MptcpConnection;
+}
+
 namespace mpsim::tcp {
 
 // The retransmission timer's bounds. Every other sender constant (initial
@@ -41,49 +49,9 @@ struct SubflowConfig {
   SimTime max_rto = from_sec(60);
 };
 
-// Connection-level services a subflow needs. Implemented by
-// mptcp::MptcpConnection; the tcp layer has no knowledge of multipath.
-class SubflowHost {
- public:
-  virtual ~SubflowHost() = default;
-
-  // Hand out the next data sequence number to transmit on this subflow, or
-  // return false if none is available (application-limited, flow-controlled,
-  // or complete).
-  virtual bool next_data(std::uint32_t subflow_id, std::uint64_t& data_seq) = 0;
-
-  // Additive increase (in packets) to apply per newly acked packet during
-  // congestion avoidance on this subflow.
-  virtual double ca_increase(std::uint32_t subflow_id) = 0;
-
-  // New congestion window after a loss event on this subflow.
-  virtual double window_after_loss(std::uint32_t subflow_id) = 0;
-
-  // A (possibly updated) data-level cumulative ACK / receive window arrived.
-  virtual void on_data_ack(std::uint64_t data_cum_ack,
-                           std::uint64_t rcv_window) = 0;
-
-  // The subflow suffered a retransmission timeout; `outstanding` lists the
-  // data sequence numbers still unacknowledged on it (candidates for
-  // reinjection on sibling subflows).
-  virtual void on_subflow_rto(std::uint32_t subflow_id,
-                              const std::vector<std::uint64_t>& outstanding) = 0;
-
-  // Progress happened on this subflow (ACK processed); the connection may
-  // want to pump data into sibling subflows whose constraints changed.
-  virtual void on_subflow_progress(std::uint32_t subflow_id) = 0;
-
-  // A delivery-rate sample (rate mode only): the cumulative ACK advanced
-  // and the estimator produced an unambiguous measurement. The host feeds
-  // its rate-based congestion controller and republishes pacing rate and
-  // target window. Default no-op keeps window-mode hosts oblivious.
-  virtual void on_ack_sample(std::uint32_t /*subflow_id*/,
-                             const cc::DeliveryRateSample& /*sample*/) {}
-};
-
 class Subflow : public net::PacketSink, public EventSource {
  public:
-  Subflow(EventList& events, std::string name, SubflowHost& host,
+  Subflow(EventList& events, std::string name, mptcp::MptcpConnection& conn,
           std::uint32_t flow_id, std::uint32_t subflow_id,
           const SubflowConfig& cfg);
 
@@ -126,20 +94,13 @@ class Subflow : public net::PacketSink, public EventSource {
 
   // Administrative reset (fault injection): react exactly as if the RTO
   // fired right now — collapse to the minimum window, go-back-N, back off,
-  // and hand the outstanding data to the host for sibling reinjection.
-  // Unlike the timer path this fires even with nothing outstanding.
+  // and hand the outstanding data to the connection for sibling
+  // reinjection. Unlike the timer path this fires even with nothing
+  // outstanding.
   void force_timeout();
 
   // --- inspection ---
   double cwnd() const { return h_.cwnd; }
-  // The congestion window as seen by coupled congestion control. During
-  // NewReno fast recovery the cwnd is *inflated* by one packet per dupack
-  // (the self-clocking transmit rule) and can transiently dwarf the real
-  // window; the semantically meaningful value there is ssthresh, the
-  // post-loss target the window deflates to on the full ACK.
-  double effective_cwnd() const {
-    return h_.in_recovery != 0 ? std::min(h_.cwnd, h_.ssthresh) : h_.cwnd;
-  }
   void set_cwnd(double w);  // for tests and warm starts
   double ssthresh() const { return h_.ssthresh; }
   bool in_recovery() const { return h_.in_recovery != 0; }
@@ -163,11 +124,11 @@ class Subflow : public net::PacketSink, public EventSource {
   // --- rate mode (pacing + delivery-rate estimation) --------------------
   // Switch this subflow from ACK-clocked window growth to rate-based
   // operation: every launch is recorded by a DeliveryRateEstimator, every
-  // cumulative-ACK advance produces a sample for SubflowHost::on_ack_sample
-  // (instead of running slow start / ca_increase), and transmission is
-  // spaced by the pacing rate the controller publishes into this subflow's
-  // arena RateHot row. Must be called before any data is sent; sticky for
-  // the subflow's lifetime (reactivation keeps it).
+  // cumulative-ACK advance produces a sample for the connection's
+  // on_ack_sample (instead of running slow start / ca_increase), and
+  // transmission is spaced by the pacing rate the controller publishes into
+  // this subflow's arena RateHot row. Must be called before any data is
+  // sent; sticky for the subflow's lifetime (reactivation keeps it).
   void enable_rate_mode();
   bool rate_mode() const { return rate_ != nullptr; }
   // This subflow's RateHot row (valid only in rate mode).
@@ -223,7 +184,7 @@ class Subflow : public net::PacketSink, public EventSource {
   }
 
   EventList& events_;
-  SubflowHost& host_;
+  mptcp::MptcpConnection& conn_;
   const net::Route* route_ = nullptr;
   std::uint64_t* wire_counter_ = nullptr;
   std::uint32_t flow_id_;

@@ -1,28 +1,30 @@
 #include "topo/two_link.hpp"
 
+#include <utility>
+
 namespace mpsim::topo {
 
-TwoLink::TwoLink(Network& net, const LinkSpec& link1, const LinkSpec& link2) {
+TwoLink::TwoLink(Network& net, const LinkSpec& link1, const LinkSpec& link2,
+                 std::array<std::string, 2> names)
+    : names_(std::move(names)) {
   const LinkSpec* specs[2] = {&link1, &link2};
   for (int i = 0; i < 2; ++i) {
-    const std::string base = "link" + std::to_string(i + 1);
     // Variable-rate queues (identical to fixed-rate ones at a constant
     // rate) so both bottlenecks accept down/up/ramp faults.
-    links_[i] = net.add_variable_link(base, specs[i]->rate_bps,
+    links_[i] = net.add_variable_link(names_[i], specs[i]->rate_bps,
                                       specs[i]->one_way_delay,
                                       specs[i]->buf_bytes);
-    ack_pipes_[i] = &net.add_pipe(base + "/ack", specs[i]->one_way_delay);
+    ack_pipes_[i] = &net.add_pipe(names_[i] + "/ack", specs[i]->one_way_delay);
   }
 }
 
 void TwoLink::add_loss(Network& net, int link, double p, std::uint64_t seed) {
-  loss_[link] =
-      &net.add_lossy("link" + std::to_string(link + 1) + "/loss", p, seed);
+  loss_[link] = &net.add_lossy(names_[link] + "/loss", p, seed);
 }
 
 void TwoLink::add_cbr(Network& net, int link, double rate_bps,
                       SimTime mean_on, SimTime mean_off, std::uint64_t seed) {
-  const std::string name = "link" + std::to_string(link + 1) + "/cbr";
+  const std::string name = names_[link] + "/cbr";
   Cbr& c = cbr_[link];
   c.sink = std::make_unique<net::CountingSink>(name + "/sink");
   Path path = fwd(link);

@@ -6,7 +6,8 @@
 // may carry additional single-path competing flows. The forward direction
 // is a Queue+Pipe; the ACK direction a Pipe of equal delay. A link may also
 // get a fixed-loss stage in front of its queue (§2.3) and on/off CBR
-// cross-traffic (§3 table).
+// cross-traffic (§3 table). The §5 WiFi/3G client is one with radio
+// parameters (topo/wireless.hpp).
 #pragma once
 
 #include <array>
@@ -34,7 +35,10 @@ struct LinkSpec {
 
 class TwoLink : public Topology {
  public:
-  TwoLink(Network& net, const LinkSpec& link1, const LinkSpec& link2);
+  // Link i's elements are <names[i]>/q, /p and /ack, and its loss stage
+  // and CBR source <names[i]>/loss and /cbr.
+  TwoLink(Network& net, const LinkSpec& link1, const LinkSpec& link2,
+          std::array<std::string, 2> names = {"link1", "link2"});
 
   // Bernoulli loss at probability `p` in front of link i's queue, on every
   // path through it built afterwards.
@@ -67,6 +71,7 @@ class TwoLink : public Topology {
     std::unique_ptr<net::OnOffCbrSource> source;
   };
 
+  std::array<std::string, 2> names_;
   Link links_[2];
   net::Pipe* ack_pipes_[2];
   std::array<net::LossyLink*, 2> loss_{};

@@ -16,7 +16,7 @@
 //     (tools/mpsim_analyze's trace-discipline rule enforces that src/
 //     never calls append_unchecked() directly outside src/trace/.)
 //   * Nothing is formatted or written during the run; flush(sink) replays
-//     the ring chronologically into a TraceSink (CSV/JSONL/null) at run
+//     the ring chronologically into a TraceSink (CSV or JSONL) at run
 //     end.
 //
 // Lifetime contract: install() the recorder immediately after constructing

@@ -1,9 +1,11 @@
 # mpsim run's output files. A report's name is sanitised as trace file
-# names are, and a report or trace that cannot be written makes the run
-# exit 1, naming the file on stderr.
+# names are, a report or trace that cannot be written makes the run exit 1,
+# naming the file on stderr, and a trace whose ring filled says how many
+# records it lost, on stdout and in the report.
 #
 #   cmake -DMPSIM=<cli> -DSPEC=<spec.toml> -DOUT=<scratch dir>
-#         -DCASE=report_name_sanitised|report_unwritable|trace_unwritable
+#         -DCASE=report_name_sanitised|report_unwritable|trace_unwritable|
+#               trace_records_lost
 #         -P mpsim_outputs.cmake
 file(REMOVE_RECURSE ${OUT})
 file(MAKE_DIRECTORY ${OUT})
@@ -30,6 +32,15 @@ elseif(CASE STREQUAL "trace_unwritable")
   set(args --trace=csv --trace-dir=${OUT}/missing ${SPEC})
   set(want_rc 1)
   set(want_stderr ${OUT}/missing/trace_)
+elseif(CASE STREQUAL "trace_records_lost")
+  # A 64-record ring: the run traces far more, so the file keeps only the
+  # last 64 and both stdout and the report count the rest.
+  string(REPLACE "\n[output]\n" "\n[output]\ntrace_capacity = 64\n"
+                 spec "${spec}")
+  file(WRITE ${OUT}/small_ring.toml "${spec}")
+  set(args --trace=csv ${OUT}/small_ring.toml)
+  set(want_rc 0)
+  set(want_lost ON)
 else()
   message(FATAL_ERROR "mpsim_outputs.cmake: unknown CASE \"${CASE}\"")
 endif()
@@ -37,7 +48,7 @@ endif()
 execute_process(COMMAND ${MPSIM} run ${args}
                 WORKING_DIRECTORY ${OUT}
                 RESULT_VARIABLE rc
-                OUTPUT_QUIET
+                OUTPUT_VARIABLE out
                 ERROR_VARIABLE err)
 list(JOIN args " " command)
 if(NOT rc EQUAL want_rc)
@@ -51,5 +62,19 @@ if(DEFINED want_stderr)
   string(FIND "${err}" "${want_stderr}" at)
   if(at EQUAL -1)
     message(FATAL_ERROR "stderr does not name ${want_stderr}:\n${err}")
+  endif()
+endif()
+if(want_lost)
+  set(line "\n  trace = [^\n]*\n  trace_records_lost = ([1-9][0-9]*)\n")
+  if(NOT out MATCHES "${line}")
+    message(FATAL_ERROR "stdout has no trace_records_lost line under the "
+                        "trace line:\n${out}")
+  endif()
+  set(lost ${CMAKE_MATCH_1})
+  file(READ ${OUT}/${report} json)
+  string(FIND "${json}" "\"trace_records_lost\": ${lost}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "${report} has no \"trace_records_lost\": ${lost}:\n"
+                        "${json}")
   endif()
 endif()

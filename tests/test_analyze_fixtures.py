@@ -6,8 +6,9 @@ least one deliberate violation per rule — and asserts that:
 
   * the findings are exactly the EXPECTED (file, rule) pairs: every seeded
     violation fires under its rule, including the cross-TU escape (a clean
-    handler calling an allocating helper in another file), and every other
-    file — the negative controls — stays silent;
+    handler calling an allocating helper in another file) and the two
+    reached through constructors (make_unique<T>, a member initializer),
+    and every other file — the negative controls — stays silent;
   * the allow comment that suppresses nothing is reported as stale;
   * on the real tree the computed hot set still covers the nine per-event
     files that used to be hard-coded as the hot list.
@@ -52,6 +53,10 @@ EXPECTED = Counter([
     ("mutable_global_local.cpp", "mutable-global"),
     ("hot_alloc.cpp", "hot-alloc"),
     ("escape_helper.cpp", "hot-alloc"),  # hot only via the cross-TU call
+    # a constructor hot only through make_unique<T>
+    ("ctor_via_make_unique.cpp", "hot-alloc"),
+    # a helper hot only through a constructor's initializer list
+    ("ctor_init_list.cpp", "hot-alloc"),
     ("hot_io.cpp", "hot-io"),
     ("packet_ownership.cpp", "packet-ownership"),
     ("comment_closing_line.cpp", "determinism-rand"),  # code after `*/`

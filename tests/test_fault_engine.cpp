@@ -371,15 +371,14 @@ Fig17Deliveries run_fig17(InstallMobility install) {
   auto at = [s](double minutes) { return from_sec(minutes * 60.0 * s); };
   EventList events;
   topo::Network net(events);
-  topo::WirelessClient radio(net);
+  topo::TwoLink radio = topo::wireless_client(net);
   auto tcp_wifi = mptcp::make_single_path_tcp(events, "tcp-wifi",
-                                              radio.wifi_fwd(),
-                                              radio.wifi_rev());
-  auto tcp_3g = mptcp::make_single_path_tcp(events, "tcp-3g", radio.g3_fwd(),
-                                            radio.g3_rev());
+                                              radio.fwd(0), radio.rev(0));
+  auto tcp_3g = mptcp::make_single_path_tcp(events, "tcp-3g", radio.fwd(1),
+                                            radio.rev(1));
   MptcpConnection mp(events, "mp", cc::mptcp_lia());
-  mp.add_subflow(radio.wifi_fwd(), radio.wifi_rev());
-  mp.add_subflow(radio.g3_fwd(), radio.g3_rev());
+  mp.add_subflow(radio.fwd(0), radio.rev(0));
+  mp.add_subflow(radio.fwd(1), radio.rev(1));
   tcp_wifi->start(0);
   tcp_3g->start(from_ms(13));
   mp.start(at(1.0));
@@ -400,16 +399,17 @@ TEST(FaultEngine, Fig17FaultPlanMatchesRateScheduleBitExactly) {
   // original Fig. 17 harness used).
   std::vector<std::unique_ptr<net::RateSchedule>> schedules;
   const auto legacy = run_fig17([&](EventList& events, topo::Network&,
-                                    topo::WirelessClient& radio,
-                                    const auto& at) {
+                                    topo::TwoLink& radio, const auto& at) {
+    // The client's queues are variable-rate (topo/two_link.cpp).
+    auto radio_q = [&radio](int link) -> net::VariableRateQueue& {
+      return static_cast<net::VariableRateQueue&>(radio.queue(link));
+    };
     schedules.push_back(std::make_unique<net::RateSchedule>(
-        events, radio.wifi_q,
+        events, radio_q(0),
         std::vector<net::RateSchedule::Change>{
-            {at(9.0), 0.0},
-            {at(10.5), 5e6},
-            {at(11.0), topo::WirelessClient::kWifiRate}}));
+            {at(9.0), 0.0}, {at(10.5), 5e6}, {at(11.0), topo::kWifiRate}}));
     schedules.push_back(std::make_unique<net::RateSchedule>(
-        events, radio.g3_q,
+        events, radio_q(1),
         std::vector<net::RateSchedule::Change>{
             {at(0.0), 1.0e6}, {at(9.0), 2.1e6}, {at(10.5), 1.4e6}}));
   });
@@ -418,7 +418,7 @@ TEST(FaultEngine, Fig17FaultPlanMatchesRateScheduleBitExactly) {
   // [faults] section builds).
   std::unique_ptr<fault::FaultInjector> injector;
   const auto engine = run_fig17([&](EventList& events, topo::Network& net,
-                                    topo::WirelessClient&, const auto& at) {
+                                    topo::TwoLink&, const auto& at) {
     auto ev = [](SimTime t, fault::Action a, const char* target,
                  double value) {
       fault::FaultEvent e;
@@ -432,8 +432,7 @@ TEST(FaultEngine, Fig17FaultPlanMatchesRateScheduleBitExactly) {
     plan.events = {
         ev(at(9.0), fault::Action::kDown, "wifi/q", -1.0),
         ev(at(10.5), fault::Action::kUp, "wifi/q", 5e6),
-        ev(at(11.0), fault::Action::kRate, "wifi/q",
-           topo::WirelessClient::kWifiRate),
+        ev(at(11.0), fault::Action::kRate, "wifi/q", topo::kWifiRate),
         ev(at(0.0), fault::Action::kRate, "3g/q", 1.0e6),
         ev(at(9.0), fault::Action::kRate, "3g/q", 2.1e6),
         ev(at(10.5), fault::Action::kRate, "3g/q", 1.4e6),

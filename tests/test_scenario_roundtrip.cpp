@@ -22,7 +22,7 @@
 #include "stats/summary.hpp"
 #include "topo/fat_tree.hpp"
 #include "topo/network.hpp"
-#include "topo/torus.hpp"
+#include "topo/ring.hpp"
 #include "topo/wireless.hpp"
 #include "traffic/traffic_matrix.hpp"
 
@@ -70,11 +70,19 @@ metrics = ["flow_mbps", "jain", "queue_loss", "loss_ratio:0:2"]
   runner::RunContext ctx("direct");
   EventList& events = ctx.events();
   topo::Network net(events);
-  topo::Torus torus(net, {1000.0, 1000.0, 250.0, 1000.0, 1000.0});
+  // Fig. 7's torus: every RTT 100 ms, every buffer one BDP.
+  const double pps[] = {1000.0, 1000.0, 250.0, 1000.0, 1000.0};
+  std::vector<topo::RingLink> links;
+  for (int i = 0; i < 5; ++i) {
+    const double bps = topo::pkts_per_sec_to_bps(pps[i]);
+    links.push_back({"torus" + std::string(1, char('A' + i)), bps,
+                     from_ms(50), topo::bdp_bytes(bps, from_ms(100), 1.0)});
+  }
+  topo::Ring torus(net, links);
   stats::GoodputMeter meter(events);
   cc::Coupled coupled;
   std::vector<std::unique_ptr<mptcp::MptcpConnection>> conns;
-  for (int i = 0; i < topo::Torus::kLinks; ++i) {
+  for (int i = 0; i < 5; ++i) {
     auto conn = std::make_unique<mptcp::MptcpConnection>(
         events, "flow" + std::to_string(i), coupled);
     conn->add_subflow(torus.fwd(i, 0), torus.rev(i, 0));
@@ -84,9 +92,7 @@ metrics = ["flow_mbps", "jain", "queue_loss", "loss_ratio:0:2"]
     conns.push_back(std::move(conn));
   }
   events.run_until(from_sec(5));
-  for (int l = 0; l < topo::Torus::kLinks; ++l) {
-    torus.queue(l).reset_stats();
-  }
+  for (int l = 0; l < 5; ++l) torus.queue(l).reset_stats();
   meter.mark();
   events.run_until(from_sec(5) + from_sec(20));
   const std::vector<double> mbps = meter.mbps();
@@ -210,12 +216,12 @@ measure = "10s"
   runner::RunContext ctx("direct");
   EventList& events = ctx.events();
   topo::Network net(events);
-  topo::WirelessClient radio(net);
+  topo::TwoLink radio = topo::wireless_client(net);
   stats::GoodputMeter meter(events);
   cc::MptcpLia lia;
   mptcp::MptcpConnection conn(events, "flow0", lia);
-  conn.add_subflow(radio.wifi_fwd(), radio.wifi_rev());
-  conn.add_subflow(radio.g3_fwd(), radio.g3_rev());
+  conn.add_subflow(radio.fwd(0), radio.rev(0));
+  conn.add_subflow(radio.fwd(1), radio.rev(1));
   conn.start(0);
   meter.track(conn);
   events.run_until(from_sec(2));

@@ -526,6 +526,95 @@ TEST(SpecValidation, MinRtoAboveMaxRtoRejected) {
       load(with_lines("subflows = 2\n", "min_rto = \"60s\"\n")).validate());
 }
 
+// Values under which no packet can be delivered fail validation at the
+// key's line: a link rate of 0 or less (Queue's constructor would abort
+// the run), a receive buffer of no packets and a queue buffer smaller than
+// one data packet. One case per topology kind with a rate key.
+
+// kBase on topology `kind` with `keys` in place of the two_link keys.
+std::string on_topology(const std::string& kind, const std::string& keys) {
+  std::string text = kBase;
+  const std::size_t from = text.find("kind = \"two_link\"");
+  const std::size_t to = text.find("\n\n[algorithm]");
+  text.replace(from, to - from, "kind = \"" + kind + "\"\n" + keys);
+  return text;
+}
+
+TEST(SpecValidation, TwoLinkZeroRateRejected) {
+  std::string text = kBase;
+  text.replace(text.find("link1_rate = \"12Mbps\""), 21,
+               "link1_rate = \"0Mbps\"");
+  expect_key_error(text, "link1_rate", "'link1_rate' must be > 0");
+}
+
+TEST(SpecValidation, ParkingLotZeroRateRejected) {
+  const std::string text =
+      on_topology("parking_lot", "link_rate = \"0Mbps\"");
+  expect_key_error(text, "link_rate", "'link_rate' must be > 0");
+  EXPECT_NO_THROW(
+      load(on_topology("parking_lot", "link_rate = \"1Mbps\"")).validate());
+}
+
+TEST(SpecValidation, FatTreeZeroRateRejected) {
+  const std::string text =
+      on_topology("fat_tree", "k = 4\nlink_rate = \"0Mbps\"");
+  expect_key_error(text, "link_rate", "'link_rate' must be > 0");
+}
+
+TEST(SpecValidation, BCubeZeroRateRejected) {
+  const std::string text = on_topology("bcube", "link_rate = \"0bps\"");
+  expect_key_error(text, "link_rate", "'link_rate' must be > 0");
+}
+
+TEST(SpecValidation, TorusNonPositiveRatesRejected) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"cap_c = 0", "'cap_c' must be > 0"},
+      {"rate_pps = -5", "'rate_pps' must be > 0"},
+      {"rates_pps = [100, 100, 0, 100, 100]",
+       "'rates_pps' entries must be > 0, got 0"},
+  };
+  for (const auto& [line, says] : cases) {
+    expect_key_error(on_topology("torus", line), line, says);
+  }
+  EXPECT_NO_THROW(load(on_topology("torus", "cap_c = 1")).validate());
+}
+
+TEST(SpecValidation, TriangleNonPositiveRatesRejected) {
+  for (const char* rate : {"0", "-1"}) {
+    const std::string line =
+        "rates_pps = [" + std::string(rate) + ", 100, 100]";
+    expect_key_error(on_topology("triangle", line), line,
+                     "'rates_pps' entries must be > 0, got " +
+                         std::string(rate));
+  }
+  EXPECT_NO_THROW(
+      load(on_topology("triangle", "rates_pps = [1, 100, 100]")).validate());
+}
+
+TEST(SpecValidation, ZeroReceiveBufferRejected) {
+  const std::string text =
+      with_lines("subflows = 2\n", "recv_buffer_pkts = 0\n");
+  expect_key_error(text, "recv_buffer_pkts",
+                   "'recv_buffer_pkts' must be >= 1");
+  EXPECT_NO_THROW(
+      load(with_lines("subflows = 2\n", "recv_buffer_pkts = 1\n"))
+          .validate());
+}
+
+TEST(SpecValidation, BufferBelowOneDataPacketRejected) {
+  // link1_buf holds none, link2_buf 1000 of a packet's 1500 bytes.
+  const std::string text =
+      with_topology("link1_buf = \"1500B\"\nlink2_buf = \"1000B\"\n");
+  expect_key_error(text, "link2_buf", "'link2_buf' must be >= 1500B");
+  expect_key_error(with_topology("link1_buf = \"0B\"\n"), "link1_buf",
+                   "'link1_buf' must be >= 1500B");
+  expect_key_error(on_topology("parking_lot", "buffer = \"1000B\""),
+                   "buffer", "'buffer' must be >= 1500B");
+  expect_key_error(on_topology("fat_tree", "k = 4\nbuffer = \"0pkt\""),
+                   "buffer", "'buffer' must be >= 1500B");
+  EXPECT_NO_THROW(load(with_topology("link1_buf = \"1500B\"\n")).validate());
+}
+
 // Metric checks that need the built run (its queues, its hosts) fail in
 // validate(), not after the whole run has been simulated.
 TEST(SpecValidation, LossRatioQueueIndexBeyondTopologyRejected) {

@@ -142,8 +142,8 @@ TEST(Section23, CoupledCollapsesWindowOntoLowLossPath) {
   double w_wifi = 0.0, w_g3 = 0.0;
   int n = 0;
   stats::PeriodicSampler sampler(events, "s", from_ms(100), [&](SimTime) {
-    w_wifi += mp.subflow(0).effective_cwnd();
-    w_g3 += mp.subflow(1).effective_cwnd();
+    w_wifi += mp.cwnd_pkts(0);
+    w_g3 += mp.cwnd_pkts(1);
     ++n;
   });
   sampler.start(from_sec(5));

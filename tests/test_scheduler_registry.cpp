@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <typeindex>
+#include <typeinfo>
+#include <utility>
 #include <vector>
 
 #include "cc/mptcp_lia.hpp"
@@ -40,12 +43,15 @@ class TableView : public cc::ConnectionView {
 };
 
 TEST(SchedulerRegistry, FactoryProducesEveryKind) {
-  for (auto kind :
-       {DataSchedulerKind::kStripe, DataSchedulerKind::kMinRttFirst,
-        DataSchedulerKind::kRedundant, DataSchedulerKind::kBlest}) {
+  const std::pair<DataSchedulerKind, std::type_index> kinds[] = {
+      {DataSchedulerKind::kStripe, typeid(DataScheduler)},
+      {DataSchedulerKind::kMinRttFirst, typeid(MinRttFirstScheduler)},
+      {DataSchedulerKind::kRedundant, typeid(RedundantScheduler)},
+      {DataSchedulerKind::kBlest, typeid(BlestScheduler)}};
+  for (const auto& [kind, type] : kinds) {
     auto s = make_data_scheduler(kind, 0, 100);
     ASSERT_NE(s, nullptr);
-    EXPECT_STREQ(s->kind_name(), to_string(kind));
+    EXPECT_EQ(std::type_index(typeid(*s)), type) << type.name();
   }
 }
 
@@ -59,8 +65,8 @@ TEST(SchedulerRegistry, RankingPoliciesDegradeToStripeWithoutView) {
     std::uint64_t d = 99;
     for (std::uint64_t i = 0; i < 5; ++i) {
       ASSERT_TRUE(s->next_data(static_cast<std::uint32_t>(i % 2), d))
-          << to_string(kind);
-      EXPECT_EQ(d, i) << to_string(kind);
+          << typeid(*s).name();
+      EXPECT_EQ(d, i) << typeid(*s).name();
     }
   }
 }
@@ -237,8 +243,8 @@ TEST(SchedulerSim, RedundantDuplicatesAreSuppressedAtTheReceiver) {
   EXPECT_GT(conn.delivered_pkts(), 1000u);
   EXPECT_GT(conn.receiver().duplicates(), 1000u);
   EXPECT_EQ(conn.receiver().window_violations(), 0u);
-  EXPECT_STREQ(conn.scheduler().kind_name(),
-               to_string(DataSchedulerKind::kRedundant));
+  EXPECT_EQ(std::type_index(typeid(conn.scheduler())),
+            std::type_index(typeid(RedundantScheduler)));
 }
 
 TEST(SchedulerSim, MinRttFirstShiftsShareTowardTheFasterPath) {

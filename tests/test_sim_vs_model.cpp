@@ -48,8 +48,8 @@ AvgWindows run_fixed_loss(const cc::CongestionControl& algo, double p0,
   double sum0 = 0.0, sum1 = 0.0;
   int n = 0;
   stats::PeriodicSampler sampler(events, "s", from_ms(50), [&](SimTime) {
-    sum0 += mp.subflow(0).effective_cwnd();
-    sum1 += mp.subflow(1).effective_cwnd();
+    sum0 += mp.cwnd_pkts(0);
+    sum1 += mp.cwnd_pkts(1);
     ++n;
   });
   sampler.start(from_sec(20));

@@ -3,14 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/event_list.hpp"
 #include "topo/bcube.hpp"
 #include "topo/fat_tree.hpp"
 #include "topo/network.hpp"
 #include "topo/parking_lot.hpp"
-#include "topo/torus.hpp"
-#include "topo/triangle.hpp"
+#include "topo/ring.hpp"
 #include "topo/two_link.hpp"
 
 namespace mpsim::topo {
@@ -205,10 +206,19 @@ TEST(BCube, DetourPathsStillArrive) {
   }
 }
 
-TEST(Torus, FlowsMapToAdjacentLinks) {
+// Fig. 7's torus shape: five 12 Mb/s links "l0".."l4".
+std::vector<RingLink> five_links() {
+  std::vector<RingLink> links;
+  for (int i = 0; i < 5; ++i) {
+    links.push_back({"l" + std::to_string(i), 12e6, from_ms(50), 150000});
+  }
+  return links;
+}
+
+TEST(Ring, FlowsMapToAdjacentLinks) {
   EventList events;
   Network net(events);
-  Torus torus(net, {1000, 1000, 1000, 1000, 1000});
+  Ring torus(net, five_links());
   // Flow 4 wraps: link 4 and link 0.
   EXPECT_EQ(torus.fwd(4, 0)[0],
             static_cast<net::PacketSink*>(&torus.queue(4)));
@@ -216,10 +226,10 @@ TEST(Torus, FlowsMapToAdjacentLinks) {
             static_cast<net::PacketSink*>(&torus.queue(0)));
 }
 
-TEST(Torus, EachLinkServesTwoFlows) {
+TEST(Ring, EachLinkServesTwoFlows) {
   EventList events;
   Network net(events);
-  Torus torus(net, {1000, 1000, 1000, 1000, 1000});
+  Ring torus(net, five_links());
   // Link 2 is used by flow 2 (path 0) and flow 1 (path 1).
   int users = 0;
   for (int f = 0; f < 5; ++f) {
@@ -246,11 +256,14 @@ TEST(ParkingLot, TwoHopPathCrossesTwoLinks) {
             static_cast<net::PacketSink*>(&pl.queue(2)));
 }
 
-TEST(Triangle, CyclicLinkAssignment) {
+TEST(Ring, ThreeLinksAssignCyclically) {
   EventList events;
   Network net(events);
-  Triangle tri(net, {12e6, 10e6, 8e6}, from_ms(5),
-               {50000, 50000, 50000});
+  // Fig. 3's shape: three links of unequal capacity.
+  Ring tri(net, {{"tri0", 12e6, from_ms(5), 50000},
+                 {"tri1", 10e6, from_ms(5), 50000},
+                 {"tri2", 8e6, from_ms(5), 50000}});
+  EXPECT_EQ(tri.flow_slots(), 3);
   // Flow 2 uses links 2 and 0.
   EXPECT_EQ(tri.fwd(2, 0)[0], static_cast<net::PacketSink*>(&tri.queue(2)));
   EXPECT_EQ(tri.fwd(2, 1)[0], static_cast<net::PacketSink*>(&tri.queue(0)));

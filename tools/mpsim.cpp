@@ -7,7 +7,8 @@
 //                                  entries, metrics
 //
 // `run` prints one deterministic block per run (name + recorded metrics,
-// fixed formatting) to stdout and writes BENCH_scenario_<name>.json; wall
+// fixed formatting, the trace path and, when its ring filled, the records
+// the trace lost) to stdout and writes BENCH_scenario_<name>.json; wall
 // timings go to stderr only, so stdout, the report and the trace files are
 // byte-identical across thread counts — CI diffs them. A malformed spec
 // exits 2 with a file:line diagnostic; a report or trace file that cannot
@@ -257,6 +258,10 @@ int cmd_run(const Options& opts) {
         }
         if (!r.trace_path.empty()) {
           std::printf("  trace = %s\n", r.trace_path.c_str());
+        }
+        if (r.trace_records_lost > 0) {
+          std::printf("  trace_records_lost = %llu\n",
+                      static_cast<unsigned long long>(r.trace_records_lost));
         }
       }
       std::fflush(stdout);

@@ -3,12 +3,14 @@
 Walks a token stream (lexer.py) and extracts every *function definition* —
 free functions, inline class methods, out-of-line `Ret Class::method(...)`
 bodies, constructors, destructors and operators — together with the call
-sites inside each body. This is a scope-tracking recognizer, not a full
-C++ parser: it tracks namespace/class nesting and brace depth, recognizes
-the `name ( params ) [qualifiers] [: init-list] {` shape of a definition,
-and treats everything inside the body as a flat token sequence to mine for
+sites inside each body, parameter list and constructor initializer list.
+This is a scope-tracking recognizer, not a full C++ parser: it tracks
+namespace/class nesting and brace depth, recognizes the
+`name ( params ) [qualifiers] [: init-list] {` shape of a definition, and
+treats everything inside the body as a flat token sequence to mine for
 calls. That is exactly the fidelity a name-based call graph needs, and it
-keeps the tool dependency-free.
+keeps the tool dependency-free. `new T(...)`, `make_unique<T>(...)` and
+`make_shared<T>(...)` count as calls of T's constructors.
 
 Alongside the definitions it records where each *declaration* starts: every
 `;`-terminated statement at namespace or class scope, and every `static`
@@ -20,6 +22,7 @@ inclusion, see callgraph.py):
     a definition is invisible, and one inside a body contributes whatever
     call-shaped tokens appear in its argument list.
   * Lambdas defined inside a body belong to the enclosing function.
+Calls through a `std::function` resolve to nothing.
 """
 
 from __future__ import annotations
@@ -215,7 +218,7 @@ class _Parser:
         # Qualifiers between ')' and '{' / ';': const noexcept override
         # final && & -> Type : init-list. A ';' or '=' (default/delete/pure)
         # means declaration, '{' means definition.
-        saw_init_colon = False
+        init_colon = None  # token index of the init-list's ':'
         depth = 0
         while k < self.n:
             t = self.toks[k]
@@ -227,10 +230,10 @@ class _Parser:
                 elif depth <= 0:
                     if t.text == ";":
                         return None
-                    if t.text == "=" and not saw_init_colon:
+                    if t.text == "=" and init_colon is None:
                         return None  # = default / = delete / = 0
-                    if t.text == ":":
-                        saw_init_colon = True
+                    if t.text == ":" and init_colon is None:
+                        init_colon = k
                     elif t.text == "{":
                         break
             k += 1
@@ -258,8 +261,11 @@ class _Parser:
             head=i,
         )
         fn.calls = self._extract_calls(k + 1, body_end)
-        # Parameter-list defaults can call too (rare; include them).
+        # Parameter-list defaults can call too (rare; include them), and so
+        # can a constructor's member initializers.
         fn.calls += self._extract_calls(j + 1, close)
+        if init_colon is not None:
+            fn.calls += self._extract_calls(init_colon + 1, k)
         self.defs.append(fn)
         for b in range(k + 1, body_end):
             if self.toks[b].kind == "ident" and self.toks[b].text == "static":
@@ -300,7 +306,13 @@ class _Parser:
         calls: list = []
         for j in range(start, end):
             t = self.toks[j]
-            if t.kind != "ident" or t.text in NOT_A_CALL:
+            if t.kind != "ident":
+                continue
+            built = self._constructed_class(j)
+            if built:  # a constructor call: resolves to Class::Class
+                calls.append(CallSite(name=built, qualifier=built,
+                                      is_member=False, line=t.line))
+            if t.text in NOT_A_CALL:
                 continue
             if j + 1 >= self.n or self.toks[j + 1].text != "(":
                 # name<...>(...): skip a balanced angle list.
@@ -314,7 +326,7 @@ class _Parser:
             prev = self.toks[j - 1] if j > start - 1 and j > 0 else None
             if prev is not None and prev.kind == "ident" and \
                     prev.text == "new":
-                continue  # allocation, not a call (rules.py's territory)
+                continue  # the constructor call recorded at `new`
             qualifier = ""
             is_member = False
             if prev is not None and prev.kind == "punct":
@@ -326,6 +338,43 @@ class _Parser:
             calls.append(CallSite(name=t.text, qualifier=qualifier,
                                   is_member=is_member, line=t.line))
         return calls
+
+    def _constructed_class(self, j: int):
+        """The class `new T(...)`/`new T{...}` or `make_unique<T>(...)`/
+        `make_shared<T>(...)` at token j constructs (T's last name part),
+        or None."""
+        t = self.toks[j]
+        if t.text == "new":
+            name = None
+            k = j + 1
+            while k < self.n and (self.toks[k].kind == "ident" or
+                                  self.toks[k].text == "::"):
+                if self.toks[k].kind == "ident":
+                    name = self.toks[k].text
+                k += 1
+            if k < self.n and self.toks[k].text == "<":
+                close = self._match_angle(k)
+                k = close + 1 if close is not None else k
+            if k < self.n and self.toks[k].text in ("(", "{"):
+                return name
+            return None
+        if t.text not in ("make_unique", "make_shared") or \
+                j + 1 >= self.n or self.toks[j + 1].text != "<":
+            return None
+        close = self._match_angle(j + 1)
+        if close is None:
+            return None
+        name = None
+        depth = 0
+        for k in range(j + 1, close):
+            tk = self.toks[k]
+            if tk.text == "<":
+                depth += 1
+            elif tk.text == ">":
+                depth -= 1
+            elif depth == 1 and tk.kind == "ident":
+                name = tk.text
+        return name
 
     # --- token helpers ----------------------------------------------------
 
