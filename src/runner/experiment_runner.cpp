@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <thread>
 
 #include "mptcp/reorder_window.hpp"
@@ -28,10 +29,8 @@ std::vector<RunResult> ExperimentRunner::run_all() {
 
   auto exec = [&](std::size_t idx) {
     RunContext ctx(jobs_[idx].first);
-    if (cfg_.trace_sink != trace::SinkKind::kNone) {
-      trace::TraceRecorder::Config tc;
-      if (cfg_.trace_capacity > 0) tc.capacity = cfg_.trace_capacity;
-      trace::TraceRecorder::install(ctx.events(), tc);
+    if (cfg_.trace) {
+      trace::TraceRecorder::install(ctx.events(), cfg_.trace_capacity);
     }
     const auto t0 = std::chrono::steady_clock::now();
     jobs_[idx].second(ctx);
@@ -41,18 +40,15 @@ std::vector<RunResult> ExperimentRunner::run_all() {
     r.name = ctx.name();
     r.values = ctx.values();
     r.annotations = ctx.annotations();
-    if (cfg_.trace_sink != trace::SinkKind::kNone) {
+    if (cfg_.trace) {
       // Flush after the job returns (never during the run) on whichever
       // worker ran it; the recorder and file are private to this run, so
       // the bytes depend only on the simulation, not the schedule.
       const trace::TraceRecorder* rec =
           trace::TraceRecorder::find(ctx.events());
-      auto sink = trace::make_sink(cfg_.trace_sink);
-      rec->flush(*sink);
       const std::string path = cfg_.trace_dir + "/trace_" +
-                               sanitize_for_filename(ctx.name()) +
-                               trace::sink_extension(cfg_.trace_sink);
-      if (trace::write_text_file(path, sink->text())) {
+                               sanitize_for_filename(ctx.name()) + ".csv";
+      if (write_text_file(path, rec->csv())) {
         r.trace_path = path;
         r.trace_records_lost = rec->overwritten();
       }
@@ -107,6 +103,15 @@ std::string sanitize_for_filename(const std::string& name) {
     if (!ok) c = '_';
   }
   return out;
+}
+
+bool write_text_file(const std::string& path, const std::string& body) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  bool ok = f != nullptr &&
+            std::fwrite(body.data(), 1, body.size(), f) == body.size();
+  if (f != nullptr) ok = std::fclose(f) == 0 && ok;
+  if (!ok) std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+  return ok;
 }
 
 }  // namespace mpsim::runner

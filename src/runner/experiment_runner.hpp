@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "core/event_list.hpp"
-#include "trace/sinks.hpp"
 #include "trace/trace.hpp"
 
 namespace mpsim::runner {
@@ -114,15 +113,15 @@ struct RunResult {
 
 struct RunnerConfig {
   unsigned threads = 0;  // 0 => hardware concurrency; 1 => run on the caller
-  // Flight-recorder emission. kNone = off. Otherwise every job gets a
-  // recorder installed before it runs, and its trace is flushed to
-  // `trace_dir`/trace_<run-name><ext> after the job returns (run names are
-  // sanitised for the filesystem; the flush happens on the worker thread but
-  // each file is private to its run, so output is byte-identical whatever
-  // the thread count).
-  trace::SinkKind trace_sink = trace::SinkKind::kNone;
+  // The flight recorder. When on, every job gets a recorder of
+  // `trace_capacity` records installed before it runs, and its CSV trace is
+  // written to `trace_dir`/trace_<run-name>.csv after the job returns (run
+  // names are sanitised for the filesystem; the flush happens on the worker
+  // thread but each file is private to its run, so output is byte-identical
+  // whatever the thread count).
+  bool trace = false;
   std::string trace_dir = ".";
-  std::size_t trace_capacity = 0;  // 0 => TraceRecorder::Config default
+  std::size_t trace_capacity = trace::TraceRecorder::kDefaultCapacity;
 };
 
 class ExperimentRunner {
@@ -158,5 +157,9 @@ double total_wall_seconds(const std::vector<RunResult>& results);
 // filesystem might object to collapses to '_'. Distinct names can collide
 // after sanitising — callers name runs, so they own uniqueness.
 std::string sanitize_for_filename(const std::string& name);
+
+// Write `body` to `path` (truncating); false, with the path on stderr,
+// when the file cannot be written in full.
+bool write_text_file(const std::string& path, const std::string& body);
 
 }  // namespace mpsim::runner

@@ -16,7 +16,6 @@
 
 #include "runner/experiment_runner.hpp"
 #include "stats/json.hpp"
-#include "trace/sinks.hpp"
 
 namespace mpsim::runner {
 
@@ -62,7 +61,7 @@ inline stats::Json json_from_results(const std::vector<RunResult>& rs) {
 inline bool write_json_file(const std::string& name,
                             const stats::Json& root) {
   const std::string path = "BENCH_" + sanitize_for_filename(name) + ".json";
-  if (!trace::write_text_file(path, root.dump() + "\n")) return false;
+  if (!write_text_file(path, root.dump() + "\n")) return false;
   std::printf("\n[json] wrote %s\n", path.c_str());
   return true;
 }

@@ -141,8 +141,8 @@ const std::vector<SpecSection>& spec_sections() {
          "what each run records, \"<metric>[:<arg>...]\" (metrics below)"},
         {"sample_interval", kTime, "0s",
          "period of goodput trace records (scaled); 0s = none"},
-        {"trace", kString, "off", "trace sink; --trace overrides", {},
-         {"csv", "jsonl", "off"}},
+        {"trace", kString, "off", "flight-recorder trace; --trace overrides",
+         {}, {"csv", "off"}},
         {"trace_capacity", kCount64, "0",
          "trace ring size, records; 0 = the recorder's default"}}},
       {"sweep",
@@ -151,12 +151,6 @@ const std::vector<SpecSection>& spec_sections() {
        {}},
   };
   return sections;
-}
-
-trace::SinkKind sink_kind(const std::string& name) {
-  if (name == "csv") return trace::SinkKind::kCsv;
-  if (name == "jsonl") return trace::SinkKind::kJsonl;
-  return trace::SinkKind::kNone;
 }
 
 Scenario Scenario::load(const std::string& path) {
@@ -265,31 +259,27 @@ void Scenario::validate(double time_scale) const {
   }
 }
 
-std::vector<runner::RunResult> Scenario::run(const EngineOptions& opts) const {
-  runner::RunnerConfig rcfg;
-  rcfg.threads = opts.threads;
-  rcfg.trace_sink = opts.trace_sink;
-  rcfg.trace_dir = opts.trace_dir;
-  rcfg.trace_capacity = opts.trace_capacity;
-  runner::ExperimentRunner exp(rcfg);
+std::vector<runner::RunResult> Scenario::run(const runner::RunnerConfig& cfg,
+                                             double time_scale) const {
+  runner::ExperimentRunner exp(cfg);
   for (ResolvedRun& run : expand()) {
-    const double scale = opts.time_scale;
     std::string name = run.name;  // read before the capture moves `run`
     exp.add(std::move(name),
-            [run = std::move(run), scale](runner::RunContext& ctx) {
-              execute_run(run, scale, ctx);
+            [run = std::move(run), time_scale](runner::RunContext& ctx) {
+              execute_run(run, time_scale, ctx);
             });
   }
   return exp.run_all();
 }
 
-trace::SinkKind Scenario::spec_trace_sink() const {
-  return sink_kind(read_section(spec_, "output").get_string("trace"));
+bool Scenario::spec_trace() const {
+  return read_section(spec_, "output").get_string("trace") == "csv";
 }
 
 std::size_t Scenario::spec_trace_capacity() const {
-  return read_section(spec_, "output").get_count<std::size_t>(
+  const auto n = read_section(spec_, "output").get_count<std::size_t>(
       "trace_capacity");
+  return n > 0 ? n : trace::TraceRecorder::kDefaultCapacity;
 }
 
 namespace {

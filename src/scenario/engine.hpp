@@ -18,7 +18,6 @@
 
 #include "runner/experiment_runner.hpp"
 #include "scenario/spec.hpp"
-#include "trace/sinks.hpp"
 
 namespace mpsim::scenario {
 
@@ -30,15 +29,6 @@ struct ResolvedRun {
   // Sweep-point parameters as "section.key" -> rendered value, in axis
   // declaration order (the machine-readable echo for per-run JSON).
   std::vector<std::pair<std::string, std::string>> point;
-};
-
-struct EngineOptions {
-  unsigned threads = 0;       // 0 = hardware concurrency
-  double time_scale = 1.0;    // scales [run] warmup/measure and schedules
-  // Trace emission for every run (CLI --trace / [output] trace).
-  trace::SinkKind trace_sink = trace::SinkKind::kNone;
-  std::string trace_dir = ".";
-  std::size_t trace_capacity = 0;
 };
 
 class Scenario {
@@ -58,13 +48,16 @@ class Scenario {
   // rejecting unknown keys/kinds and malformed values. Throws SpecError.
   void validate(double time_scale = 1.0) const;
 
-  // Execute the grid. Throws SpecError for spec-level failures.
-  std::vector<runner::RunResult> run(const EngineOptions& opts) const;
+  // Execute the grid on a runner configured by `cfg`, every simulated
+  // duration scaled by `time_scale` ([run] warmup/measure and schedules).
+  // Throws SpecError for spec-level failures.
+  std::vector<runner::RunResult> run(const runner::RunnerConfig& cfg,
+                                     double time_scale = 1.0) const;
 
-  // Trace sink requested by [output] trace ("csv"/"jsonl"/"off"),
-  // and the ring capacity ([output] trace_capacity, 0 = default). The CLI
-  // lets --trace override the spec's sink.
-  trace::SinkKind spec_trace_sink() const;
+  // Whether [output] trace asks for a CSV trace, and the ring capacity
+  // ([output] trace_capacity; 0 reads as the recorder's default). The CLI
+  // lets --trace override the spec's choice.
+  bool spec_trace() const;
   std::size_t spec_trace_capacity() const;
 
  private:
@@ -84,10 +77,6 @@ struct SpecSection {
   KeyTable keys;
 };
 const std::vector<SpecSection>& spec_sections();
-
-// The flight-recorder sink a trace name (one of the [output] trace row's
-// choices) selects.
-trace::SinkKind sink_kind(const std::string& name);
 
 // Build and execute one resolved run on `ctx`, recording metrics and the
 // spec echo. `dry_run` stops after construction (validate()). Exposed so

@@ -19,6 +19,7 @@
 //   MetricInputs    what a metric reads when the measured window closes.
 #pragma once
 
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -51,8 +52,11 @@ struct BuildEnv {
   // CBR bursts draw from it, so a seed sweep varies all of them.
   std::uint64_t seed = 1;
 
+  // Rounded to the nearest nanosecond, so scaled durations that add up
+  // unscaled still add up: at --scale=0.06, 24 half-minute samples end
+  // exactly at a 12 min window's end.
   SimTime scaled(SimTime t) const {
-    return from_sec(to_sec(t) * time_scale);
+    return std::llround(static_cast<double>(t) * time_scale);
   }
   SimTime scaled_start(SimTime t) const {
     return scale_starts ? scaled(t) : t;

@@ -4,33 +4,38 @@
 // ids of the object/flow/subflow it describes, and a small typed payload
 // (two integers, two reals). Fixed size keeps the ring buffer a flat
 // preallocated array — appending is a bump-and-store, never an allocation —
-// and gives every sink (CSV, JSONL) the same column set.
+// and gives every CSV row the same column set.
 //
-// Payload conventions per type (everything else zero):
-//   kCwnd       a=srtt ns, b=rto ns, x=cwnd pkts, y=ssthresh pkts,
-//               phase=current TcpPhase
-//   kState      a=from TcpPhase, phase=to TcpPhase
+// Payload conventions per type: `flow, sub` or `flow` first where the type
+// names a connection and subflow, then its payload; every other column is
+// zero (tools/check_trace_schema.py fails a row that sets one):
+//   kCwnd       flow, sub; a=srtt ns, b=rto ns, x=cwnd pkts,
+//               y=ssthresh pkts, phase=current TcpPhase
+//   kState      flow, sub; a=from TcpPhase, phase=to TcpPhase
 //   kQueue      a=queued bytes, b=queued packets
-//   kQueueDrop  a=queued bytes at drop, b=dropped packet bytes
-//   kLinkDrop   b=dropped packet bytes (random, not congestive)
+//   kQueueDrop  flow, sub; a=queued bytes at drop, b=dropped packet bytes
+//   kLinkDrop   flow, sub; b=dropped packet bytes (random, not congestive)
 //   kRate       x=new link rate, bits/s
-//   kDataAck    a=data-level cumulative ACK, b=flow-control right edge
-//   kRcvBuf     a=buffer occupancy pkts, b=advertised window pkts
-//   kReinject   a=data seqs queued for reinjection, b=first such seq
-//   kGoodput    x=delivered goodput since the last sample, Mb/s
+//   kDataAck    flow; a=data-level cumulative ACK, b=flow-control right
+//               edge
+//   kRcvBuf     flow; a=buffer occupancy pkts, b=advertised window pkts
+//   kReinject   flow; a=data seqs queued for reinjection, b=first such seq
+//   kGoodput    flow, sub; x=delivered goodput since the last sample, Mb/s
 //   kFault      a=fault::Action enum, b=aux (duration ns, packets dropped,
 //               or subflow index per action), x=value (rate bps or drop
 //               probability per action)
-//   kSubflowAdd  a=active subflows after the add, b=total subflows ever
-//                opened on the connection (a brand-new join grows b; a
-//                re-probe repeats an earlier sub id with b unchanged)
-//   kSubflowDrop a=drop reason (0 = administrative/policy, 1 = declared
-//                dead after repeated RTOs without progress), b=data seqs
-//                handed to the scheduler for sibling reinjection
-//   kRateSample  a=estimator's delivered counter pkts, b=sample was
-//                app-limited (0/1), x=measured delivery rate pkts/s,
+//   kSubflowAdd  flow, sub; a=active subflows after the add, b=total
+//                subflows ever opened on the connection (a brand-new join
+//                grows b; a re-probe repeats an earlier sub id with b
+//                unchanged)
+//   kSubflowDrop flow, sub; a=drop reason (0 = administrative/policy, 1 =
+//                declared dead after repeated RTOs without progress),
+//                b=data seqs handed to the scheduler for sibling
+//                reinjection
+//   kRateSample  flow, sub; a=estimator's delivered counter pkts, b=sample
+//                was app-limited (0/1), x=measured delivery rate pkts/s,
 //                y=pacing rate republished by the controller, pkts/s
-//   kPacing      a=pacer deadline ns (burst parked until then),
+//   kPacing      flow, sub; a=pacer deadline ns (burst parked until then),
 //                x=pacing rate gating the launch, pkts/s
 #pragma once
 
@@ -67,8 +72,8 @@ enum class TcpPhase : std::uint8_t {
   kRtoRecovery,    // timeout + go-back-N
 };
 
-// Stable lowercase names, used by the CSV/JSONL sinks and the schema
-// validator (tools/check_trace_schema.py must list the same set).
+// Stable lowercase names, used by the CSV trace and the schema validator
+// (tools/check_trace_schema.py must list the same set).
 const char* record_type_name(RecordType t);
 
 struct Record {

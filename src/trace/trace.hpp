@@ -15,9 +15,9 @@
 //     cached pointer — nothing is constructed, nothing is called.
 //     (tools/mpsim_analyze's trace-discipline rule enforces that src/
 //     never calls append_unchecked() directly outside src/trace/.)
-//   * Nothing is formatted or written during the run; flush(sink) replays
-//     the ring chronologically into a TraceSink (CSV or JSONL) at run
-//     end.
+//   * Nothing is formatted or written during the run; csv() formats the
+//     ring chronologically at run end, and the runner writes that text to
+//     the run's trace file.
 //
 // Lifetime contract: install() the recorder immediately after constructing
 // the EventList, *before* building queues/connections — instrumented
@@ -32,27 +32,25 @@
 
 #include "core/event_list.hpp"
 #include "trace/record.hpp"
-#include "trace/sinks.hpp"
 
 namespace mpsim::trace {
 
 class TraceRecorder final : public EventList::Service {
  public:
-  struct Config {
-    // Ring capacity in records (56 B each; the default holds the last
-    // ~256k records in ~14 MB). A spec's [output] trace_capacity sets it
-    // for `mpsim run`.
-    std::size_t capacity = std::size_t{1} << 18;
-  };
+  // Ring capacity in records (56 B each; the default holds the last ~256k
+  // records in ~14 MB). A spec's [output] trace_capacity sets it for
+  // `mpsim run`.
+  static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 18;
+  // The column set; every CSV trace starts with this line.
+  static constexpr const char* kCsvHeader =
+      "t_ns,type,obj,flow,sub,phase,a,b,x,y";
 
-  explicit TraceRecorder(Config cfg);
+  explicit TraceRecorder(std::size_t capacity = kDefaultCapacity);
 
   // Attach a recorder to `events`' simulation. Exactly once per EventList,
   // and before the instrumented topology is built.
-  static TraceRecorder& install(EventList& events, Config cfg);
-  static TraceRecorder& install(EventList& events) {
-    return install(events, Config{});
-  }
+  static TraceRecorder& install(EventList& events,
+                                std::size_t capacity = kDefaultCapacity);
   // The simulation's recorder, or nullptr when tracing is disabled. This is
   // what instrumented constructors cache.
   static TraceRecorder* find(const EventList& events);
@@ -73,9 +71,14 @@ class TraceRecorder final : public EventList::Service {
     }
   }
 
-  // Replay the held records, oldest first, through `sink` (begin/record*/
-  // finish). const: flushing twice, or to several sinks, is fine.
-  void flush(TraceSink& sink) const;
+  // The held records, oldest first, as CSV: kCsvHeader, then one row per
+  // record. Integers print in full and reals as %.10g, which round-trips
+  // every value the simulator produces (windows are sums of small
+  // rationals, rates are configured constants); printf is
+  // locale-independent for the "C" decimal point the simulator never
+  // changes, so equal records give byte-identical text on every platform
+  // and thread count. const: flushing twice gives the same text.
+  std::string csv() const;
 
   std::size_t capacity() const { return ring_.size(); }
   std::size_t size() const { return size_; }

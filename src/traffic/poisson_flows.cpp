@@ -68,15 +68,7 @@ void PoissonFlowGenerator::on_event() {
   fname += std::to_string(flows_started_);
   auto conn = factory_(std::move(fname), size);
   ++flows_started_;
-  mptcp::MptcpConnection* raw = conn.get();
-  const SimTime born = now;
-  raw->on_complete = [this, raw, born] {
-    ++flows_completed_;
-    // Once per flow completion — flow-churn granularity again.
-    // mpsim-analyze: allow(hot-alloc)
-    fct_.push_back(events_.now() - born);
-    (void)raw;
-  };
+  conn->on_complete = [this] { ++flows_completed_; };
   // mpsim-analyze: allow(hot-alloc)
   flows_.push_back(std::move(conn));
 

@@ -4,10 +4,10 @@
 //
 // Each arrival creates a finite connection via a caller-supplied factory
 // (so the generator is topology-agnostic — single-path TCP or multipath
-// with a PathManager, the factory decides); flow completion times are
-// recorded. Completed flows are reclaimed (destroyed, their pool/arena
-// state returned) once the wire-reference ledger shows no packet in
-// flight references them — deferred teardown, so memory is bounded by the
+// with a PathManager, the factory decides); completions are counted.
+// Completed flows are reclaimed (destroyed, their pool/arena state
+// returned) once the wire-reference ledger shows no packet in flight
+// references them — deferred teardown, so memory is bounded by the
 // *live* flow count at churn scale rather than the all-time total.
 #pragma once
 
@@ -38,7 +38,7 @@ struct PoissonConfig {
 // can be smaller than one MSS (degenerate configs — shape near 1 or a tiny
 // mean — push xm toward 0), and an unclamped 0 would build a connection
 // with app_limit_pkts == 0, which means *unlimited*: it never sends its
-// (empty) transfer to completion and active_flows() never drains. A free
+// (empty) transfer to completion and never counts as completed. A free
 // function so the regression test can probe the boundary directly.
 inline std::uint64_t size_to_pkts(double bytes) {
   const auto pkts =
@@ -73,10 +73,6 @@ class PoissonFlowGenerator : public EventSource {
   std::uint64_t flows_started() const { return flows_started_; }
   std::uint64_t flows_completed() const { return flows_completed_; }
   std::uint64_t flows_reclaimed() const { return flows_reclaimed_; }
-  const std::vector<SimTime>& completion_times() const { return fct_; }
-  std::uint64_t active_flows() const {
-    return flows_started_ - flows_completed_;
-  }
   // Connections currently owned (live + completed-but-not-yet-reclaimable).
   std::size_t flows_held() const { return flows_.size(); }
   const std::vector<std::unique_ptr<mptcp::MptcpConnection>>& held() const {
@@ -94,7 +90,6 @@ class PoissonFlowGenerator : public EventSource {
   std::uint64_t flows_started_ = 0;
   std::uint64_t flows_completed_ = 0;
   std::uint64_t flows_reclaimed_ = 0;
-  std::vector<SimTime> fct_;
   std::vector<std::unique_ptr<mptcp::MptcpConnection>> flows_;
 };
 

@@ -1,11 +1,12 @@
 # mpsim run's output files. A report's name is sanitised as trace file
 # names are, a report or trace that cannot be written makes the run exit 1,
-# naming the file on stderr, and a trace whose ring filled says how many
-# records it lost, on stdout and in the report.
+# naming the file on stderr, a trace whose ring filled says how many
+# records it lost, on stdout and in the report, and --trace takes only
+# csv or off.
 #
 #   cmake -DMPSIM=<cli> -DSPEC=<spec.toml> -DOUT=<scratch dir>
 #         -DCASE=report_name_sanitised|report_unwritable|trace_unwritable|
-#               trace_records_lost
+#               trace_records_lost|trace_jsonl_rejected
 #         -P mpsim_outputs.cmake
 file(REMOVE_RECURSE ${OUT})
 file(MAKE_DIRECTORY ${OUT})
@@ -41,6 +42,11 @@ elseif(CASE STREQUAL "trace_records_lost")
   set(args --trace=csv ${OUT}/small_ring.toml)
   set(want_rc 0)
   set(want_lost ON)
+elseif(CASE STREQUAL "trace_jsonl_rejected")
+  # CSV is the only trace format: --trace names it or turns tracing off.
+  set(args --trace=jsonl ${SPEC})
+  set(want_rc 1)
+  set(want_stderr "csv|off")
 else()
   message(FATAL_ERROR "mpsim_outputs.cmake: unknown CASE \"${CASE}\"")
 endif()

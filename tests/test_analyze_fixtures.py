@@ -6,8 +6,9 @@ least one deliberate violation per rule — and asserts that:
 
   * the findings are exactly the EXPECTED (file, rule) pairs: every seeded
     violation fires under its rule, including the cross-TU escape (a clean
-    handler calling an allocating helper in another file) and the two
-    reached through constructors (make_unique<T>, a member initializer),
+    handler calling an allocating helper in another file), the two
+    reached through constructors (make_unique<T>, a member initializer)
+    and the allocation inside a hot constructor's initializer list,
     and every other file — the negative controls — stays silent;
   * the allow comment that suppresses nothing is reported as stale;
   * on the real tree the computed hot set still covers the nine per-event
@@ -57,6 +58,8 @@ EXPECTED = Counter([
     ("ctor_via_make_unique.cpp", "hot-alloc"),
     # a helper hot only through a constructor's initializer list
     ("ctor_init_list.cpp", "hot-alloc"),
+    # an allocation inside a hot constructor's initializer list
+    ("ctor_init_alloc.cpp", "hot-alloc"),
     ("hot_io.cpp", "hot-io"),
     ("packet_ownership.cpp", "packet-ownership"),
     ("comment_closing_line.cpp", "determinism-rand"),  # code after `*/`

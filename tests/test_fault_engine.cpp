@@ -491,12 +491,8 @@ seeds = [1, 2]
 TEST(FaultEngine, ScenarioFaultRunsAreThreadCountInvariant) {
   scenario::Scenario s =
       scenario::Scenario::from_string(kFaultSweepSpec, "fi.toml");
-  scenario::EngineOptions sequential;
-  sequential.threads = 1;
-  scenario::EngineOptions parallel;
-  parallel.threads = 4;
-  const auto r1 = s.run(sequential);
-  const auto r4 = s.run(parallel);
+  const auto r1 = s.run({.threads = 1});
+  const auto r4 = s.run({.threads = 4});
 
   ASSERT_EQ(r1.size(), 2u);
   ASSERT_EQ(r4.size(), 2u);
@@ -819,9 +815,7 @@ TEST(FaultEngine, ResetOfAnUnopenedSubflowIsANoOp) {
                            "\"2s reset 0 flow0\"]\n";
   const scenario::Scenario s = scenario::Scenario::from_string(text, "r.toml");
   EXPECT_NO_THROW(s.validate());
-  scenario::EngineOptions opts;
-  opts.threads = 1;
-  const auto results = s.run(opts);
+  const auto results = s.run({.threads = 1});
   ASSERT_EQ(results.size(), 1u);
   double applied = -1.0;
   for (const auto& [key, value] : results[0].values) {

@@ -270,12 +270,8 @@ algorithm.kind = ["mptcp", "ewtcp"]
 )",
                                      "rt_grid.toml");
 
-  EngineOptions sequential;
-  sequential.threads = 1;
-  EngineOptions parallel;
-  parallel.threads = 4;
-  const auto r1 = s.run(sequential);
-  const auto r4 = s.run(parallel);
+  const auto r1 = s.run({.threads = 1});
+  const auto r4 = s.run({.threads = 4});
 
   ASSERT_EQ(r1.size(), 6u);  // 2 algorithms x 3 seeds
   ASSERT_EQ(r4.size(), 6u);

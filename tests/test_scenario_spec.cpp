@@ -2,6 +2,7 @@
 // must fail loudly, with a file:line diagnostic — never parse as something
 // surprising or silently sweep nothing.
 #include "scenario/engine.hpp"
+#include "scenario/registry.hpp"
 #include "scenario/spec.hpp"
 
 #include <gtest/gtest.h>
@@ -119,6 +120,17 @@ TEST(SpecUnits, TimeParsing) {
   EXPECT_THROW(parse_time("20", "t", 3), SpecError);       // unit-less
   EXPECT_THROW(parse_time("5parsec", "t", 3), SpecError);  // unknown unit
   EXPECT_THROW(parse_time("fast", "t", 3), SpecError);
+}
+
+// --scale rounds each scaled time to the nearest nanosecond, so times that
+// add up unscaled add up scaled: fig17_mobile's 24 half-minute goodput
+// samples end at its 12 min window's end at --scale=0.06 too.
+TEST(SpecUnits, ScaledTimesRoundToTheNearestNanosecond) {
+  BuildEnv env;
+  env.time_scale = 0.06;
+  EXPECT_EQ(24 * env.scaled(from_sec(30)), env.scaled(from_sec(12 * 60)));
+  EXPECT_EQ(env.scaled(from_sec(12 * 60)), from_sec(43.2));
+  EXPECT_EQ(env.scaled(from_ms(6)), from_us(360));
 }
 
 TEST(SpecUnits, RateParsing) {
@@ -372,10 +384,11 @@ TEST(SpecValidation, LossRatioQueueIndexOutOfIntRangeRejected) {
                      "2147483647], got 99999999999");
 }
 
-TEST(SpecValidation, TraceSinkMustBeAKnownName) {
+TEST(SpecValidation, TraceMustBeCsvOrOff) {
   // validate() checks [output] trace even though only `mpsim run` reads
-  // it, so `mpsim run --trace=off` cannot run a spec that names no sink.
-  for (const char* value : {"\"bogus\"", "3"}) {
+  // it, so `mpsim run --trace=off` cannot run a spec whose trace is
+  // neither "csv" nor "off". CSV is the only format: "jsonl" fails too.
+  for (const char* value : {"\"bogus\"", "3", "\"jsonl\""}) {
     const std::string text = std::string(kBase) +
                              "\n[output]\ntrace = " + value + "\n";
     const SpecError e = error_of([&] { load(text).validate(); });

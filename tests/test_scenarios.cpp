@@ -237,7 +237,7 @@ TEST(Fig1, OnlyUncoupledTakesMoreThanItsShareOfASharedBottleneck) {
   const scenario::Scenario s = scenario::Scenario::load(
       MPSIM_SCENARIO_DIR "/fig1_shared_bottleneck.toml");
   std::map<std::string, double> share;  // algorithm -> multipath share
-  for (const runner::RunResult& r : s.run(scenario::EngineOptions{})) {
+  for (const runner::RunResult& r : s.run({})) {
     const double tcp = r.value("mbps_flow0");
     const double mp = r.value("mbps_flow1");
     share[r.name.substr(r.name.find('=') + 1)] = mp / (tcp + mp);

@@ -1,4 +1,4 @@
-// The flight recorder: record schema round-trips through the sinks, the
+// The flight recorder: record schema round-trips through the CSV text, the
 // ring overwrites oldest-first, instrumentation is free (and silent) when no
 // recorder is installed, and runner trace files are byte-identical however
 // many threads execute the jobs.
@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,7 +20,6 @@
 #include "topo/network.hpp"
 #include "topo/two_link.hpp"
 #include "trace/record.hpp"
-#include "trace/sinks.hpp"
 
 namespace mpsim::trace {
 namespace {
@@ -30,6 +30,17 @@ std::vector<std::string> split_lines(const std::string& text) {
   std::string line;
   while (std::getline(in, line)) lines.push_back(line);
   return lines;
+}
+
+// CSV rows per record type (the second column), header skipped.
+std::map<std::string, std::size_t> rows_by_type(const std::string& csv) {
+  std::map<std::string, std::size_t> rows;
+  const auto lines = split_lines(csv);
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    const std::size_t from = lines[i].find(',') + 1;
+    ++rows[lines[i].substr(from, lines[i].find(',', from) - from)];
+  }
+  return rows;
 }
 
 std::string read_file(const std::string& path) {
@@ -64,11 +75,9 @@ TEST(TraceRecorder, CsvSchemaRoundTrip) {
                                   TcpPhase::kFastRecovery));
   ASSERT_EQ(rec.size(), 3u);
 
-  CsvSink csv;
-  rec.flush(csv);
-  const auto lines = split_lines(csv.text());
+  const auto lines = split_lines(rec.csv());
   ASSERT_EQ(lines.size(), 4u);
-  EXPECT_EQ(lines[0], CsvSink::kHeader);
+  EXPECT_EQ(lines[0], TraceRecorder::kCsvHeader);
   // t_ns,type,obj,flow,sub,phase,a,b,x,y with a=srtt ns, b=rto ns,
   // x=cwnd, y=ssthresh for a cwnd sample.
   EXPECT_EQ(lines[1], "5000000,cwnd,conn/sf0,7,1,1,100000000,300000000,"
@@ -77,28 +86,9 @@ TEST(TraceRecorder, CsvSchemaRoundTrip) {
   EXPECT_EQ(lines[3], "7000000,state,conn/sf0,7,1,2,1,0,0,0");
 }
 
-TEST(TraceRecorder, JsonlSchemaRoundTrip) {
-  EventList events;
-  TraceRecorder& rec = TraceRecorder::install(events);
-  const std::uint16_t id = rec.register_object("wifi");
-  TraceRecorder* r = &rec;
-  MPSIM_TRACE(r, rate_change(from_sec(9), id, 5e6));
-
-  JsonlSink jsonl;
-  rec.flush(jsonl);
-  const auto lines = split_lines(jsonl.text());
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_EQ(lines[0],
-            "{\"t\":9000000000,\"type\":\"rate\",\"obj\":\"wifi\","
-            "\"flow\":0,\"sub\":0,\"phase\":0,\"a\":0,\"b\":0,"
-            "\"x\":5000000,\"y\":0}");
-}
-
 TEST(TraceRecorder, RingOverwritesOldest) {
   EventList events;
-  TraceRecorder::Config cfg;
-  cfg.capacity = 8;
-  TraceRecorder& rec = TraceRecorder::install(events, cfg);
+  TraceRecorder& rec = TraceRecorder::install(events, 8);
   const std::uint16_t id = rec.register_object("q");
   TraceRecorder* r = &rec;
   for (int i = 0; i < 20; ++i) {
@@ -109,9 +99,7 @@ TEST(TraceRecorder, RingOverwritesOldest) {
   EXPECT_EQ(rec.total_records(), 20u);
   EXPECT_EQ(rec.overwritten(), 12u);
 
-  CsvSink csv;
-  rec.flush(csv);
-  const auto lines = split_lines(csv.text());
+  const auto lines = split_lines(rec.csv());
   ASSERT_EQ(lines.size(), 9u);  // header + the 8 newest, oldest first
   for (int i = 0; i < 8; ++i) {
     const int t = 12 + i;
@@ -128,11 +116,22 @@ TEST(TraceRecorder, FlushIsRepeatable) {
   const std::uint16_t id = rec.register_object("x");
   TraceRecorder* r = &rec;
   MPSIM_TRACE(r, data_ack(from_ms(1), id, 3, 10, 500));
-  CsvSink a;
-  CsvSink b;
-  rec.flush(a);
-  rec.flush(b);
-  EXPECT_EQ(a.text(), b.text());
+  const std::string first = rec.csv();
+  EXPECT_EQ(rec.csv(), first);
+  EXPECT_EQ(first, std::string(TraceRecorder::kCsvHeader) +
+                       "\n1000000,data_ack,x,3,0,0,10,500,0,0\n");
+}
+
+TEST(TraceRecorder, ObjectNameThatWouldSplitACsvRowIsRejected) {
+  if (!checks_enabled()) {
+    GTEST_SKIP() << "requires MPSIM_CHECK (MPSIM_CHECKS=off lane)";
+  }
+  ScopedThrowingChecks guard;
+  EventList events;
+  TraceRecorder& rec = TraceRecorder::install(events);
+  for (const char* name : {"a,b", "a\"b", "a\nb"}) {
+    EXPECT_THROW(rec.register_object(name), CheckFailureError) << name;
+  }
 }
 
 // A full simulation with no recorder installed must record nothing and cost
@@ -161,31 +160,11 @@ TEST(TraceRecorder, InstrumentedSimulationRecords) {
   tcp->start(0);
   events.run_until(from_sec(5));
 
-  std::size_t cwnd = 0;
-  std::size_t queue = 0;
-  std::size_t dack = 0;
-  std::size_t rcvbuf = 0;
-  class Counter final : public TraceSink {
-   public:
-    explicit Counter(std::size_t* by_type) : by_type_(by_type) {}
-    void record(const Record& rr, std::string_view) override {
-      ++by_type_[static_cast<int>(rr.type)];
-    }
-
-   private:
-    std::size_t* by_type_;
-  };
-  std::size_t by_type[kRecordTypeCount] = {};
-  Counter counter(by_type);
-  rec.flush(counter);
-  cwnd = by_type[static_cast<int>(RecordType::kCwnd)];
-  queue = by_type[static_cast<int>(RecordType::kQueue)];
-  dack = by_type[static_cast<int>(RecordType::kDataAck)];
-  rcvbuf = by_type[static_cast<int>(RecordType::kRcvBuf)];
-  EXPECT_GT(cwnd, 100u);
-  EXPECT_GT(queue, 100u);
-  EXPECT_GT(dack, 100u);
-  EXPECT_GT(rcvbuf, 100u);
+  std::map<std::string, std::size_t> rows = rows_by_type(rec.csv());
+  EXPECT_GT(rows["cwnd"], 100u);
+  EXPECT_GT(rows["queue"], 100u);
+  EXPECT_GT(rows["data_ack"], 100u);
+  EXPECT_GT(rows["rcv_buf"], 100u);
   EXPECT_EQ(rec.total_records(), rec.size() + rec.overwritten());
 }
 
@@ -209,10 +188,8 @@ TEST(TraceRecorder, RandomLossDropsAreTraced) {
   const net::LossyLink& loss = *net.fault_targets().find("link1/loss")->lossy;
   ASSERT_GT(loss.drops(), 0u);
   ASSERT_EQ(rec.overwritten(), 0u);
-  CsvSink csv;
-  rec.flush(csv);
   std::uint64_t rows = 0;
-  for (const std::string& line : split_lines(csv.text())) {
+  for (const std::string& line : split_lines(rec.csv())) {
     if (line.find(",link_drop,") == std::string::npos) continue;
     EXPECT_NE(line.find(",link_drop,link1/loss,"), std::string::npos) << line;
     ++rows;
@@ -240,7 +217,7 @@ TEST(RunnerTrace, FilesByteIdenticalAcrossThreadCounts) {
     std::remove((dir + "/trace_seed3.csv").c_str());
     runner::RunnerConfig cfg;
     cfg.threads = threads;
-    cfg.trace_sink = SinkKind::kCsv;
+    cfg.trace = true;
     cfg.trace_dir = dir;
     runner::ExperimentRunner r(cfg);
     for (int s = 0; s < 4; ++s) {

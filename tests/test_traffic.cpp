@@ -90,8 +90,6 @@ TEST(PoissonFlows, GeneratesAndCompletesFlows) {
   EXPECT_GT(gen.flows_started(), 120u);
   EXPECT_LT(gen.flows_started(), 300u);
   EXPECT_GT(gen.flows_completed(), gen.flows_started() * 8 / 10);
-  EXPECT_EQ(gen.completion_times().size(), gen.flows_completed());
-  for (SimTime fct : gen.completion_times()) EXPECT_GT(fct, 0);
 }
 
 TEST(PoissonFlows, AlternatingPhasesChangeArrivalRate) {

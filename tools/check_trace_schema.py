@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate a flight-recorder CSV trace against the record schema.
 
-Checks (mirroring src/trace/record.hpp and the CsvSink format):
+Checks (mirroring src/trace/record.hpp and TraceRecorder::csv()):
   * header is exactly  t_ns,type,obj,flow,sub,phase,a,b,x,y
   * every row has exactly 10 columns
   * t_ns is a non-negative integer and non-decreasing down the file
@@ -9,11 +9,14 @@ Checks (mirroring src/trace/record.hpp and the CsvSink format):
   * type is one of the known record-type names
   * flow / sub / phase / a / b are non-negative integers, phase <= 3
   * x / y parse as finite floats
+  * a row sets only the columns its type's payload convention names;
+    every other column is zero
   * obj is non-empty and contains no characters that would break the CSV
 
 The scenario_smoke_* ctests (tests/scenario_smoke.cmake) run this over
-the traces of scaled spec runs, fig17_mobile.toml among them, so schema
-drift between the C++ sinks and this validator fails the build.
+the traces of scaled spec runs, which hold every record type between
+them, so schema drift between the recorder and this validator fails the
+build.
 
 Usage: tools/check_trace_schema.py TRACE.csv [TRACE2.csv ...]
 Exits non-zero on the first malformed file.
@@ -28,12 +31,27 @@ from pathlib import Path
 HEADER = "t_ns,type,obj,flow,sub,phase,a,b,x,y"
 NUM_COLS = 10
 
-# Must match record_type_name() in src/trace/sinks.cpp.
-RECORD_TYPES = {
-    "cwnd", "state", "queue", "queue_drop", "link_drop",
-    "rate", "data_ack", "rcv_buf", "reinject", "goodput", "fault",
-    "subflow_add", "subflow_drop", "rate_sample", "pacing",
+# Every record type (record_type_name() in src/trace/trace.cpp) and the
+# columns out of flow, sub, phase, a, b, x and y its rows may set, as
+# src/trace/record.hpp's payload conventions state them.
+SETS = {
+    "cwnd": {"flow", "sub", "phase", "a", "b", "x", "y"},
+    "state": {"flow", "sub", "phase", "a"},
+    "queue": {"a", "b"},
+    "queue_drop": {"flow", "sub", "a", "b"},
+    "link_drop": {"flow", "sub", "b"},
+    "rate": {"x"},
+    "data_ack": {"flow", "a", "b"},
+    "rcv_buf": {"flow", "a", "b"},
+    "reinject": {"flow", "a", "b"},
+    "goodput": {"flow", "sub", "x"},
+    "fault": {"a", "b", "x"},
+    "subflow_add": {"flow", "sub", "a", "b"},
+    "subflow_drop": {"flow", "sub", "a", "b"},
+    "rate_sample": {"flow", "sub", "a", "b", "x", "y"},
+    "pacing": {"flow", "sub", "a", "x"},
 }
+PAYLOAD = ("flow", "sub", "phase", "a", "b", "x", "y")
 MAX_PHASE = 3  # TcpPhase::kRtoRecovery
 
 
@@ -72,7 +90,7 @@ def check_file(path: Path) -> int:
             fail(path, lineno, f"t_ns went backwards: {t} after {prev_t}")
         prev_t = t
 
-        if rtype not in RECORD_TYPES:
+        if rtype not in SETS:
             fail(path, lineno, f"unknown record type {rtype!r}")
         if not obj:
             fail(path, lineno, "empty obj name")
@@ -95,6 +113,11 @@ def check_file(path: Path) -> int:
                      f"{value!r}")
             if not math.isfinite(v):
                 fail(path, lineno, f"column '{name}' is not finite: {value!r}")
+
+        for name, value in zip(PAYLOAD, (flow, sub, phase, a, b, x, y)):
+            if name not in SETS[rtype] and float(value) != 0.0:
+                fail(path, lineno, f"a {rtype} row sets column '{name}' "
+                     f"({value!r}); its payload convention leaves it zero")
 
     return len(lines) - 1
 

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -25,14 +26,13 @@
 #include "scenario/engine.hpp"
 #include "scenario/faults.hpp"
 #include "scenario/registry.hpp"
-#include "trace/trace.hpp"
 
 namespace {
 
 using namespace mpsim;
 
-// The sinks --trace accepts: the [output] trace row's choices.
-const std::vector<std::string>& trace_sinks() {
+// The values --trace accepts: the [output] trace row's choices.
+const std::vector<std::string>& trace_choices() {
   const auto& sections = scenario::spec_sections();
   const auto out =
       std::find_if(sections.begin(), sections.end(),
@@ -43,10 +43,10 @@ const std::vector<std::string>& trace_sinks() {
   return row->choices;
 }
 
-// trace_sinks() as "csv|jsonl|off".
-std::string sink_list() {
+// trace_choices() as "csv|off".
+std::string trace_list() {
   std::string joined;
-  for (const std::string& c : trace_sinks()) {
+  for (const std::string& c : trace_choices()) {
     joined += (joined.empty() ? "" : "|") + c;
   }
   return joined;
@@ -68,7 +68,7 @@ int usage() {
                "threads)\n"
                "  --scale=X       simulated-duration scale (default 1)\n"
                "  --trace=KIND    %s; overrides [output] trace\n"
-               "  --trace-dir=D   directory for trace_<run>.* files "
+               "  --trace-dir=D   directory for trace_<run>.csv files "
                "(default \".\")\n"
                "\n"
                "specs may carry a [faults] section (scripted link "
@@ -77,14 +77,14 @@ int usage() {
                "fault runs report recovery metrics (fault_outages,\n"
                "fault_ttr_mean_s, ...) alongside the ordinary ones. "
                "`mpsim list` prints\nevery grammar.\n",
-               sink_list().c_str());
+               trace_list().c_str());
   return 1;
 }
 
 struct Options {
   unsigned threads = 0;
   double scale = 1.0;
-  std::string trace;  // "" = not given on the command line
+  std::optional<bool> trace;  // --trace=csv|off, when given
   std::string trace_dir = ".";
   std::vector<std::string> specs;
 };
@@ -116,13 +116,13 @@ bool parse_args(int argc, char** argv, Options& opts) {
       }
       opts.scale = d;
     } else if (value_of("--trace=", v)) {
-      const std::vector<std::string>& sinks = trace_sinks();
-      if (std::find(sinks.begin(), sinks.end(), v) == sinks.end()) {
+      const std::vector<std::string>& choices = trace_choices();
+      if (std::find(choices.begin(), choices.end(), v) == choices.end()) {
         std::fprintf(stderr, "mpsim: --trace wants %s, got \"%s\"\n",
-                     sink_list().c_str(), v.c_str());
+                     trace_list().c_str(), v.c_str());
         return false;
       }
-      opts.trace = v;
+      opts.trace = v == "csv";
     } else if (value_of("--trace-dir=", v)) {
       opts.trace_dir = v;
     } else if (arg.rfind("--", 0) == 0) {
@@ -133,13 +133,6 @@ bool parse_args(int argc, char** argv, Options& opts) {
     }
   }
   return true;
-}
-
-// The --trace flag, else the spec's [output] trace.
-trace::SinkKind resolve_sink(const Options& opts,
-                             const scenario::Scenario& scn) {
-  if (!opts.trace.empty()) return scenario::sink_kind(opts.trace);
-  return scn.spec_trace_sink();
 }
 
 void print_keys(const scenario::KeyTable& keys, const char* indent) {
@@ -229,14 +222,14 @@ int cmd_run(const Options& opts) {
       const scenario::Scenario scn = scenario::Scenario::load(path);
       scn.validate(opts.scale);  // fail fast before burning CPU on the grid
 
-      scenario::EngineOptions eng;
-      eng.threads = opts.threads;
-      eng.time_scale = opts.scale;
-      eng.trace_sink = resolve_sink(opts, scn);
-      eng.trace_dir = opts.trace_dir;
-      eng.trace_capacity = scn.spec_trace_capacity();
+      runner::RunnerConfig cfg;
+      cfg.threads = opts.threads;
+      // The --trace flag, else the spec's [output] trace.
+      cfg.trace = opts.trace.value_or(scn.spec_trace());
+      cfg.trace_dir = opts.trace_dir;
+      cfg.trace_capacity = scn.spec_trace_capacity();
 
-      const std::vector<runner::RunResult> results = scn.run(eng);
+      const std::vector<runner::RunResult> results = scn.run(cfg, opts.scale);
 
       std::printf("== %s ==\n", scn.name().c_str());
       for (const runner::RunResult& r : results) {
@@ -269,17 +262,15 @@ int cmd_run(const Options& opts) {
                            "thread(s)\n",
                    scn.name().c_str(), results.size(),
                    runner::total_wall_seconds(results),
-                   eng.threads == 0
+                   cfg.threads == 0
                        ? runner::ExperimentRunner::hardware_threads()
-                       : eng.threads);
+                       : cfg.threads);
 
       bool written = runner::write_json_file(
           "scenario_" + scn.name(), runner::json_from_results(results));
       // The runner leaves trace_path empty for a trace it could not write.
       for (const runner::RunResult& r : results) {
-        if (eng.trace_sink != trace::SinkKind::kNone && r.trace_path.empty()) {
-          written = false;
-        }
+        if (cfg.trace && r.trace_path.empty()) written = false;
       }
       if (!written) return 1;
     } catch (const scenario::SpecError& e) {

@@ -70,6 +70,8 @@ class FunctionDef:
     body_close: int    # token index of the body's '}'
     head: int          # token index of the name (parameters and a
                        # constructor's init-list lie between it and body)
+    init_open: int | None = None  # token index of a constructor's
+                                  # init-list ':', None without one
     calls: list = field(default_factory=list)  # list[CallSite]
 
     @property
@@ -259,6 +261,7 @@ class _Parser:
             body_open=k,
             body_close=body_end,
             head=i,
+            init_open=init_colon,
         )
         fn.calls = self._extract_calls(k + 1, body_end)
         # Parameter-list defaults can call too (rare; include them), and so

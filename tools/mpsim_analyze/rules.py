@@ -5,8 +5,9 @@ comments and preprocessor lines gone, every literal read as `""` — so the
 regexes below spell C++ that way (`std :: chrono`, `malloc \\(`) and prose
 or literals can never trip them. Nine rules scan every file; three scan
 only the bodies of hot functions (reachable from event dispatch,
-callgraph.py). Findings print as `path:line: [rule] message`, with the
-function's qualname in front of the message for hot rules.
+callgraph.py), a constructor's member-initializer list included.
+Findings print as `path:line: [rule] message`, with the function's
+qualname in front of the message for hot rules.
 
 Rules over every file [exempt paths]
 -----------------------------------
@@ -213,7 +214,9 @@ def run_rules(lexed_files: dict, decls: dict, hot: list, defs: list):
             _check_mutable_global(report, lf, scope, first)
     for fn in hot:
         lf = lexed_files[fn.path]
-        body = (lf.starts[fn.body_open + 1], lf.starts[fn.body_close])
+        # A constructor's member initializers run as part of its body.
+        first = fn.body_open if fn.init_open is None else fn.init_open
+        body = (lf.starts[first + 1], lf.starts[fn.body_close])
         for rule in HOT_RULES:
             report.scan(lf, rule, body, fn.qualname)
         _check_packet_ownership(report, lf, fn, body)
